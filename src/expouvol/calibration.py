@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .model import ModelParams
-from .pricing import OptionSpec, expou_call
+from .pricing import OptionSpec, _call_prices
 from .risk_neutral import RiskAversion, expansion_coeffs, to_martingale
 from .units import daily_vol
 
@@ -93,9 +93,10 @@ class QuoteLoadResult:
 def load_quotes(path) -> QuoteLoadResult:
     """Read an option-chain CSV, validating row by row.
 
-    Malformed rows (missing fields, non-numeric, non-positive prices,
-    crossed markets) are rejected individually with their line numbers;
-    a missing or unusable header raises QuoteError outright.
+    Malformed rows (missing fields, non-numeric or non-finite values,
+    non-positive prices, crossed markets) are rejected individually with
+    their line numbers; a missing or unusable header raises QuoteError
+    outright.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -125,26 +126,19 @@ def load_quotes(path) -> QuoteLoadResult:
             if len(vals) != len(header):
                 rejects.append((line_no, f"expected {len(header)} fields, got {len(vals)}"))
                 continue
-            strike, mat = vals[0], vals[1]
-            if mid_only:
-                bid = ask = mid = vals[2]
-            else:
-                bid, ask = vals[2], vals[3]
-                mid = 0.5 * (bid + ask)
-            if strike <= 0:
-                rejects.append((line_no, "non-positive strike"))
+            strike, mat, bid = vals[:3]
+            ask = bid if mid_only else vals[3]
+            reason = next((why for why, bad in (
+                ("non-finite field", not all(map(math.isfinite, vals))),
+                ("non-positive strike", strike <= 0),
+                ("non-positive maturity", mat <= 0),
+                ("non-positive price", bid <= 0),
+                ("crossed", bid > ask)) if bad), None)
+            if reason:
+                rejects.append((line_no, reason))
                 continue
-            if mat <= 0:
-                rejects.append((line_no, "non-positive maturity"))
-                continue
-            if bid <= 0:
-                rejects.append((line_no, "non-positive price"))
-                continue
-            if bid > ask:
-                rejects.append((line_no, "crossed"))
-                continue
-            quotes.append(OptionQuote(strike=strike, maturity=mat,
-                                      bid=bid, ask=ask, mid=mid))
+            quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid, ask=ask,
+                                      mid=bid if mid_only else 0.5 * (bid + ask)))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 
@@ -170,14 +164,23 @@ def y0_from_vol_index(sigma0_annual: float, m: float) -> float:
     return math.log(daily_vol(sigma0_annual) / m)
 
 
-def _chain_price(lambda0: float, lambda1: float, quotes, p: ModelParams,
-                 spot: float, r: float, y0: float) -> np.ndarray:
+def _chain_specs(quotes, spot: float, r: float) -> list:
+    """(quote indices, OptionSpec over their strikes) per distinct maturity."""
+    strikes = np.array([q.strike for q in quotes])
+    maturities = np.array([q.maturity for q in quotes])
+    groups = [np.flatnonzero(maturities == t) for t in np.unique(maturities)]
+    return [(idx, OptionSpec(spot, strikes[idx], quotes[idx[0]].maturity, r))
+            for idx in groups]
+
+
+def _chain_price(lambda0: float, lambda1: float, chain, p: ModelParams,
+                 y0: float) -> np.ndarray:
+    """Model prices of a ``_chain_specs`` chain, in quote order."""
     mp = to_martingale(p, RiskAversion(lambda0, lambda1), y0)
-    out = np.empty(len(quotes))
-    for i, q in enumerate(quotes):
-        spec = OptionSpec(spot=spot, strike=q.strike, maturity=q.maturity, rate=r)
-        coeffs = expansion_coeffs(mp, q.maturity, r)
-        out[i] = expou_call(spec, mp, coeffs).total
+    out = np.empty(sum(idx.size for idx, _ in chain))
+    for idx, spec in chain:
+        coeffs = expansion_coeffs(mp, spec.maturity, spec.rate)
+        out[idx] = _call_prices(spec, mp, coeffs)[4]
     return out
 
 
@@ -202,12 +205,13 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
     else:
         w = np.ones(len(quotes))
     mids = np.array([q.mid for q in quotes])
+    chain = _chain_specs(quotes, spot, r)
 
     def objective(x):
         l0, l1 = x
         if p.alpha + p.k * l1 <= 0:
             return 1e12 * (1.0 + abs(p.alpha + p.k * l1))
-        resid = _chain_price(l0, l1, quotes, p, spot, r, y0) - mids
+        resid = _chain_price(l0, l1, chain, p, y0) - mids
         return float(np.sum(w * resid * resid))
 
     res = minimize(objective, x0=np.zeros(2), method="Nelder-Mead",
@@ -215,7 +219,7 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
                    options={"xatol": SIMPLEX_TOL, "fatol": 1e-18,
                             "maxiter": MAX_ITER, "maxfev": 4 * MAX_ITER})
     l0, l1 = float(res.x[0]), float(res.x[1])
-    resid = _chain_price(l0, l1, quotes, p, spot, r, y0) - mids
+    resid = _chain_price(l0, l1, chain, p, y0) - mids
     rmse = float(np.sqrt(np.mean(resid * resid)))
     return CalibResult(lambda0=l0, lambda1=l1, rmse=rmse, n_quotes=len(quotes),
                        converged=bool(res.success), iterations=int(res.nit))
@@ -224,6 +228,7 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
 def reprice_quotes(result: CalibResult, quotes: Sequence[OptionQuote],
                    p: ModelParams, spot: float, r: float, y0: float):
     """Per-quote model prices and residuals at the fitted parameters."""
-    model = _chain_price(result.lambda0, result.lambda1, quotes, p, spot, r, y0)
+    model = _chain_price(result.lambda0, result.lambda1,
+                         _chain_specs(quotes, spot, r), p, y0)
     return [(q.strike, q.mid, float(mv), float(mv - q.mid))
             for q, mv in zip(quotes, model)]

@@ -29,7 +29,8 @@ Recognized keys and defaults::
 
 Annual quantities are converted once at load: rates divide by 252,
 volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins
-and a warning goes to stderr.  Exit codes: 0 success (regime warnings on
+and a warning goes to stderr.  Numeric values must be finite, and scales,
+sizes and steps positive.  Exit codes: 0 success (regime warnings on
 stderr), 2 config/input error, 3 computation failure.
 """
 
@@ -56,7 +57,7 @@ from .implied import smile_curve
 from .mc import (SimConfig, export_paths, mc_call_prices, mc_leverage,
                  mc_sq_autocorr, return_panel, simulate_paths)
 from .model import ModelParams, leverage, squared_return_autocorr
-from .pricing import OptionSpec, delta, expou_call
+from .pricing import OptionSpec, _call_prices, delta
 from .risk_neutral import (
     RiskAversion,
     expansion_coeffs,
@@ -94,6 +95,8 @@ _DEFAULTS = {
 _INT_KEYS = {"moneyness_points", "n_paths", "seed"}
 _BOOL_KEYS = {"antithetic"}
 _STR_KEYS = {"output"}
+_POSITIVE_KEYS = {"m", "alpha", "k", "spot", "sigma0_annual", "moneyness_min",
+                  "moneyness_max", "moneyness_points", "maturity_days", "n_paths", "dt"}
 
 
 class ConfigError(ValueError):
@@ -158,6 +161,20 @@ def _convert(key: str, val: str):
         raise ConfigError(f"{key}: expected a number, got {val!r}") from None
 
 
+def _number_errors(merged: dict) -> list:
+    """The shared validator: numeric values finite, _POSITIVE_KEYS also positive."""
+    errors = []
+    for key, val in merged.items():
+        if key in _BOOL_KEYS or key in _STR_KEYS or val is None:
+            continue
+        positive = key in _POSITIVE_KEYS
+        lo = 0 if positive else -math.inf
+        if not all(lo < v < math.inf for v in (val if key == "tau_grid" else (val,))):
+            kind = "positive and finite" if positive else "finite"
+            errors.append(f"{key} must be {kind}, got {val!r}")
+    return errors
+
+
 def build_config(file_values: dict, overrides: dict) -> RunConfig:
     """Merge defaults, file values and CLI overrides into a RunConfig."""
     merged = dict(_DEFAULTS)
@@ -171,6 +188,7 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                 merged[key] = _convert(key, val) if isinstance(val, str) else val
             except (ConfigError, ValueError) as exc:
                 errors.append(str(exc))
+    errors += _number_errors(merged)
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -189,14 +207,6 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                              k=merged["k"], rho=merged["rho"])
         if sigma0 is not None and z0 is None:
             y0 = y0_from_vol_index(sigma0, params.m)
-        if merged["moneyness_points"] < 1:
-            raise ValueError("moneyness_points must be >= 1")
-        if merged["moneyness_min"] <= 0 or merged["moneyness_max"] <= 0:
-            raise ValueError("moneyness bounds must be positive")
-        if merged["maturity_days"] <= 0:
-            raise ValueError("maturity_days must be positive")
-        if merged["spot"] <= 0:
-            raise ValueError("spot must be positive")
         maturity = float(merged["maturity_days"])
         dt = float(merged["dt"])
         n_steps = max(1, round(maturity / dt))
@@ -222,13 +232,9 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                      output=merged["output"])
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 def _emit(header: str, rows, cfg: RunConfig, override_out: Optional[str]) -> None:
     out = override_out or cfg.output
-    lines = [header] + [",".join(_fmt(c) if not isinstance(c, str) else c
+    lines = [header] + [",".join(c if isinstance(c, str) else f"{c:.12g}"
                                  for c in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out:
@@ -238,30 +244,32 @@ def _emit(header: str, rows, cfg: RunConfig, override_out: Optional[str]) -> Non
         sys.stdout.write(text)
 
 
-def _warn_regime(mp, coeffs) -> None:
+def _expansion(cfg: RunConfig):
+    """Martingale parameters and coefficients at the run's maturity; notes the regime flag."""
+    mp = cfg.martingale()
+    coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
     if regime_warning(mp, coeffs):
         print("warning: expansion regime flag raised (small lambda or large "
               "corrections); values computed anyway", file=sys.stderr)
+    return mp, coeffs
+
+
+def _strike_spec(cfg: RunConfig) -> OptionSpec:
+    """The option at every moneyness point of the run, as one array spec."""
+    return OptionSpec(spot=cfg.spot, strike=cfg.spot / cfg.moneyness,
+                      maturity=cfg.maturity, rate=cfg.rate)
 
 
 def cmd_price(cfg: RunConfig, args) -> int:
-    mp = cfg.martingale()
-    coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
-    _warn_regime(mp, coeffs)
-    rows = []
-    for mon in cfg.moneyness:
-        spec = OptionSpec(spot=cfg.spot, strike=cfg.spot / mon,
-                          maturity=cfg.maturity, rate=cfg.rate)
-        call = expou_call(spec, mp, coeffs)
-        rows.append((mon, call.total, call.bs, call.total - call.bs))
-    _emit("moneyness,call,bs,diff", rows, cfg, args.output)
+    mp, coeffs = _expansion(cfg)
+    bs, *_, total = _call_prices(_strike_spec(cfg), mp, coeffs)
+    _emit("moneyness,call,bs,diff", zip(cfg.moneyness, total, bs, total - bs),
+          cfg, args.output)
     return 0
 
 
 def cmd_smile(cfg: RunConfig, args) -> int:
-    mp = cfg.martingale()
-    coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
-    _warn_regime(mp, coeffs)
+    mp, _ = _expansion(cfg)
     template = OptionSpec(spot=cfg.spot, strike=cfg.spot,
                           maturity=cfg.maturity, rate=cfg.rate)
     points = smile_curve(mp, expansion_coeffs, cfg.moneyness, template)
@@ -273,9 +281,7 @@ def cmd_smile(cfg: RunConfig, args) -> int:
 
 
 def cmd_density(cfg: RunConfig, args) -> int:
-    mp = cfg.martingale()
-    coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
-    _warn_regime(mp, coeffs)
+    mp, coeffs = _expansion(cfg)
     sd = mp.m_bar * math.sqrt(cfg.maturity)
     xs = np.linspace(coeffs.mu - 8.0 * sd, coeffs.mu + 8.0 * sd, 401)
     ps = return_density(coeffs, mp.m_bar, xs, cfg.maturity, mp.rho)
@@ -284,31 +290,21 @@ def cmd_density(cfg: RunConfig, args) -> int:
 
 
 def cmd_greeks(cfg: RunConfig, args) -> int:
-    mp = cfg.martingale()
-    coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
-    _warn_regime(mp, coeffs)
-    rows = []
-    for mon in cfg.moneyness:
-        spec = OptionSpec(spot=cfg.spot, strike=cfg.spot / mon,
-                          maturity=cfg.maturity, rate=cfg.rate)
-        rows.append((mon, delta(spec, mp, coeffs)))
-    _emit("moneyness,delta", rows, cfg, args.output)
+    mp, coeffs = _expansion(cfg)
+    _emit("moneyness,delta", zip(cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)),
+          cfg, args.output)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    mp = cfg.martingale()
-    coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
-    _warn_regime(mp, coeffs)
-    specs = [OptionSpec(spot=cfg.spot, strike=cfg.spot / mon,
-                        maturity=cfg.maturity, rate=cfg.rate)
-             for mon in cfg.moneyness]
+    mp, coeffs = _expansion(cfg)
+    spec = _strike_spec(cfg)
+    specs = [OptionSpec(spot=cfg.spot, strike=k, maturity=cfg.maturity, rate=cfg.rate)
+             for k in spec.strike]
     estimates = mc_call_prices(mp, cfg.sim, specs, mp.z0)
-    rows = []
-    for mon, spec, est in zip(cfg.moneyness, specs, estimates):
-        analytic = expou_call(spec, mp, coeffs).total
-        rows.append((mon, est.value, est.std_error, analytic,
-                     abs(est.value - analytic)))
+    analytic = _call_prices(spec, mp, coeffs)[4]
+    rows = [(mon, est.value, est.std_error, an, abs(est.value - an))
+            for mon, est, an in zip(cfg.moneyness, estimates, analytic)]
     _emit("moneyness,mc_price,std_err,analytic,abs_diff", rows, cfg, args.output)
     if args.dump_paths:
         dump_cfg = dataclasses.replace(cfg.sim, n_paths=min(cfg.sim.n_paths, 64))
@@ -335,9 +331,6 @@ def cmd_stats(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    if not os.path.exists(args.quotes):
-        print(f"error: quote file not found: {args.quotes}", file=sys.stderr)
-        return 2
     loaded = load_quotes(args.quotes)
     if loaded.rejects:
         print(loaded.summary(), file=sys.stderr)
@@ -358,10 +351,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     if args.repricing:
         table = reprice_quotes(result, list(loaded.quotes), cfg.params,
                                cfg.spot, cfg.rate, cfg.y0)
-        lines = ["strike,mid,model,residual"]
-        lines += [",".join(_fmt(c) for c in row) for row in table]
-        with open(args.repricing, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit("strike,mid,model,residual", table, cfg, args.repricing)
     return 0
 
 
@@ -409,7 +399,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(cfg, args)
-    except QuoteError as exc:
+    except (QuoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .pricing import OptionSpec, bs_call, expou_call, norm_pdf
+from .pricing import OptionSpec, _call_prices, _terms, bs_call, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
 from .units import annualize_vol
 
@@ -26,7 +26,7 @@ MAX_ITER = 100
 
 
 class ImpliedVolError(ValueError):
-    """Price outside the invertible band; message names the violated bound."""
+    """Price not invertible: outside the band or no convergence; message says which."""
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ class SmilePoint:
 
 
 def _vega(spec: OptionSpec, vol: float) -> float:
-    w = math.sqrt(spec.maturity)
-    d1 = (math.log(spec.spot / spec.strike)
-          + (spec.rate + 0.5 * vol * vol) * spec.maturity) / (vol * w)
-    return spec.spot * norm_pdf(d1) * w
+    return spec.spot * norm_pdf(_terms(spec, vol)[0]) * math.sqrt(spec.maturity)
 
 
 def implied_vol(price: float, spec: OptionSpec) -> float:
@@ -56,8 +53,9 @@ def implied_vol(price: float, spec: OptionSpec) -> float:
     Raises
     ------
     ImpliedVolError
-        If the price violates a no-arbitrage bound or exceeds the price at
-        the solver's volatility cap (10 day^(-1/2)).
+        If the price violates a no-arbitrage bound, exceeds the price at
+        the solver's volatility cap (10 day^(-1/2)), or the iteration does
+        not converge within MAX_ITER steps.
     """
     intrinsic = max(spec.spot - spec.strike * math.exp(-spec.rate * spec.maturity), 0.0)
     if price <= intrinsic:
@@ -68,18 +66,15 @@ def implied_vol(price: float, spec: OptionSpec) -> float:
         raise ImpliedVolError(
             f"price {price:g} at or above upper no-arbitrage bound {spec.spot:g} (spot)")
 
-    lo, hi = VOL_LO, VOL_HI
-    f_lo = bs_call(spec, lo) - price
-    f_hi = bs_call(spec, hi) - price
-    if f_lo > 0:
+    if bs_call(spec, VOL_LO) > price:
         raise ImpliedVolError(
             f"price {price:g} below the price at the solver floor "
             f"{VOL_LO} day^(-1/2)")
-    if f_hi < 0:
+    if bs_call(spec, VOL_HI) < price:
         raise ImpliedVolError(
             f"price {price:g} needs volatility beyond the cap {VOL_HI} day^(-1/2)")
 
-    vol = min(max(0.01, lo), hi)  # cheap initial guess
+    lo, hi, vol = VOL_LO, VOL_HI, 0.01  # 0.01: cheap initial guess
     tol = PRICE_TOL * max(spec.spot, 1.0)
     for _ in range(MAX_ITER):
         f = bs_call(spec, vol) - price
@@ -94,7 +89,8 @@ def implied_vol(price: float, spec: OptionSpec) -> float:
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
         vol = nxt
-    return vol
+    raise ImpliedVolError(
+        f"no convergence for price {price:g} after {MAX_ITER} iterations")
 
 
 def smile_curve(mp: MartingaleParams,
@@ -113,15 +109,13 @@ def smile_curve(mp: MartingaleParams,
     if any(g <= 0 for g in moneyness_grid):
         raise ValueError("moneyness grid values must be positive")
     coeffs = coeffs_fn(mp, spec_template.maturity, spec_template.rate)
+    spot, t, r = spec_template.spot, spec_template.maturity, spec_template.rate
+    strikes = [spot / mon for mon in moneyness_grid]
+    prices = _call_prices(OptionSpec(spot, strikes, t, r), mp, coeffs)[4].tolist()
     out = []
-    for mon in moneyness_grid:
-        spec = OptionSpec(spot=spec_template.spot,
-                          strike=spec_template.spot / mon,
-                          maturity=spec_template.maturity,
-                          rate=spec_template.rate)
-        price = expou_call(spec, mp, coeffs).total
+    for mon, strike, price in zip(moneyness_grid, strikes, prices):
         try:
-            iv = annualize_vol(implied_vol(price, spec))
+            iv = annualize_vol(implied_vol(price, OptionSpec(spot, strike, t, r)))
         except ImpliedVolError:
             iv = None
         out.append(SmilePoint(moneyness=mon, implied_vol_annual=iv, price=price))

@@ -6,8 +6,11 @@ expansion coefficients:
 
     C = C_BS + theta*C0 + rho*sigma3*C1 + (kappa + theta^2/2)*C2.
 
-Both this component form and the directly assembled single-expression
-form are computed and cross-checked on every call.  The put follows from
+Every term is evaluated by one broadcasting code path over spot, strike
+and maturity: each public function returns floats for scalar inputs and
+NumPy arrays for array inputs.  The directly assembled single-expression
+form of the price is a test oracle (``tests/oracles.py``), asserted
+against this component form on a dense grid.  The put follows from
 put-call parity, which the expansion satisfies exactly.
 
 A known property of the truncation: the discounted forward it implies is
@@ -47,11 +50,20 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _out(x):
+    """Python scalar for a 0-d result, the array otherwise."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class OptionSpec:
     """European option contract and market state (daily units).
 
     spot and strike in currency, maturity in days, rate in day^(-1).
+    Each field is a float or an array (sequences are stored as NumPy
+    arrays); arrays broadcast against each other and are validated
+    element-wise: rate must be finite, the others positive and finite.
     """
 
     spot: float
@@ -60,12 +72,14 @@ class OptionSpec:
     rate: float = 0.0
 
     def __post_init__(self):
-        if not (self.spot > 0):
-            raise ValueError(f"spot must be positive, got {self.spot}")
-        if not (self.strike > 0):
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if not (self.maturity > 0):
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        for name in ("spot", "strike", "maturity", "rate"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            lo, kind = ((-math.inf, "finite") if name == "rate"
+                        else (0.0, "positive and finite"))
+            if not np.all((v > lo) & (v < math.inf)):
+                raise ValueError(f"{name} must be {kind}, got {getattr(self, name)}")
+            if v.ndim:
+                object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,8 @@ class PriceBreakdown:
     components; ``total`` applies the coefficient weights on top of ``bs``.
     ``warning`` is set when the total is negative or the expansion regime
     flag is raised; the value is reported as computed, never clamped.
+    Every field has the broadcast shape of the option spec (floats and a
+    bool for a scalar spec).
     """
 
     bs: float
@@ -92,35 +108,56 @@ def norm_cdf(d):
     norm_cdf(d) = erfc(-d/sqrt(2))/2, absolute accuracy ~1e-16 (C library
     erfc); this fixed algorithm keeps CSV outputs bit-reproducible.
     """
-    d = np.asarray(d, dtype=float)
-    out = 0.5 * erfc(-d / _SQRT2)
-    return float(out) if out.ndim == 0 else out
+    return _out(0.5 * erfc(-np.asarray(d, dtype=float) / _SQRT2))
 
 
 def norm_pdf(d):
     """Standard normal density."""
     d = np.asarray(d, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
-    return float(out) if out.ndim == 0 else out
+    return _out(_INV_SQRT_2PI * np.exp(-0.5 * d * d))
 
 
-def _d1_d2(spec: OptionSpec, vol: float) -> tuple[float, float]:
-    w = vol * math.sqrt(spec.maturity)
-    lg = math.log(spec.spot / spec.strike)
-    d1 = (lg + (spec.rate + 0.5 * vol * vol) * spec.maturity) / w
-    return d1, d1 - w
+def _terms(spec: OptionSpec, vol: float):
+    """d1, d2, w = sqrt(vol^2 T), K e^{-rT} and h = d2/sqrt(2), broadcast."""
+    w = vol * np.sqrt(spec.maturity)
+    d1 = (np.log(spec.spot / spec.strike)
+          + (spec.rate + 0.5 * vol * vol) * spec.maturity) / w
+    d2 = d1 - w
+    disc_k = spec.strike * np.exp(-spec.rate * spec.maturity)
+    return d1, d2, w, disc_k, d2 / _SQRT2
 
 
-def bs_call(spec: OptionSpec, vol: float) -> float:
+def _call_terms(spec: OptionSpec, vol: float):
+    """Black-Scholes price and the correction components (C0, C1, C2)."""
+    d1, d2, w, disc_k, h = _terms(spec, vol)
+    c2t = 2.0 * vol * vol * spec.maturity   # 2 m_bar^2 T
+    q = disc_k / w * norm_pdf(d2)
+    sn1 = spec.spot * norm_cdf(d1)
+    h1 = hermite_poly(1, h)
+    h2 = hermite_poly(2, h)
+    return (sn1 - disc_k * norm_cdf(d2),
+            sn1 + q,
+            sn1 - q * (h1 / np.sqrt(c2t) - 1.0),
+            sn1 + q * (h2 / c2t - h1 / np.sqrt(c2t) + 1.0))
+
+
+def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
+    """(bs, c0, c1, c2, total) of the expansion call over the broadcast spec."""
+    bs, c0, c1, c2 = _call_terms(spec, mp.m_bar)
+    total = (bs + coeffs.theta * c0 + mp.rho * coeffs.sigma3 * c1
+             + coeffs.quartic_weight * c2)
+    return bs, c0, c1, c2, total
+
+
+def bs_call(spec: OptionSpec, vol: float):
     """Black-Scholes call price for a constant volatility (day^(-1/2))."""
     if vol <= 0:
         raise ValueError(f"vol must be positive, got {vol}")
-    d1, d2 = _d1_d2(spec, vol)
-    disc_k = spec.strike * math.exp(-spec.rate * spec.maturity)
-    return spec.spot * norm_cdf(d1) - disc_k * norm_cdf(d2)
+    d1, d2, _, disc_k, _ = _terms(spec, vol)
+    return _out(spec.spot * norm_cdf(d1) - disc_k * norm_cdf(d2))
 
 
-def call_components(spec: OptionSpec, m_bar: float) -> tuple[float, float, float]:
+def call_components(spec: OptionSpec, m_bar: float):
     """Correction components (C0, C1, C2) of the expansion price.
 
     Each is the discounted payoff integral against one Hermite term of the
@@ -133,37 +170,7 @@ def call_components(spec: OptionSpec, m_bar: float) -> tuple[float, float, float
 
     with q = K e^{-rT}/sqrt(m_bar^2 T) and h = d2/sqrt(2).
     """
-    d1, d2 = _d1_d2(spec, m_bar)
-    w = m_bar * math.sqrt(spec.maturity)        # sqrt(m_bar^2 T)
-    c2t = 2.0 * m_bar * m_bar * spec.maturity   # 2 m_bar^2 T
-    q = spec.strike * math.exp(-spec.rate * spec.maturity) / w * norm_pdf(d2)
-    sn1 = spec.spot * norm_cdf(d1)
-    h = d2 / _SQRT2
-    h1 = hermite_poly(1, h)
-    h2 = hermite_poly(2, h)
-    c0 = sn1 + q
-    c1 = sn1 - q * (h1 / math.sqrt(c2t) - 1.0)
-    c2 = sn1 + q * (h2 / c2t - h1 / math.sqrt(c2t) + 1.0)
-    return c0, c1, c2
-
-
-def _call_assembled(spec: OptionSpec, mp: MartingaleParams,
-                    coeffs: ExpansionCoeffs) -> float:
-    """Single-expression form of the corrected call (independent code path)."""
-    d1, d2 = _d1_d2(spec, mp.m_bar)
-    w = mp.m_bar * math.sqrt(spec.maturity)
-    c2t = 2.0 * mp.m_bar * mp.m_bar * spec.maturity
-    h = d2 / _SQRT2
-    rs = mp.rho * coeffs.sigma3
-    qw = coeffs.quartic_weight
-    p_all = coeffs.theta + rs + qw
-    bracket = (qw * hermite_poly(2, h) / c2t
-               - (rs + qw) * hermite_poly(1, h) / math.sqrt(c2t)
-               + p_all)
-    disc_k = spec.strike * math.exp(-spec.rate * spec.maturity)
-    return (bs_call(spec, mp.m_bar)
-            + p_all * spec.spot * norm_cdf(d1)
-            + disc_k / w * norm_pdf(d2) * bracket)
+    return tuple(_out(c) for c in _call_terms(spec, m_bar)[1:])
 
 
 def expou_call(spec: OptionSpec, mp: MartingaleParams,
@@ -171,33 +178,20 @@ def expou_call(spec: OptionSpec, mp: MartingaleParams,
     """Approximate expOU European call price with component breakdown.
 
     ``coeffs`` must come from the same martingale parameters and the
-    option's maturity/rate.  The component-weighted sum and the assembled
-    single expression are both evaluated and must agree to 1e-12 of the
-    price scale; a mismatch indicates a broken build, not bad inputs.
+    option's maturity/rate.
     """
-    bs = bs_call(spec, mp.m_bar)
-    c0, c1, c2 = call_components(spec, mp.m_bar)
-    total = (bs + coeffs.theta * c0 + mp.rho * coeffs.sigma3 * c1
-             + coeffs.quartic_weight * c2)
-    assembled = _call_assembled(spec, mp, coeffs)
-    scale = max(spec.spot, spec.strike, 1.0)
-    if abs(total - assembled) > 1e-12 * scale:
-        raise AssertionError(
-            f"price forms disagree: components={total!r} assembled={assembled!r}")
-    warn = total < 0.0 or regime_warning(mp, coeffs)
-    return PriceBreakdown(bs=bs, c0_term=c0, c1_term=c1, c2_term=c2,
-                          total=total, warning=warn)
+    bs, c0, c1, c2, total = _call_prices(spec, mp, coeffs)
+    warn = (total < 0.0) | regime_warning(mp, coeffs)
+    return PriceBreakdown(*(_out(x) for x in (bs, c0, c1, c2, total, warn)))
 
 
-def expou_put(spec: OptionSpec, mp: MartingaleParams,
-              coeffs: ExpansionCoeffs) -> float:
+def expou_put(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """expOU European put via put-call parity: P = C + K e^{-rT} - S."""
-    call = expou_call(spec, mp, coeffs).total
-    return call + spec.strike * math.exp(-spec.rate * spec.maturity) - spec.spot
+    disc_k = _terms(spec, mp.m_bar)[3]
+    return _out(_call_prices(spec, mp, coeffs)[4] + disc_k - spec.spot)
 
 
-def delta(spec: OptionSpec, mp: MartingaleParams,
-          coeffs: ExpansionCoeffs) -> float:
+def delta(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """Call delta dC/dS of the corrected price (exact derivative).
 
     delta = (1 + P) N(d1) + (K e^{-rT} / (S sqrt(m_bar^2 T))) N'(d2) *
@@ -207,18 +201,15 @@ def delta(spec: OptionSpec, mp: MartingaleParams,
     with P = theta + rho sigma3 + Q, R = rho sigma3 + Q, Q the quartic
     weight and h = d2/sqrt(2).
     """
-    d1, d2 = _d1_d2(spec, mp.m_bar)
-    w = mp.m_bar * math.sqrt(spec.maturity)
+    d1, d2, w, disc_k, h = _terms(spec, mp.m_bar)
     c2t = 2.0 * mp.m_bar * mp.m_bar * spec.maturity
-    h = d2 / _SQRT2
     rs = mp.rho * coeffs.sigma3
     qw = coeffs.quartic_weight
     p_all = coeffs.theta + rs + qw
     r_all = rs + qw
-    disc_k = spec.strike * math.exp(-spec.rate * spec.maturity)
     bracket = (-qw * hermite_poly(3, h) / c2t**1.5
                + r_all * hermite_poly(2, h) / c2t
-               - p_all * hermite_poly(1, h) / math.sqrt(c2t)
+               - p_all * hermite_poly(1, h) / np.sqrt(c2t)
                + p_all)
-    return ((1.0 + p_all) * norm_cdf(d1)
-            + disc_k / (spec.spot * w) * norm_pdf(d2) * bracket)
+    return _out((1.0 + p_all) * norm_cdf(d1)
+                + disc_k / (spec.spot * w) * norm_pdf(d2) * bracket)

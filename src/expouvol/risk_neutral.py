@@ -178,23 +178,20 @@ def expansion_coeffs(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeff
 def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeffs:
     """Coefficients after averaging z0 over its stationary N(0, beta_bar^2) law.
 
-    theta vanishes, sigma3 keeps only its z0-free term, and kappa absorbs
-    the averaged theta^2/2 exactly:
+    theta vanishes and sigma3 keeps only its z0-free term, i.e. the
+    ``expansion_coeffs`` values at z0 = 0.  kappa absorbs the averaged
+    theta^2/2 exactly: E[theta^2]/2 = (1-e1)^2 / (4 lam^4 nu^3), which turns
+    the at + (1-e2)/2 - 2(1-e1) bracket into at - (1-e1), so
 
         kappa_hat = { at - (1-e1) + rho^2 [at - 2(1-e1) + at e1] } / (2 lam^4 nu^3).
 
     The quartic density/price weight is then kappa_hat alone.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lam, nu, rho = mp.lam, mp.nu, mp.rho
-    at = mp.alpha_bar * t
-    e1 = math.exp(-at)
-    a1 = -math.expm1(-at)
-    mu = r * t - 0.5 * mp.m_bar * mp.m_bar * t
-    sigma3 = (at - a1) / (lam**3 * nu**2)
-    kappa = ((at - a1) + rho * rho * (at - 2.0 * a1 + at * e1)) / (2.0 * lam**4 * nu**3)
-    return ExpansionCoeffs(mu=mu, theta=0.0, sigma3=sigma3, kappa=kappa,
+    at_z0 = expansion_coeffs(MartingaleParams(m_bar=mp.m_bar, alpha_bar=mp.alpha_bar,
+                                              k=mp.k, rho=mp.rho, z0=0.0), t, r)
+    a1 = -math.expm1(-mp.alpha_bar * t)
+    return ExpansionCoeffs(mu=at_z0.mu, theta=0.0, sigma3=at_z0.sigma3,
+                           kappa=at_z0.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3),
                            maturity=t, rate=r)
 
 

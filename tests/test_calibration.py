@@ -80,6 +80,17 @@ class TestLoadQuotes:
         assert len(res.quotes) == 1
         assert [ln for ln, _ in res.rejects] == [3, 4, 5]
 
+    @pytest.mark.parametrize("row", ["nan,10,1.0,1.2", "100,inf,1.0,1.2",
+                                     "100,10,nan,1.2", "100,10,1.0,inf"])
+    def test_non_finite_rows_rejected_by_line(self, tmp_path, row):
+        f = tmp_path / "q.csv"
+        f.write_text("strike,maturity_days,bid,ask\n"
+                     "100,10,1.0,1.2\n"
+                     f"{row}\n")
+        res = load_quotes(f)
+        assert len(res.quotes) == 1
+        assert res.rejects == ((3, "non-finite field"),)
+
     def test_mid_only_schema(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text("strike,maturity_days,mid\n100,10,1.5\n")

@@ -184,6 +184,24 @@ class TestCalibrate:
         assert code == 2
         assert str(missing) in err
 
+    def test_quote_path_is_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                               "calibrate", "--quotes", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err
+
+    def test_non_finite_quote_rows_skipped_and_reported(self, capsys, tmp_path):
+        chain = self.make_chain(tmp_path)
+        with open(chain, "a") as fh:
+            fh.write("nan,10.0,1.0,1.2\n100.0,10.0,nan,1.2\n")
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "--set", "rate_annual=0.02",
+                                 "calibrate", "--quotes", str(chain))
+        assert code == 0
+        assert parse_csv(out)[1][0][3] == "7"
+        assert "line 9: non-finite field" in err
+        assert "line 10: non-finite field" in err
+
     def test_requires_vol_index(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         code, _, err = run_cli(capsys, "calibrate", "--quotes", str(chain))
@@ -217,6 +235,19 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "--set", "rho=2.0", "price")
         assert code == 2
         assert "rho" in err
+
+    @pytest.mark.parametrize("setting, key", [
+        ("dt=0", "dt"),
+        ("maturity_days=inf", "maturity_days"),
+        ("rate_annual=inf", "rate_annual"),
+        ("spot=nan", "spot"),
+        ("tau_grid=0,inf", "tau_grid"),
+    ])
+    def test_non_finite_or_non_positive_exit_2(self, capsys, setting, key):
+        code, out, err = run_cli(capsys, "--set", setting, "price")
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be" in err
 
     def test_z0_wins_with_warning(self, capsys):
         code, _, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",

@@ -60,6 +60,12 @@ class TestImpliedVol:
         with pytest.raises(ImpliedVolError, match="cap"):
             implied_vol(99.9999999999, spec)
 
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr("expouvol.implied.MAX_ITER", 2)
+        spec = OptionSpec(100.0, 97.0, 20.0, 2e-4)
+        with pytest.raises(ImpliedVolError, match="no convergence"):
+            implied_vol(bs_call(spec, 0.013), spec)
+
     def test_below_solver_floor_rejected(self):
         # in the no-arbitrage band but under the vol-floor price
         spec = OptionSpec(100.0, 100.0, 20.0, 0.0)
@@ -99,6 +105,13 @@ class TestSmile:
         template = OptionSpec(100.0, 100.0, 20.0, 0.0)
         pts = smile_curve(fig_mp, expansion_coeffs_averaged, [0.95, 1.0, 1.05], template)
         assert all(pt.implied_vol_annual is not None for pt in pts)
+
+    def test_unconverged_point_reported_as_none(self, fig_mp, monkeypatch):
+        monkeypatch.setattr("expouvol.implied.MAX_ITER", 1)
+        template = OptionSpec(100.0, 100.0, 20.0, 0.0)
+        pts = smile_curve(fig_mp, expansion_coeffs, [0.95, 1.0, 1.05], template)
+        assert [pt.implied_vol_annual for pt in pts] == [None, None, None]
+        assert all(pt.price > 0 for pt in pts)
 
     def test_rejects_nonpositive_grid(self, fig_mp):
         template = OptionSpec(100.0, 100.0, 20.0, 0.0)
