@@ -7,11 +7,9 @@ curves, a seeded Monte Carlo oracle and risk-aversion calibration.
 
 from .model import (
     ModelParams,
-    OUState,
     leverage,
     ou_conditional_moments,
     squared_return_autocorr,
-    stationary_log_vol_variance,
     vol_conditional_pdf,
     vol_stationary_pdf,
 )
@@ -48,7 +46,6 @@ from .mc import (
     SimConfig,
     chi_square_vs_density,
     export_paths,
-    mc_call_price,
     mc_call_prices,
     mc_leverage,
     mc_return_density,

@@ -185,25 +185,18 @@ def _chain_price(lambda0: float, lambda1: float, chain, p: ModelParams,
 
 
 def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
-                            spot: float, r: float, y0: float,
-                            weight_by_spread: bool = False) -> CalibResult:
+                            spot: float, r: float, y0: float) -> CalibResult:
     """Least-squares fit of (lambda0, lambda1) to quoted mid prices.
 
     Nelder-Mead from (0, 0) with |lambda| <= 1 bounds and a penalty
     keeping alpha + k*lambda1 positive; converges when the simplex
-    shrinks below 1e-9 or after 500 iterations.  With
-    ``weight_by_spread`` the squared errors are divided by the quoted
-    bid-ask widths (half-spread floor of one price cent).
+    shrinks below 1e-9 or after 500 iterations.
 
-    The reported rmse is the unweighted root-mean-square repricing error
-    recomputed at the returned parameters.
+    The reported rmse is the root-mean-square repricing error recomputed
+    at the returned parameters.
     """
     if len(quotes) < 2:
         raise ValueError("underdetermined: need at least 2 quotes for 2 parameters")
-    if weight_by_spread:
-        w = 1.0 / np.maximum([q.ask - q.bid for q in quotes], 1e-2)
-    else:
-        w = np.ones(len(quotes))
     mids = np.array([q.mid for q in quotes])
     chain = _chain_specs(quotes, spot, r)
 
@@ -212,7 +205,7 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
         if p.alpha + p.k * l1 <= 0:
             return 1e12 * (1.0 + abs(p.alpha + p.k * l1))
         resid = _chain_price(l0, l1, chain, p, y0) - mids
-        return float(np.sum(w * resid * resid))
+        return float(np.sum(resid * resid))
 
     res = minimize(objective, x0=np.zeros(2), method="Nelder-Mead",
                    bounds=[(-LAMBDA_BOUND, LAMBDA_BOUND)] * 2,

@@ -213,8 +213,7 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
         if abs(n_steps * dt - maturity) > 1e-9 * max(1.0, maturity):
             raise ValueError(f"maturity_days {maturity} is not a multiple of dt {dt}")
         sim = SimConfig(n_paths=merged["n_paths"], n_steps=n_steps, dt=dt,
-                        seed=merged["seed"], measure="martingale",
-                        antithetic=merged["antithetic"])
+                        seed=merged["seed"], antithetic=merged["antithetic"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -299,12 +298,10 @@ def cmd_greeks(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
     spec = _strike_spec(cfg)
-    specs = [OptionSpec(spot=cfg.spot, strike=k, maturity=cfg.maturity, rate=cfg.rate)
-             for k in spec.strike]
-    estimates = mc_call_prices(mp, cfg.sim, specs, mp.z0)
+    est = mc_call_prices(mp, cfg.sim, spec, mp.z0)
     analytic = _call_prices(spec, mp, coeffs)[4]
-    rows = [(mon, est.value, est.std_error, an, abs(est.value - an))
-            for mon, est, an in zip(cfg.moneyness, estimates, analytic)]
+    rows = zip(cfg.moneyness, est.value, est.std_error, analytic,
+               np.abs(est.value - analytic))
     _emit("moneyness,mc_price,std_err,analytic,abs_diff", rows, cfg, args.output)
     if args.dump_paths:
         dump_cfg = dataclasses.replace(cfg.sim, n_paths=min(cfg.sim.n_paths, 64))
@@ -317,7 +314,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_stats(cfg: RunConfig, args) -> int:
     max_tau = max(cfg.tau_grid) if cfg.tau_grid else 0.0
     n_steps = int(round(max_tau / cfg.sim.dt)) + 100
-    sim = dataclasses.replace(cfg.sim, measure="physical", n_steps=n_steps)
+    sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
     panel = return_panel(cfg.params, sim)
     lev = mc_leverage(cfg.params, sim, cfg.tau_grid, panel=panel)
     aco = mc_sq_autocorr(cfg.params, sim, cfg.tau_grid, panel=panel)

@@ -4,6 +4,10 @@ Scheme: the log-volatility is advanced by its exact OU transition
 (mean-reversion factor e^{-alpha dt}, innovation variance
 (k^2/2alpha)(1 - e^{-2 alpha dt})), the log-price by Euler with the
 same-step correlated Gaussian pair xi2 = rho xi1 + sqrt(1-rho^2) xi_perp.
+The parameter type fixes the measure: ModelParams simulate the physical
+measure (m, alpha, Y), MartingaleParams the martingale measure (m_bar,
+alpha_bar, shifted Z).  Pricing estimators take only the latter, the
+return statistics only the former.
 
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc
 
-from .model import ModelParams
+from .model import ModelParams, _out
 from .risk_neutral import MartingaleParams
 from .pricing import OptionSpec
 
@@ -33,7 +37,7 @@ __all__ = [
     "McHistogram",
     "simulate_paths",
     "export_paths",
-    "mc_call_price",
+    "mc_call_prices",
     "mc_return_density",
     "return_panel",
     "mc_leverage",
@@ -46,8 +50,6 @@ BLOCK = 4096
 #: component; the streaming estimators below have no such limit.
 PATH_BUDGET = 25_000_000
 
-_PHYSICAL, _MARTINGALE = "physical", "martingale"
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -57,7 +59,6 @@ class SimConfig:
     n_steps: int
     dt: float
     seed: int
-    measure: str = _MARTINGALE
     antithetic: bool = False
 
     def __post_init__(self):
@@ -65,8 +66,6 @@ class SimConfig:
             raise ValueError("n_paths and n_steps must be >= 1")
         if not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.measure not in (_PHYSICAL, _MARTINGALE):
-            raise ValueError(f"measure must be 'physical' or 'martingale', got {self.measure!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic mode requires an even n_paths")
 
@@ -78,7 +77,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo estimate with its standard error."""
+    """Monte Carlo estimate with its standard error.
+
+    ``value`` and ``std_error`` are floats, or arrays of the broadcast
+    strike shape for an array OptionSpec in mc_call_prices.
+    """
 
     value: float
     std_error: float
@@ -109,17 +112,19 @@ class McHistogram:
     n_samples: int
 
 
-def _coerce(params, cfg: SimConfig):
+def _coerce(params):
     """Map either parameter set onto (vol_level, reversion, k, rho)."""
     if isinstance(params, ModelParams):
-        if cfg.measure != _PHYSICAL:
-            raise ValueError("ModelParams paths require measure='physical'")
         return params.m, params.alpha, params.k, params.rho
     if isinstance(params, MartingaleParams):
-        if cfg.measure != _MARTINGALE:
-            raise ValueError("MartingaleParams paths require measure='martingale'")
         return params.m_bar, params.alpha_bar, params.k, params.rho
     raise TypeError(f"expected ModelParams or MartingaleParams, got {type(params)!r}")
+
+
+def _expect(params, kind: type, name: str) -> None:
+    """Reject parameters of the other measure: the type is the measure."""
+    if not isinstance(params, kind):
+        raise TypeError(f"{name} expects {kind.__name__}, got {type(params).__name__}")
 
 
 def _block_sizes(n_paths: int):
@@ -153,7 +158,7 @@ def _iter_blocks(params, cfg: SimConfig, y0: float, rate: float,
     (n_block, n_steps+1) when keep_paths, and per-step simple returns
     ``rets`` (n_block, n_steps) when keep_returns.
     """
-    vol0, rev, k, rho = _coerce(params, cfg)
+    vol0, rev, k, rho = _coerce(params)
     dt, n_steps = cfg.dt, cfg.n_steps
     decay = math.exp(-rev * dt)
     sd_ou = math.sqrt(k * k / (2.0 * rev) * -math.expm1(-2.0 * rev * dt))
@@ -199,7 +204,7 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
     diagnostics demean returns, so their drift convention is immaterial.
 
     Raises ValueError when n_paths*(n_steps+1) exceeds PATH_BUDGET; the
-    streaming estimators (mc_call_price etc.) handle large runs instead.
+    streaming estimators (mc_call_prices etc.) handle large runs instead.
     """
     if cfg.n_paths * (cfg.n_steps + 1) > PATH_BUDGET:
         raise ValueError(
@@ -234,55 +239,39 @@ def _pairwise(values: np.ndarray, antithetic: bool) -> np.ndarray:
     return 0.5 * (values[0::2] + values[1::2])
 
 
-def mc_call_prices(mp: MartingaleParams, cfg: SimConfig,
-                   specs: Sequence[OptionSpec], z0: float) -> list[McEstimate]:
-    """Discounted expected call payoffs for several contracts on one ensemble.
+def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec,
+                   z0: float) -> McEstimate:
+    """Discounted expected call payoffs under the martingale measure.
 
-    All specs must share the maturity (= config horizon) and rate; strikes
-    and spots may differ.  Sharing paths across strikes keeps the price
-    curve internally consistent (common random numbers).
+    Spot and strike may be arrays; maturity and rate are scalars and the
+    maturity equals the config horizon.  ``value`` and ``std_error`` follow
+    the OptionSpec shape contract: floats for a scalar spec, arrays of the
+    broadcast strike shape otherwise.  All strikes share one ensemble
+    (common random numbers), which keeps the price curve internally
+    consistent.  With antithetic variates the mirrored pair means are the
+    independent samples, so n_effective is n_paths/2.
     """
-    if cfg.measure != _MARTINGALE:
-        raise ValueError("mc_call_prices requires measure='martingale'")
-    if not specs:
-        return []
-    t, r = specs[0].maturity, specs[0].rate
-    if any(s.maturity != t or s.rate != r for s in specs):
-        raise ValueError("all specs must share one maturity and rate")
+    _expect(mp, MartingaleParams, "mc_call_prices")
+    t, r = spec.maturity, spec.rate
+    if np.ndim(t) or np.ndim(r):
+        raise ValueError("maturity and rate must be scalars (one horizon per ensemble)")
     if abs(cfg.horizon - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"config horizon {cfg.horizon:g} != option maturity {t:g}")
+    spots, strikes = np.broadcast_arrays(spec.spot, spec.strike)
     disc = math.exp(-r * t)
-    total = np.zeros(len(specs))
-    total_sq = np.zeros(len(specs))
-    n = 0
+    total = np.zeros(strikes.shape)
+    total_sq = np.zeros(strikes.shape)
+    n = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     for blk in _iter_blocks(mp, cfg, z0, r):
         growth = np.exp(blk["x"])
-        m = None
-        for i, spec in enumerate(specs):
-            pay = disc * np.maximum(spec.spot * growth - spec.strike, 0.0)
+        for i in np.ndindex(strikes.shape):
+            pay = disc * np.maximum(spots[i] * growth - strikes[i], 0.0)
             pay = _pairwise(pay, cfg.antithetic)
             total[i] += pay.sum()
             total_sq[i] += (pay * pay).sum()
-            m = pay.size
-        n += m
-    out = []
-    for i in range(len(specs)):
-        mean = total[i] / n
-        var = max(0.0, (total_sq[i] - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-        out.append(McEstimate(value=float(mean), std_error=math.sqrt(var / n),
-                              n_effective=n))
-    return out
-
-
-def mc_call_price(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec,
-                  z0: float) -> McEstimate:
-    """Discounted expected call payoff under the martingale measure.
-
-    The config horizon must equal the option maturity.  With antithetic
-    variates the mirrored pair means are the independent samples, so
-    n_effective is n_paths/2.
-    """
-    return mc_call_prices(mp, cfg, [spec], z0)[0]
+    mean = total / n
+    var = np.maximum(0.0, (total_sq - n * mean * mean) / max(n - 1, 1))
+    return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
 
 
 def mc_return_density(mp: MartingaleParams, cfg: SimConfig, z0: float,
@@ -292,8 +281,7 @@ def mc_return_density(mp: MartingaleParams, cfg: SimConfig, z0: float,
     ``bins`` is either explicit edges or a count, in which case the range
     spans mu +- 6 sqrt(m_bar^2 T) around the expansion's Gaussian center.
     """
-    if cfg.measure != _MARTINGALE:
-        raise ValueError("mc_return_density requires measure='martingale'")
+    _expect(mp, MartingaleParams, "mc_return_density")
     t = cfg.horizon
     if isinstance(bins, (int, np.integer)):
         mu = rate * t - 0.5 * mp.m_bar**2 * t
@@ -344,7 +332,7 @@ def chi_square_vs_density(hist: McHistogram, pdf, n_total: Optional[int] = None,
     exp = np.array(exp_p)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = max(1, obs.size - 1)
-    return stat, float(_chi2.sf(stat, dof)), dof
+    return stat, float(chdtrc(dof, stat)), dof
 
 
 def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
@@ -358,20 +346,6 @@ def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
             raise ValueError(f"lag {tau} reaches beyond the simulated horizon")
         lags.append(int(rounded))
     return lags
-
-
-def _return_panel(p: ModelParams, cfg: SimConfig) -> np.ndarray:
-    """Stationary-start per-step simple returns, demeaned, (n_paths, n_steps)."""
-    if cfg.measure != _PHYSICAL:
-        raise ValueError("physical-measure statistics require measure='physical'")
-    panel = np.empty((cfg.n_paths, cfg.n_steps))
-    lo = 0
-    for blk in _iter_blocks(p, cfg, 0.0, 0.0, stationary_start=True,
-                            keep_returns=True):
-        hi = lo + blk["rets"].shape[0]
-        panel[lo:hi] = blk["rets"]
-        lo = hi
-    return panel - panel.mean()
 
 
 def _bootstrap_se(stat_from_sums, per_path: Sequence[np.ndarray], seed: int,
@@ -412,12 +386,20 @@ def _autocorr_sums(panel: np.ndarray, lag: int):
 
 
 def return_panel(p: ModelParams, cfg: SimConfig) -> np.ndarray:
-    """Demeaned one-step simple returns of stationary paths.
+    """Demeaned one-step simple returns of stationary paths, (n_paths, n_steps).
 
     Deterministic given (p, cfg); precompute it to share one simulation
     between mc_leverage and mc_sq_autocorr.
     """
-    return _return_panel(p, cfg)
+    _expect(p, ModelParams, "return_panel")
+    panel = np.empty((cfg.n_paths, cfg.n_steps))
+    lo = 0
+    for blk in _iter_blocks(p, cfg, 0.0, 0.0, stationary_start=True,
+                            keep_returns=True):
+        hi = lo + blk["rets"].shape[0]
+        panel[lo:hi] = blk["rets"]
+        lo = hi
+    return panel - panel.mean()
 
 
 def mc_leverage(p: ModelParams, cfg: SimConfig, tau_grid: Sequence[float],
@@ -430,9 +412,10 @@ def mc_leverage(p: ModelParams, cfg: SimConfig, tau_grid: Sequence[float],
     lags are allowed (they estimate the anticausal side, which vanishes).
     ``panel`` accepts a precomputed return_panel(p, cfg).
     """
+    _expect(p, ModelParams, "mc_leverage")
     lags = _lag_steps(tau_grid, cfg)
     if panel is None:
-        panel = _return_panel(p, cfg)
+        panel = return_panel(p, cfg)
     n_paths = panel.shape[0]
     out = []
     for lag in lags:
@@ -458,11 +441,12 @@ def mc_sq_autocorr(p: ModelParams, cfg: SimConfig, tau_grid: Sequence[float],
     stationary paths, with path-bootstrap standard errors.  ``panel``
     accepts a precomputed return_panel(p, cfg).
     """
+    _expect(p, ModelParams, "mc_sq_autocorr")
     if any(t < 0 for t in tau_grid):
         raise ValueError("autocorrelation lags must be nonnegative")
     lags = _lag_steps(tau_grid, cfg)
     if panel is None:
-        panel = _return_panel(p, cfg)
+        panel = return_panel(p, cfg)
     n_paths = panel.shape[0]
     out = []
     for lag in lags:

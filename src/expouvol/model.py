@@ -23,14 +23,18 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "OUState",
     "ou_conditional_moments",
-    "stationary_log_vol_variance",
     "vol_conditional_pdf",
     "vol_stationary_pdf",
     "squared_return_autocorr",
     "leverage",
 ]
+
+
+def _out(x):
+    """Python scalar for a 0-d result, the array otherwise."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -74,18 +78,6 @@ class ModelParams:
         return self.k * self.k / (2.0 * self.alpha)
 
 
-@dataclass(frozen=True)
-class OUState:
-    """Log-volatility state: value ``y`` after ``t`` elapsed days."""
-
-    y: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"elapsed time must be nonnegative, got {self.t}")
-
-
 def ou_conditional_moments(p: ModelParams, y0: float, t):
     """Conditional mean and variance of Y(t) given Y(0) = y0.
 
@@ -97,14 +89,7 @@ def ou_conditional_moments(p: ModelParams, y0: float, t):
         raise ValueError("t must be nonnegative")
     mean = y0 * np.exp(-p.alpha * t)
     var = p.beta2 * (-np.expm1(-2.0 * p.alpha * t))
-    if mean.ndim == 0:
-        return float(mean), float(var)
-    return mean, var
-
-
-def stationary_log_vol_variance(p: ModelParams) -> float:
-    """Stationary variance of the log-volatility, k^2/(2 alpha)."""
-    return p.beta2
+    return _out(mean), _out(var)
 
 
 def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
@@ -133,7 +118,7 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
     var = p.beta2 * (1.0 - decay * decay)
     z = np.log(sigma / p.m) - decay * math.log(sigma0 / p.m)
     pdf = np.exp(-z * z / (2.0 * var)) / (sigma * math.sqrt(2.0 * math.pi * var))
-    return float(pdf) if pdf.ndim == 0 else pdf
+    return _out(pdf)
 
 
 def vol_stationary_pdf(p: ModelParams, sigma):
@@ -144,7 +129,7 @@ def vol_stationary_pdf(p: ModelParams, sigma):
     b2 = p.beta2
     z = np.log(sigma / p.m)
     pdf = np.exp(-z * z / (2.0 * b2)) / (sigma * math.sqrt(2.0 * math.pi * b2))
-    return float(pdf) if pdf.ndim == 0 else pdf
+    return _out(pdf)
 
 
 def squared_return_autocorr(p: ModelParams, tau):
@@ -163,7 +148,7 @@ def squared_return_autocorr(p: ModelParams, tau):
     num = np.expm1(4.0 * b2 * np.exp(-p.alpha * tau))
     den = 3.0 * math.exp(4.0 * b2) - 1.0
     out = num / den
-    return float(out) if out.ndim == 0 else out
+    return _out(out)
 
 
 def leverage(p: ModelParams, tau):
@@ -179,4 +164,4 @@ def leverage(p: ModelParams, tau):
     tpos = np.maximum(tau, 0.0)
     val = amp * np.exp(-p.alpha * tpos + 2.0 * b2 * (np.exp(-p.alpha * tpos) - 0.75))
     out = np.where(tau < 0, 0.0, val)
-    return float(out) if out.ndim == 0 else out
+    return _out(out)

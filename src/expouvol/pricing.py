@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
+from .model import _out
 from .risk_neutral import (
     ExpansionCoeffs,
     MartingaleParams,
@@ -48,12 +49,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _out(x):
-    """Python scalar for a 0-d result, the array otherwise."""
-    x = np.asarray(x)
-    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _out
 
 __all__ = [
     "RiskAversion",
@@ -261,7 +261,7 @@ def hermite_poly(n: int, x):
         h = (16.0 * x * x - 48.0) * x * x + 12.0
     else:
         raise ValueError(f"hermite_poly supports n in 0..4, got {n}")
-    return float(h) if h.ndim == 0 else h
+    return _out(h)
 
 
 def return_density(coeffs: ExpansionCoeffs, m_bar: float, x, t: float, rho: float):
@@ -288,7 +288,7 @@ def return_density(coeffs: ExpansionCoeffs, m_bar: float, x, t: float, rho: floa
             + (rho * coeffs.sigma3 / c2**1.5) * hermite_poly(3, u)
             + (coeffs.quartic_weight / (c2 * c2)) * hermite_poly(4, u))
     out = gauss * corr
-    return float(out) if out.ndim == 0 else out
+    return _out(out)
 
 
 def negative_mass_fraction(coeffs: ExpansionCoeffs, m_bar: float, t: float,

@@ -217,10 +217,3 @@ class TestCalibration:
                  options={"xatol": 1e-9, "fatol": 1e-18, "maxiter": 500},
                  callback=lambda x: best_track.append(objective(x)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(best_track, best_track[1:]))
-
-    def test_spread_weighting_option(self, fig_params):
-        quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
-                                 np.linspace(94, 106, 7), 10.0)
-        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0,
-                                      weight_by_spread=True)
-        assert res.lambda0 == pytest.approx(1e-3, abs=1e-5)

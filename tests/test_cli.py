@@ -107,6 +107,11 @@ class TestSimulate:
         assert header == ["moneyness", "mc_price", "std_err", "analytic", "abs_diff"]
         assert len(rows) == 3
 
+    def test_golden_seeded_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        assert out == (GOLDEN / "simulate_seeded.csv").read_text()
+
     def test_seed_matters(self, capsys):
         _, out1, _ = run_cli(capsys, *self.ARGS)
         _, out2, _ = run_cli(capsys, "--set", "seed=999", *self.ARGS)
@@ -124,6 +129,12 @@ class TestSimulate:
 
 
 class TestStats:
+    def test_golden_seeded_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "--set", "n_paths=2000", "--set", "dt=1",
+                               "--set", "tau_grid=0,1,5", "stats")
+        assert code == 0
+        assert out == (GOLDEN / "stats_seeded.csv").read_text()
+
     def test_schema_and_formula_columns(self, capsys):
         code, out, _ = run_cli(capsys, "--set", "n_paths=20000",
                                "--set", "dt=1", "--set", "tau_grid=0,1,5",
@@ -264,3 +275,13 @@ class TestConfigHandling:
             env={**os.environ, "EXPOUVOL_CONFIG": ""})
         assert proc.returncode == 0
         assert proc.stdout.startswith("moneyness,call,bs,diff\n")
+
+
+class TestImport:
+    def test_import_skips_scipy_stats(self):
+        # scipy.stats costs most of the package's import time and is not needed
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import expouvol, sys; sys.exit('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -18,13 +18,13 @@ from expouvol import (
     expou_call,
     export_paths,
     leverage,
-    mc_call_price,
     mc_call_prices,
     mc_leverage,
     mc_return_density,
     mc_sq_autocorr,
     ou_conditional_moments,
     return_density,
+    return_panel,
     simulate_paths,
     squared_return_autocorr,
     to_martingale,
@@ -33,7 +33,7 @@ from expouvol.risk_neutral import MartingaleParams
 
 
 def small_cfg(**kw):
-    base = dict(n_paths=4000, n_steps=40, dt=0.25, seed=123, measure="martingale")
+    base = dict(n_paths=4000, n_steps=40, dt=0.25, seed=123)
     base.update(kw)
     return SimConfig(**base)
 
@@ -41,7 +41,7 @@ def small_cfg(**kw):
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(n_paths=0), dict(n_steps=0), dict(dt=0.0),
-        dict(measure="risk-neutral"), dict(antithetic=True, n_paths=4001),
+        dict(dt=math.nan), dict(antithetic=True, n_paths=4001),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -62,8 +62,8 @@ class TestReproducibility:
     def test_bit_exact_estimates(self, fig_mp):
         cfg = small_cfg()
         spec = OptionSpec(100.0, 100.0, cfg.horizon, 0.0)
-        e1 = mc_call_price(fig_mp, cfg, spec, 0.0)
-        e2 = mc_call_price(fig_mp, cfg, spec, 0.0)
+        e1 = mc_call_prices(fig_mp, cfg, spec, 0.0)
+        e2 = mc_call_prices(fig_mp, cfg, spec, 0.0)
         assert e1 == e2
 
     def test_seed_changes_results(self, fig_mp):
@@ -80,7 +80,7 @@ class TestReproducibility:
 class TestScheme:
     def test_tiny_vol_of_vol_is_deterministic_ou(self, fig_params):
         p = ModelParams(m=0.01, alpha=8e-3, k=1e-14, rho=0.0)
-        cfg = small_cfg(n_paths=8, measure="physical")
+        cfg = small_cfg(n_paths=8)
         ens = simulate_paths(p, cfg, 0.7)
         expected = 0.7 * np.exp(-8e-3 * ens.times)
         assert np.allclose(ens.y, expected[None, :], atol=1e-10)
@@ -119,14 +119,14 @@ class TestScheme:
         cfg = small_cfg(n_paths=200_000, n_steps=40, dt=0.5, seed=3)
         r = 2e-4
         spec = OptionSpec(1.0, 1e-14, 20.0, r)
-        est = mc_call_price(fig_mp, cfg, spec, 0.0)
+        est = mc_call_prices(fig_mp, cfg, spec, 0.0)
         assert abs(est.value - 1.0) < 3 * est.std_error
 
     def test_bs_limit_at_tiny_vol_of_vol(self):
         mp = MartingaleParams(m_bar=0.01, alpha_bar=8e-3, k=1e-6, rho=0.0, z0=0.0)
         cfg = small_cfg(n_paths=100_000, n_steps=40, dt=0.5, seed=17)
         spec = OptionSpec(100.0, 100.0, 20.0, 1e-4)
-        est = mc_call_price(mp, cfg, spec, 0.0)
+        est = mc_call_prices(mp, cfg, spec, 0.0)
         assert abs(est.value - bs_call(spec, 0.01)) < 3 * est.std_error
 
 
@@ -138,9 +138,9 @@ class TestAntithetic:
 
     def test_mean_preserved_and_variance_reduced(self, fig_mp):
         spec = OptionSpec(100.0, 100.0, 10.0, 0.0)
-        plain = mc_call_price(fig_mp, small_cfg(n_paths=40_000, seed=5), spec, 0.0)
-        anti = mc_call_price(fig_mp, small_cfg(n_paths=40_000, seed=5,
-                                               antithetic=True), spec, 0.0)
+        plain = mc_call_prices(fig_mp, small_cfg(n_paths=40_000, seed=5), spec, 0.0)
+        anti = mc_call_prices(fig_mp, small_cfg(n_paths=40_000, seed=5,
+                                                antithetic=True), spec, 0.0)
         assert anti.n_effective == 20_000
         # overlapping confidence intervals at equal total paths
         gap = abs(plain.value - anti.value)
@@ -155,23 +155,40 @@ class TestGuards:
             simulate_paths(fig_mp, cfg, 0.0)
 
     def test_measure_type_coherence(self, fig_mp, fig_params):
-        with pytest.raises(ValueError):
-            simulate_paths(fig_params, small_cfg(measure="martingale"), 0.0)
-        with pytest.raises(ValueError):
-            simulate_paths(fig_mp, small_cfg(measure="physical"), 0.0)
+        # the parameter type is the measure: pricing and the return density
+        # take MartingaleParams, the return statistics ModelParams
+        cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
+        spec = OptionSpec(100.0, 100.0, cfg.horizon, 0.0)
+        with pytest.raises(TypeError, match="expects MartingaleParams"):
+            mc_call_prices(fig_params, cfg, spec, 0.0)
+        with pytest.raises(TypeError, match="expects MartingaleParams"):
+            mc_return_density(fig_params, cfg, 0.0, 10)
+        panel = return_panel(fig_params, cfg)
+        with pytest.raises(TypeError, match="expects ModelParams"):
+            return_panel(fig_mp, cfg)
+        for estimator in (mc_leverage, mc_sq_autocorr):
+            with pytest.raises(TypeError, match="expects ModelParams"):
+                estimator(fig_mp, cfg, [1.0])
+            with pytest.raises(TypeError, match="expects ModelParams"):
+                estimator(fig_mp, cfg, [1.0], panel=panel)
+        # path simulation takes either measure, and nothing else
+        simulate_paths(fig_params, cfg, 0.0)
+        simulate_paths(fig_mp, cfg, 0.0)
+        with pytest.raises(TypeError):
+            simulate_paths(object(), cfg, 0.0)
 
     def test_horizon_mismatch(self, fig_mp):
         spec = OptionSpec(100.0, 100.0, 5.0, 0.0)
         with pytest.raises(ValueError, match="horizon"):
-            mc_call_price(fig_mp, small_cfg(), spec, 0.0)
+            mc_call_prices(fig_mp, small_cfg(), spec, 0.0)
 
     def test_lag_beyond_horizon(self, fig_params):
-        cfg = small_cfg(measure="physical", n_paths=64, n_steps=10, dt=1.0)
+        cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
         with pytest.raises(ValueError, match="horizon"):
             mc_leverage(fig_params, cfg, [30.0])
 
     def test_negative_lag_rejected_for_autocorr(self, fig_params):
-        cfg = small_cfg(measure="physical", n_paths=64, n_steps=10, dt=1.0)
+        cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
         with pytest.raises(ValueError):
             mc_sq_autocorr(fig_params, cfg, [-1.0])
 
@@ -188,8 +205,7 @@ class TestDensity:
         mp = dataclasses.replace(to_martingale(p, RiskAversion(1e-3, 1e-3), 0.0), z0=0.0)
         t = 3.0
         co = expansion_coeffs(mp, t, 0.0)
-        cfg = SimConfig(n_paths=200_000, n_steps=30, dt=0.1, seed=31,
-                        measure="martingale")
+        cfg = SimConfig(n_paths=200_000, n_steps=30, dt=0.1, seed=31)
         hist = mc_return_density(mp, cfg, 0.0, 60)
         _, pval, _ = chi_square_vs_density(
             hist, lambda x: return_density(co, mp.m_bar, x, t, mp.rho))
@@ -201,16 +217,14 @@ class TestDensity:
         # goodness-of-fit test must flag decisively
         t = 20.0
         co = expansion_coeffs(fig_mp, t, 0.0)
-        cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=31,
-                        measure="martingale")
+        cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=31)
         hist = mc_return_density(fig_mp, cfg, 0.0, 60)
         _, pval, _ = chi_square_vs_density(
             hist, lambda x: return_density(co, fig_mp.m_bar, x, t, fig_mp.rho))
         assert pval < 1e-6
 
     def test_sample_skew_negative_for_negative_rho(self, fig_mp):
-        cfg = SimConfig(n_paths=100_000, n_steps=40, dt=0.5, seed=8,
-                        measure="martingale")
+        cfg = SimConfig(n_paths=100_000, n_steps=40, dt=0.5, seed=8)
         hist = mc_return_density(fig_mp, cfg, 0.0, 80)
         mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
         w = hist.density * np.diff(hist.edges)
@@ -221,15 +235,13 @@ class TestDensity:
 
 class TestPhysicalStats:
     def test_leverage_matches_formula(self, fig_params):
-        cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5,
-                        measure="physical")
+        cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5)
         taus = [1.0, 5.0]
         for tau, est in zip(taus, mc_leverage(fig_params, cfg, taus)):
             assert abs(est.value - leverage(fig_params, tau)) < 3 * est.std_error
 
     def test_leverage_anticausal_side_is_zero(self, fig_params):
-        cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5,
-                        measure="physical")
+        cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5)
         est = mc_leverage(fig_params, cfg, [-3.0])[0]
         assert abs(est.value) < 3 * est.std_error
 
@@ -238,8 +250,7 @@ class TestPhysicalStats:
         # return correlations is biased low in feasible samples at this
         # beta^2 (lognormal-moment undersampling); the decay shape and
         # positivity are robust
-        cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5,
-                        measure="physical")
+        cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5)
         ests = mc_sq_autocorr(fig_params, cfg, [1.0, 20.0])
         assert ests[0].value > 0
         assert ests[1].value > 0
@@ -249,8 +260,7 @@ class TestPhysicalStats:
         # with beta^2 << 1 the moment estimator is well behaved and must
         # agree with the closed form
         p = ModelParams(m=0.01, alpha=0.05, k=0.08, rho=-0.4)  # beta^2 = 0.064
-        cfg = SimConfig(n_paths=60_000, n_steps=80, dt=1.0, seed=9,
-                        measure="physical")
+        cfg = SimConfig(n_paths=60_000, n_steps=80, dt=1.0, seed=9)
         taus = [1.0, 5.0, 20.0]
         for tau, est in zip(taus, mc_sq_autocorr(p, cfg, taus)):
             assert abs(est.value - squared_return_autocorr(p, tau)) < 3 * est.std_error
@@ -300,9 +310,8 @@ class TestConditionalLognormalOracle:
         mix_val = float(px.mean())
         mix_se = float(px.std(ddof=1)) / math.sqrt(px.size)
 
-        cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=15,
-                        measure="martingale")
-        est = mc_call_price(fig_mp, cfg, spec, fig_mp.z0)
+        cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=15)
+        est = mc_call_prices(fig_mp, cfg, spec, fig_mp.z0)
         gap = abs(mix_val - est.value)
         assert gap < 3 * math.hypot(mix_se, est.std_error)
         # and both sit far above the expansion price here, quantifying the
@@ -335,19 +344,43 @@ class TestConditionalLognormalOracle:
 
 
 class TestMultiStrike:
+    STRIKES = (95.0, 100.0, 105.0)
+
     def test_consistent_with_single(self, fig_mp):
-        cfg = small_cfg(n_paths=20_000)
-        specs = [OptionSpec(100.0, k, cfg.horizon, 0.0) for k in (95.0, 100.0, 105.0)]
-        multi = mc_call_prices(fig_mp, cfg, specs, 0.0)
-        for spec, est in zip(specs, multi):
-            single = mc_call_price(fig_mp, cfg, spec, 0.0)
-            assert single == est
+        # an array spec gives, strike by strike, the scalar spec's exact
+        # value and error: floats in, floats out; array in, array out
+        for antithetic in (False, True):
+            cfg = small_cfg(n_paths=20_000, antithetic=antithetic)
+            multi = mc_call_prices(
+                fig_mp, cfg, OptionSpec(100.0, self.STRIKES, cfg.horizon, 0.0), 0.0)
+            assert multi.value.shape == multi.std_error.shape == (3,)
+            for i, k in enumerate(self.STRIKES):
+                single = mc_call_prices(
+                    fig_mp, cfg, OptionSpec(100.0, k, cfg.horizon, 0.0), 0.0)
+                assert type(single.value) is float
+                assert type(single.std_error) is float
+                assert single.value == multi.value[i]
+                assert single.std_error == multi.std_error[i]
+                assert single.n_effective == multi.n_effective
+
+    def test_spot_and_strike_broadcast(self, fig_mp):
+        cfg = small_cfg(n_paths=8192)
+        spots = np.array([[98.0], [102.0]])
+        grid = mc_call_prices(
+            fig_mp, cfg, OptionSpec(spots, self.STRIKES, cfg.horizon, 0.0), 0.0)
+        assert grid.value.shape == grid.std_error.shape == (2, 3)
+        single = mc_call_prices(fig_mp, cfg, OptionSpec(102.0, 95.0, cfg.horizon, 0.0), 0.0)
+        assert single.value == grid.value[1, 0]
 
     def test_mixed_maturities_rejected(self, fig_mp):
+        # one ensemble has one horizon: an array maturity or rate is
+        # rejected even when every element would match it
         cfg = small_cfg()
-        with pytest.raises(ValueError):
-            mc_call_prices(fig_mp, cfg, [OptionSpec(100, 100, 10.0, 0.0),
-                                         OptionSpec(100, 100, 5.0, 0.0)], 0.0)
+        for maturity in ([10.0, 5.0], [10.0, 10.0]):
+            with pytest.raises(ValueError, match="scalars"):
+                mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, maturity, 0.0), 0.0)
+        with pytest.raises(ValueError, match="scalars"):
+            mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, 10.0, [0.0, 1e-4]), 0.0)
 
 
 class TestExport:

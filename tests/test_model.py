@@ -10,11 +10,9 @@ from scipy.integrate import quad
 
 from expouvol import (
     ModelParams,
-    OUState,
     leverage,
     ou_conditional_moments,
     squared_return_autocorr,
-    stationary_log_vol_variance,
     vol_conditional_pdf,
     vol_stationary_pdf,
 )
@@ -34,11 +32,6 @@ class TestParams:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
-
-    def test_ou_state_time(self):
-        OUState(y=0.3, t=0.0)
-        with pytest.raises(ValueError):
-            OUState(y=0.3, t=-1.0)
 
 
 class TestOUMoments:
@@ -73,11 +66,11 @@ class TestOUMoments:
 
 class TestVariance:
     def test_fig_value(self, fig_params):
-        assert stationary_log_vol_variance(fig_params) == pytest.approx(0.75625)
+        assert fig_params.beta2 == pytest.approx(0.75625)
 
     def test_forced_unity(self):
         p = ModelParams(m=1.0, alpha=0.02, k=0.2, rho=0.0)
-        assert stationary_log_vol_variance(p) == pytest.approx(1.0, rel=1e-15)
+        assert p.beta2 == pytest.approx(1.0, rel=1e-15)
 
 
 class TestVolDensities:
