@@ -40,9 +40,6 @@ from .pricing import (
 )
 from .implied import ImpliedVolError, SmilePoint, implied_vol, smile_curve
 from .mc import (
-    McEstimate,
-    McHistogram,
-    PathEnsemble,
     SimConfig,
     chi_square_vs_density,
     export_paths,
@@ -54,10 +51,8 @@ from .mc import (
     simulate_paths,
 )
 from .calibration import (
-    CalibResult,
     OptionQuote,
     QuoteError,
-    QuoteLoadResult,
     calibrate_risk_aversion,
     load_quotes,
     reprice_quotes,

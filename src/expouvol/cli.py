@@ -89,12 +89,10 @@ _DEFAULTS = {
     "seed": 12345,
     "antithetic": False,
     "tau_grid": (0.0, 1.0, 5.0, 20.0),
-    "output": None,
 }
 
 _INT_KEYS = {"moneyness_points", "n_paths", "seed"}
 _BOOL_KEYS = {"antithetic"}
-_STR_KEYS = {"output"}
 _POSITIVE_KEYS = {"m", "alpha", "k", "spot", "sigma0_annual", "moneyness_min",
                   "moneyness_max", "moneyness_points", "maturity_days", "n_paths", "dt"}
 
@@ -117,7 +115,6 @@ class RunConfig:
     maturity: float
     sim: SimConfig
     tau_grid: tuple
-    output: Optional[str]
 
     def martingale(self):
         mp = to_martingale(self.params, self.risk,
@@ -142,8 +139,6 @@ def _parse_kv_file(path: str) -> dict:
 
 
 def _convert(key: str, val: str):
-    if key in _STR_KEYS:
-        return val
     if key in _BOOL_KEYS:
         low = val.lower()
         if low in ("true", "1", "yes"):
@@ -165,7 +160,7 @@ def _number_errors(merged: dict) -> list:
     """The shared validator: numeric values finite, _POSITIVE_KEYS also positive."""
     errors = []
     for key, val in merged.items():
-        if key in _BOOL_KEYS or key in _STR_KEYS or val is None:
+        if key in _BOOL_KEYS or val is None:
             continue
         positive = key in _POSITIVE_KEYS
         lo = 0 if positive else -math.inf
@@ -227,12 +222,10 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                      moneyness=moneyness,
                      maturity=maturity,
                      sim=sim,
-                     tau_grid=tuple(merged["tau_grid"]),
-                     output=merged["output"])
+                     tau_grid=tuple(merged["tau_grid"]))
 
 
-def _emit(header: str, rows, cfg: RunConfig, override_out: Optional[str]) -> None:
-    out = override_out or cfg.output
+def _emit(header: str, rows, out: Optional[str]) -> None:
     lines = [header] + [",".join(c if isinstance(c, str) else f"{c:.12g}"
                                  for c in row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -262,8 +255,7 @@ def _strike_spec(cfg: RunConfig) -> OptionSpec:
 def cmd_price(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
     bs, *_, total = _call_prices(_strike_spec(cfg), mp, coeffs)
-    _emit("moneyness,call,bs,diff", zip(cfg.moneyness, total, bs, total - bs),
-          cfg, args.output)
+    _emit("moneyness,call,bs,diff", zip(cfg.moneyness, total, bs, total - bs), args.output)
     return 0
 
 
@@ -275,7 +267,7 @@ def cmd_smile(cfg: RunConfig, args) -> int:
     rows = [(pt.moneyness,
              pt.implied_vol_annual if pt.implied_vol_annual is not None else "")
             for pt in points]
-    _emit("moneyness,implied_vol_annual", rows, cfg, args.output)
+    _emit("moneyness,implied_vol_annual", rows, args.output)
     return 0
 
 
@@ -284,14 +276,14 @@ def cmd_density(cfg: RunConfig, args) -> int:
     sd = mp.m_bar * math.sqrt(cfg.maturity)
     xs = np.linspace(coeffs.mu - 8.0 * sd, coeffs.mu + 8.0 * sd, 401)
     ps = return_density(coeffs, mp.m_bar, xs, cfg.maturity, mp.rho)
-    _emit("x,p", list(zip(xs, ps)), cfg, args.output)
+    _emit("x,p", list(zip(xs, ps)), args.output)
     return 0
 
 
 def cmd_greeks(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
     _emit("moneyness,delta", zip(cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)),
-          cfg, args.output)
+          args.output)
     return 0
 
 
@@ -302,7 +294,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     analytic = _call_prices(spec, mp, coeffs)[4]
     rows = zip(cfg.moneyness, est.value, est.std_error, analytic,
                np.abs(est.value - analytic))
-    _emit("moneyness,mc_price,std_err,analytic,abs_diff", rows, cfg, args.output)
+    _emit("moneyness,mc_price,std_err,analytic,abs_diff", rows, args.output)
     if args.dump_paths:
         dump_cfg = dataclasses.replace(cfg.sim, n_paths=min(cfg.sim.n_paths, 64))
         ens = simulate_paths(mp, dump_cfg, mp.z0, rate=cfg.rate)
@@ -323,7 +315,7 @@ def cmd_stats(cfg: RunConfig, args) -> int:
         rows.append((tau, le.value, le.std_error, leverage(cfg.params, tau),
                      ae.value, ae.std_error, squared_return_autocorr(cfg.params, tau)))
     _emit("tau,leverage_mc,leverage_se,leverage_fml,autocorr_mc,autocorr_se,autocorr_fml",
-          rows, cfg, args.output)
+          rows, args.output)
     return 0
 
 
@@ -343,12 +335,11 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
                                      cfg.spot, cfg.rate, cfg.y0)
     _emit("lambda0,lambda1,rmse,n_quotes,converged,iterations",
           [(result.lambda0, result.lambda1, result.rmse, result.n_quotes,
-            str(result.converged).lower(), result.iterations)],
-          cfg, args.output)
+            str(result.converged).lower(), result.iterations)], args.output)
     if args.repricing:
         table = reprice_quotes(result, list(loaded.quotes), cfg.params,
                                cfg.spot, cfg.rate, cfg.y0)
-        _emit("strike,mid,model,residual", table, cfg, args.repricing)
+        _emit("strike,mid,model,residual", table, args.repricing)
     return 0
 
 

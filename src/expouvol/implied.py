@@ -3,8 +3,9 @@
 The solver inverts ``bs_call`` for any price inside the no-arbitrage band
 (max(S - K e^{-rT}, 0), S) with a bracketed Newton iteration: Newton steps
 accelerated by the analytic vega, falling back to bisection whenever a
-step leaves the bracket.  Volatilities are in daily units internally;
-smile points report annualized values (x sqrt(252)).
+step leaves the bracket, in lockstep over every lane of a broadcast
+(price, spec).  Volatilities are in daily units internally; smile points
+report annualized values (x sqrt(252)).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .pricing import OptionSpec, _call_prices, _terms, bs_call, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
@@ -23,6 +26,17 @@ VOL_LO = 1e-6    # day^(-1/2), lower bracket
 VOL_HI = 10.0    # day^(-1/2), upper bracket
 PRICE_TOL = 1e-12
 MAX_ITER = 100
+
+# Messages for reason codes 1, 2, ..., in the order the solver tests them.
+_FAILURES = (
+    "price {price:g} is not finite",
+    "price {price:g} at or below lower no-arbitrage bound {intrinsic:g} "
+    "(discounted intrinsic value)",
+    "price {price:g} at or above upper no-arbitrage bound {spot:g} (spot)",
+    f"price {{price:g}} below the price at the solver floor {VOL_LO} day^(-1/2)",
+    f"price {{price:g}} needs volatility beyond the cap {VOL_HI} day^(-1/2)",
+    "no convergence for price {price:g} after {max_iter} iterations",
+)
 
 
 class ImpliedVolError(ValueError):
@@ -38,8 +52,38 @@ class SmilePoint:
     price: float
 
 
-def _vega(spec: OptionSpec, vol: float) -> float:
-    return spec.spot * norm_pdf(_terms(spec, vol)[0]) * math.sqrt(spec.maturity)
+def _intrinsic(spec: OptionSpec):
+    """Discounted intrinsic value max(S - K e^{-rT}, 0), broadcast."""
+    return np.maximum(spec.spot - spec.strike * np.exp(-spec.rate * spec.maturity), 0.0)
+
+
+def _implied_vols(price, spec: OptionSpec):
+    """Daily implied vols over the broadcast (price, spec), and reason codes.
+
+    A failed lane has vol NaN and code i > 0 naming ``_FAILURES[i - 1]``.
+    """
+    price = np.asarray(price, dtype=float)
+    why = np.select([~np.isfinite(price),
+                     price <= _intrinsic(spec),
+                     price >= spec.spot,
+                     bs_call(spec, VOL_LO) > price,
+                     bs_call(spec, VOL_HI) < price], range(1, len(_FAILURES)), 0)
+    lo, hi, vol = VOL_LO, VOL_HI, 0.01  # 0.01: cheap initial guess
+    tol = PRICE_TOL * np.maximum(spec.spot, 1.0)
+    live = why == 0
+    for _ in range(MAX_ITER):
+        f = bs_call(spec, vol) - price
+        live &= ~(np.abs(f) <= tol)
+        if not live.any():
+            break
+        lo, hi = np.where(f > 0, lo, vol), np.where(f > 0, vol, hi)
+        v = spec.spot * norm_pdf(_terms(spec, vol)[0]) * np.sqrt(spec.maturity)
+        with np.errstate(all="ignore"):
+            nxt = np.where((v > 0) & np.isfinite(v), vol - f / v, math.nan)
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        vol = np.where(live, nxt, vol)
+    why = np.where(live, len(_FAILURES), why)
+    return np.where(why == 0, vol, math.nan), why
 
 
 def implied_vol(price: float, spec: OptionSpec) -> float:
@@ -53,44 +97,15 @@ def implied_vol(price: float, spec: OptionSpec) -> float:
     Raises
     ------
     ImpliedVolError
-        If the price violates a no-arbitrage bound, exceeds the price at
-        the solver's volatility cap (10 day^(-1/2)), or the iteration does
-        not converge within MAX_ITER steps.
+        If the price is not finite, violates a no-arbitrage bound, exceeds
+        the price at the solver's volatility cap (10 day^(-1/2)), or the
+        iteration does not converge within MAX_ITER steps.
     """
-    intrinsic = max(spec.spot - spec.strike * math.exp(-spec.rate * spec.maturity), 0.0)
-    if price <= intrinsic:
-        raise ImpliedVolError(
-            f"price {price:g} at or below lower no-arbitrage bound {intrinsic:g} "
-            "(discounted intrinsic value)")
-    if price >= spec.spot:
-        raise ImpliedVolError(
-            f"price {price:g} at or above upper no-arbitrage bound {spec.spot:g} (spot)")
-
-    if bs_call(spec, VOL_LO) > price:
-        raise ImpliedVolError(
-            f"price {price:g} below the price at the solver floor "
-            f"{VOL_LO} day^(-1/2)")
-    if bs_call(spec, VOL_HI) < price:
-        raise ImpliedVolError(
-            f"price {price:g} needs volatility beyond the cap {VOL_HI} day^(-1/2)")
-
-    lo, hi, vol = VOL_LO, VOL_HI, 0.01  # 0.01: cheap initial guess
-    tol = PRICE_TOL * max(spec.spot, 1.0)
-    for _ in range(MAX_ITER):
-        f = bs_call(spec, vol) - price
-        if abs(f) <= tol:
-            return vol
-        if f > 0:
-            hi = vol
-        else:
-            lo = vol
-        v = _vega(spec, vol)
-        nxt = vol - f / v if (v > 0 and math.isfinite(v)) else math.nan
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        vol = nxt
-    raise ImpliedVolError(
-        f"no convergence for price {price:g} after {MAX_ITER} iterations")
+    vol, why = _implied_vols(price, spec)
+    if why:
+        raise ImpliedVolError(_FAILURES[int(why) - 1].format(
+            price=price, intrinsic=_intrinsic(spec), spot=spec.spot, max_iter=MAX_ITER))
+    return vol.item()
 
 
 def smile_curve(mp: MartingaleParams,
@@ -108,15 +123,11 @@ def smile_curve(mp: MartingaleParams,
     """
     if any(g <= 0 for g in moneyness_grid):
         raise ValueError("moneyness grid values must be positive")
-    coeffs = coeffs_fn(mp, spec_template.maturity, spec_template.rate)
     spot, t, r = spec_template.spot, spec_template.maturity, spec_template.rate
-    strikes = [spot / mon for mon in moneyness_grid]
-    prices = _call_prices(OptionSpec(spot, strikes, t, r), mp, coeffs)[4].tolist()
-    out = []
-    for mon, strike, price in zip(moneyness_grid, strikes, prices):
-        try:
-            iv = annualize_vol(implied_vol(price, OptionSpec(spot, strike, t, r)))
-        except ImpliedVolError:
-            iv = None
-        out.append(SmilePoint(moneyness=mon, implied_vol_annual=iv, price=price))
-    return out
+    spec = OptionSpec(spot, [spot / mon for mon in moneyness_grid], t, r)
+    prices = _call_prices(spec, mp, coeffs_fn(mp, t, r))[4]
+    ivs = annualize_vol(_implied_vols(prices, spec)[0]).tolist()
+    return [SmilePoint(moneyness=mon,
+                       implied_vol_annual=None if math.isnan(iv) else iv,
+                       price=price)
+            for mon, iv, price in zip(moneyness_grid, ivs, prices.tolist())]

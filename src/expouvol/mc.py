@@ -62,10 +62,13 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        ints = (self.n_paths, self.n_steps, self.seed)
+        if not all(isinstance(v, (int, np.integer)) for v in ints):
+            raise ValueError(f"n_paths, n_steps and seed must be integers, got {ints}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic mode requires an even n_paths")
 

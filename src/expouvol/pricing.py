@@ -100,8 +100,8 @@ class PriceBreakdown:
 def norm_cdf(d):
     """Standard normal CDF via the complementary error function.
 
-    norm_cdf(d) = erfc(-d/sqrt(2))/2, absolute accuracy ~1e-16 (C library
-    erfc); this fixed algorithm keeps CSV outputs bit-reproducible.
+    norm_cdf(d) = erfc(-d/sqrt(2))/2 to ~1e-16 with scipy.special.erfc (libm's
+    erfc differs in the last bits); the fixed algorithm keeps CSVs bit-exact.
     """
     return _out(0.5 * erfc(-np.asarray(d, dtype=float) / _SQRT2))
 
@@ -145,9 +145,9 @@ def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs
 
 
 def bs_call(spec: OptionSpec, vol: float):
-    """Black-Scholes call price for a constant volatility (day^(-1/2))."""
-    if vol <= 0:
-        raise ValueError(f"vol must be positive, got {vol}")
+    """Black-Scholes call price; ``vol`` (day^(-1/2)) broadcasts against the spec."""
+    if not np.all((np.asarray(vol) > 0) & np.isfinite(vol)):
+        raise ValueError(f"vol must be positive and finite, got {vol}")
     d1, d2, _, disc_k, _ = _terms(spec, vol)
     return _out(spec.spot * norm_cdf(d1) - disc_k * norm_cdf(d2))
 

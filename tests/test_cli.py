@@ -1,5 +1,6 @@
 """Command-line front end: schemas, determinism, exit codes, round trips."""
 
+import json
 import math
 import os
 import subprocess
@@ -242,6 +243,14 @@ class TestConfigHandling:
         assert code == 2
         assert "bogus" in err
 
+    def test_output_key_removed(self, capsys, tmp_path):
+        # each command's --output flag names the output file; no config key does
+        code, out, err = run_cli(capsys, "--set", f"output={tmp_path / 'x.csv'}", "price")
+        assert code == 2
+        assert out == ""
+        assert "unknown key 'output'" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_value_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "--set", "rho=2.0", "price")
         assert code == 2
@@ -275,6 +284,37 @@ class TestConfigHandling:
             env={**os.environ, "EXPOUVOL_CONFIG": ""})
         assert proc.returncode == 0
         assert proc.stdout.startswith("moneyness,call,bs,diff\n")
+
+
+class TestBenchReferences:
+    """Closed-form outputs at the defaults against perfbench/references.json.
+
+    The same tolerance and empty-cell rule the benchmark's output checks
+    apply, so tier-1 fails wherever the benchmark would.
+    """
+
+    REFERENCES = Path(__file__).parent.parent / "perfbench" / "references.json"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("smile", ["smile"]),
+        ("smile_5001", ["--set", "moneyness_points=5001", "smile"]),
+        ("greeks", ["greeks"]),
+        ("density", ["density"]),
+    ])
+    def test_matches_recorded_values(self, capsys, monkeypatch, name, argv):
+        monkeypatch.delenv("EXPOUVOL_CONFIG", raising=False)
+        ref = json.loads(self.REFERENCES.read_text())[name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ref["header"]
+        assert len(rows) == len(ref["rows"])
+        for row, ref_row in zip(rows, ref["rows"]):
+            cells = [float(c) if c else None for c in row]
+            assert [c is None for c in cells] == [c is None for c in ref_row]
+            for got, want in zip(cells, ref_row):
+                if want is not None:
+                    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestImport:

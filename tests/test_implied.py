@@ -16,7 +16,7 @@ from expouvol import (
     implied_vol,
     smile_curve,
 )
-from expouvol.risk_neutral import expansion_coeffs_averaged
+from expouvol.risk_neutral import MartingaleParams, expansion_coeffs_averaged
 from expouvol.units import annualize_vol
 
 
@@ -65,6 +65,12 @@ class TestImpliedVol:
         spec = OptionSpec(100.0, 97.0, 20.0, 2e-4)
         with pytest.raises(ImpliedVolError, match="no convergence"):
             implied_vol(bs_call(spec, 0.013), spec)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_rejected(self, price):
+        spec = OptionSpec(100.0, 100.0, 20.0, 0.0)
+        with pytest.raises(ImpliedVolError, match=f"price {price:g} is not finite"):
+            implied_vol(price, spec)
 
     def test_below_solver_floor_rejected(self):
         # in the no-arbitrage band but under the vol-floor price
@@ -129,3 +135,24 @@ class TestSmile:
             assert pt.moneyness == pytest.approx(row[0], abs=1e-12)
             assert pt.implied_vol_annual == pytest.approx(row[1], abs=1e-12)
             assert pt.price == pytest.approx(row[2], abs=1e-12)
+
+    @pytest.mark.parametrize("max_iter", [100, 3])
+    @given(t=st.floats(0.5, 120.0), z0=st.floats(-0.8, 0.8), rho=st.floats(-0.95, 0.95),
+           r=st.sampled_from([0.0, 2e-4]),
+           mons=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_point_implied_vol(self, max_iter, t, z0, rho, r, mons):
+        # one lockstep solve over the grid equals per-point scalar solves bit
+        # for bit; at 3 iterations unconverged lanes sit next to frozen ones
+        mp = MartingaleParams(m_bar=0.0098653, alpha_bar=8.11e-3, k=0.11,
+                              rho=rho, z0=z0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("expouvol.implied.MAX_ITER", max_iter)
+            pts = smile_curve(mp, expansion_coeffs, mons, OptionSpec(100.0, 100.0, t, r))
+            for mon, pt in zip(mons, pts):
+                spec = OptionSpec(100.0, 100.0 / mon, t, r)
+                try:
+                    ref = annualize_vol(implied_vol(pt.price, spec))
+                except ImpliedVolError:
+                    ref = None
+                assert pt.implied_vol_annual == ref

@@ -42,6 +42,7 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(n_paths=0), dict(n_steps=0), dict(dt=0.0),
         dict(dt=math.nan), dict(antithetic=True, n_paths=4001),
+        dict(dt=math.inf), dict(n_paths=2.5), dict(n_steps=40.0), dict(seed=1.5),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):

@@ -84,6 +84,17 @@ class TestBsCall:
         with pytest.raises(ValueError):
             bs_call(OptionSpec(100, 100, 20, 0.0), 0.0)
 
+    @pytest.mark.parametrize("vol", [math.nan, math.inf, [0.01, math.nan], [0.01, -0.01]])
+    def test_rejects_non_finite_vol_element_wise(self, vol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bs_call(OptionSpec(100.0, [95.0, 105.0], 20.0, 0.0), vol)
+
+    def test_array_vol_matches_scalar_calls(self):
+        strikes, vols = [90.0, 100.0, 110.0], [0.005, 0.01, 0.03]
+        got = bs_call(OptionSpec(100.0, strikes, 20.0, 1e-4), np.array(vols))
+        assert got.tolist() == [bs_call(OptionSpec(100.0, k, 20.0, 1e-4), v)
+                                for k, v in zip(strikes, vols)]
+
 
 class TestComponents:
     def test_deep_out_of_money_vanish(self):
