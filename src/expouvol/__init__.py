@@ -41,13 +41,10 @@ from .pricing import (
 from .implied import ImpliedVolError, SmilePoint, implied_vol, smile_curve
 from .mc import (
     SimConfig,
-    chi_square_vs_density,
     export_paths,
     mc_call_prices,
-    mc_leverage,
     mc_return_density,
-    mc_sq_autocorr,
-    return_panel,
+    mc_return_stats,
     simulate_paths,
 )
 from .calibration import (

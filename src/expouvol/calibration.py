@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import ModelParams
 from .pricing import OptionSpec, _call_prices
@@ -49,8 +48,12 @@ class OptionQuote:
     mid: float
 
     def __post_init__(self):
-        if not (self.maturity > 0):
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        for name in ("strike", "maturity", "bid", "mid", "ask"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
+            if name in ("strike", "maturity") and val <= 0:
+                raise ValueError(f"{name} must be positive, got {val}")
         if not (0 < self.bid <= self.mid <= self.ask):
             raise ValueError(
                 f"prices must satisfy 0 < bid <= mid <= ask, got "
@@ -197,6 +200,7 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
     """
     if len(quotes) < 2:
         raise ValueError("underdetermined: need at least 2 quotes for 2 parameters")
+    from scipy.optimize import minimize  # deferred: costs ~0.3 s of import time
     mids = np.array([q.mid for q in quotes])
     chain = _chain_specs(quotes, spot, r)
 

@@ -54,8 +54,8 @@ from .calibration import (
     y0_from_vol_index,
 )
 from .implied import smile_curve
-from .mc import (SimConfig, export_paths, mc_call_prices, mc_leverage,
-                 mc_sq_autocorr, return_panel, simulate_paths)
+from .mc import (SimConfig, export_paths, mc_call_prices, mc_return_stats,
+                 simulate_paths)
 from .model import ModelParams, leverage, squared_return_autocorr
 from .pricing import OptionSpec, _call_prices, delta
 from .risk_neutral import (
@@ -307,9 +307,7 @@ def cmd_stats(cfg: RunConfig, args) -> int:
     max_tau = max(cfg.tau_grid) if cfg.tau_grid else 0.0
     n_steps = int(round(max_tau / cfg.sim.dt)) + 100
     sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
-    panel = return_panel(cfg.params, sim)
-    lev = mc_leverage(cfg.params, sim, cfg.tau_grid, panel=panel)
-    aco = mc_sq_autocorr(cfg.params, sim, cfg.tau_grid, panel=panel)
+    lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
     rows = []
     for tau, le, ae in zip(cfg.tau_grid, lev, aco):
         rows.append((tau, le.value, le.std_error, leverage(cfg.params, tau),

@@ -6,8 +6,9 @@ Scheme: the log-volatility is advanced by its exact OU transition
 same-step correlated Gaussian pair xi2 = rho xi1 + sqrt(1-rho^2) xi_perp.
 The parameter type fixes the measure: ModelParams simulate the physical
 measure (m, alpha, Y), MartingaleParams the martingale measure (m_bar,
-alpha_bar, shifted Z).  Pricing estimators take only the latter, the
-return statistics only the former.
+alpha_bar, shifted Z).  Pricing estimators take only the latter and
+stream terminal states; the return statistics (mc_return_stats, both
+statistics from one simulated return panel) take only the former.
 
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .model import ModelParams, _out
 from .risk_neutral import MartingaleParams
@@ -39,10 +39,7 @@ __all__ = [
     "export_paths",
     "mc_call_prices",
     "mc_return_density",
-    "return_panel",
-    "mc_leverage",
-    "mc_sq_autocorr",
-    "chi_square_vs_density",
+    "mc_return_stats",
 ]
 
 BLOCK = 4096
@@ -303,41 +300,6 @@ def mc_return_density(mp: MartingaleParams, cfg: SimConfig, z0: float,
     return McHistogram(edges=edges, counts=counts, density=density, n_samples=n)
 
 
-def chi_square_vs_density(hist: McHistogram, pdf, n_total: Optional[int] = None,
-                          min_expected: float = 5.0):
-    """Pearson chi-square of histogram counts against a density callable.
-
-    Bin probabilities come from Simpson's rule on (lo, mid, hi); bins with
-    expected count below ``min_expected`` are pooled into their neighbor.
-    Returns (statistic, p_value, dof).
-    """
-    n = hist.counts.sum() if n_total is None else n_total
-    lo, hi = hist.edges[:-1], hist.edges[1:]
-    mid = 0.5 * (lo + hi)
-    probs = (hi - lo) / 6.0 * (pdf(lo) + 4.0 * pdf(mid) + pdf(hi))
-    expected = n * probs
-    # pool small-expectation bins left to right
-    obs_p, exp_p = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(hist.counts, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= min_expected:
-            obs_p.append(acc_o)
-            exp_p.append(acc_e)
-            acc_o = acc_e = 0.0
-    if not exp_p:
-        raise ValueError("no bins with sufficient expected counts to test")
-    if acc_e > 0:
-        obs_p[-1] += acc_o
-        exp_p[-1] += acc_e
-    obs = np.array(obs_p)
-    exp = np.array(exp_p)
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    dof = max(1, obs.size - 1)
-    return stat, float(chdtrc(dof, stat)), dof
-
-
 def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
     lags = []
     for tau in tau_grid:
@@ -351,119 +313,89 @@ def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
     return lags
 
 
-def _bootstrap_se(stat_from_sums, per_path: Sequence[np.ndarray], seed: int,
-                  n_boot: int = 200) -> float:
-    """Path-bootstrap SE of a statistic built from per-path sums.
+def _lag_pairs(x: np.ndarray, lag: int):
+    """Column views (x(t), x(t+lag)) over every anchor t; lag may be negative."""
+    n = x.shape[1]
+    if lag >= 0:
+        return x[:, : n - lag], x[:, lag:]
+    return x[:, -lag:], x[:, : n + lag]
 
-    ``per_path`` holds one array of per-path partial sums per moment;
-    ``stat_from_sums`` maps the resampled totals to the statistic.
+
+def _bootstrap_estimate(stat, per_path: Sequence[np.ndarray], seed: int,
+                        n_pairs: int, n_boot: int = 200) -> McEstimate:
+    """``stat(totals, n_pairs)`` of the per-path sums, with its path-bootstrap SE.
+
+    ``per_path`` holds one array of per-path partial sums per moment.
     """
     rng = np.random.default_rng((seed ^ 0x5DEECE66D) & 0xFFFFFFFFFFFFFFFF)
     n = per_path[0].size
     vals = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        vals[b] = stat_from_sums([a[idx].sum() for a in per_path])
-    return float(vals.std(ddof=1))
+        vals[b] = stat([a[idx].sum() for a in per_path], n_pairs)
+    return McEstimate(value=stat([a.sum() for a in per_path], n_pairs),
+                      std_error=float(vals.std(ddof=1)), n_effective=n * n_pairs)
 
 
-def _leverage_sums(panel: np.ndarray, lag: int):
-    """Per-path sums for the leverage ratio at a signed lag."""
-    if lag >= 0:
-        a, b = panel[:, : panel.shape[1] - lag], panel[:, lag:]
-    else:
-        a, b = panel[:, -lag:], panel[:, : panel.shape[1] + lag]
-    num = (a * b * b).sum(axis=1)
-    den = (panel * panel).sum(axis=1)
-    return num, den, a.shape[1], panel.shape[1]
+def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[float],
+                    autocorr_taus: Sequence[float]):
+    """Leverage and squared-return autocorrelation from one simulation.
 
-
-def _autocorr_sums(panel: np.ndarray, lag: int):
-    """Per-path sums for the squared-return Pearson correlation at a lag."""
-    sq = panel * panel
-    a, b = sq[:, : sq.shape[1] - lag], sq[:, lag:]
-    s_ab = (a * b).sum(axis=1)
-    s_m2 = sq.sum(axis=1)
-    s_m4 = (sq * sq).sum(axis=1)
-    return s_ab, s_m2, s_m4, a.shape[1], sq.shape[1]
-
-
-def return_panel(p: ModelParams, cfg: SimConfig) -> np.ndarray:
-    """Demeaned one-step simple returns of stationary paths, (n_paths, n_steps).
-
-    Deterministic given (p, cfg); precompute it to share one simulation
-    between mc_leverage and mc_sq_autocorr.
+    Both pool every anchor and path of one panel of demeaned one-step
+    simple returns dR of stationary paths, with path-bootstrap standard
+    errors.  Leverage is L(tau) = mean[dR(t) dR(t+tau)^2] / mean[dR^2]^2;
+    its negative lags estimate the anticausal side, which vanishes.  The
+    autocorrelation is the Pearson correlation of (dR(t)^2, dR(t+tau)^2)
+    at nonnegative lags.  Lags are in days; either grid may be empty.
+    Returns (leverage, autocorr), one list of McEstimate per grid.
     """
-    _expect(p, ModelParams, "return_panel")
-    panel = np.empty((cfg.n_paths, cfg.n_steps))
+    _expect(p, ModelParams, "mc_return_stats")
+    lev_lags = _lag_steps(leverage_taus, cfg)
+    if any(t < 0 for t in autocorr_taus):
+        raise ValueError("autocorrelation lags must be nonnegative")
+    aco_lags = _lag_steps(autocorr_taus, cfg)
+    n_paths, n_all = cfg.n_paths, cfg.n_steps
+    panel = np.empty((n_paths, n_all))
     lo = 0
     for blk in _iter_blocks(p, cfg, 0.0, 0.0, stationary_start=True,
                             keep_returns=True):
         hi = lo + blk["rets"].shape[0]
         panel[lo:hi] = blk["rets"]
         lo = hi
-    return panel - panel.mean()
+    panel -= panel.mean()
 
+    # Per-path sums, BLOCK rows at a time: a row's sum does not depend on
+    # its neighbours.  sum dR^2 is both leverage's denominator and m2.
+    m2, m4 = np.empty(n_paths), np.empty(n_paths)
+    lev_num = np.empty((len(lev_lags), n_paths))
+    aco_ab = np.empty((len(aco_lags), n_paths))
+    for lo in range(0, n_paths, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        r = panel[rows]
+        sq = r * r
+        m2[rows] = sq.sum(axis=1)
+        m4[rows] = (sq * sq).sum(axis=1)
+        for i, lag in enumerate(lev_lags):
+            a, b = _lag_pairs(r, lag)
+            lev_num[i, rows] = (a * b * b).sum(axis=1)
+        for i, lag in enumerate(aco_lags):
+            a, b = _lag_pairs(sq, lag)
+            aco_ab[i, rows] = (a * b).sum(axis=1)
 
-def mc_leverage(p: ModelParams, cfg: SimConfig, tau_grid: Sequence[float],
-                panel: Optional[np.ndarray] = None):
-    """Leverage-correlation estimates over a lag grid (days).
+    def lev_stat(sums, n_pairs):
+        s_num, s_den = sums
+        return float((s_num / (n_paths * n_pairs))
+                     / (s_den / (n_paths * n_all)) ** 2)
 
-    Panel estimator on demeaned one-step simple returns of stationary
-    paths: L_hat(tau) = mean[dR(t) dR(t+tau)^2] / mean[dR^2]^2 pooled over
-    all anchors and paths, with path-bootstrap standard errors.  Negative
-    lags are allowed (they estimate the anticausal side, which vanishes).
-    ``panel`` accepts a precomputed return_panel(p, cfg).
-    """
-    _expect(p, ModelParams, "mc_leverage")
-    lags = _lag_steps(tau_grid, cfg)
-    if panel is None:
-        panel = return_panel(p, cfg)
-    n_paths = panel.shape[0]
-    out = []
-    for lag in lags:
-        num, den, n_pairs, n_all = _leverage_sums(panel, lag)
+    def aco_stat(sums, n_pairs):
+        t_ab, t_m2, t_m4 = sums
+        mean2 = t_m2 / (n_paths * n_all)
+        mean4 = t_m4 / (n_paths * n_all)
+        cov = t_ab / (n_paths * n_pairs) - mean2 * mean2
+        return float(cov / (mean4 - mean2 * mean2))
 
-        def stat(sums, n_pairs=n_pairs, n_all=n_all):
-            s_num, s_den = sums
-            return float((s_num / (n_paths * n_pairs))
-                         / (s_den / (n_paths * n_all)) ** 2)
-
-        val = stat([num.sum(), den.sum()])
-        se = _bootstrap_se(stat, [num, den], cfg.seed + lag)
-        out.append(McEstimate(value=val, std_error=se,
-                              n_effective=n_paths * n_pairs))
-    return out
-
-
-def mc_sq_autocorr(p: ModelParams, cfg: SimConfig, tau_grid: Sequence[float],
-                   panel: Optional[np.ndarray] = None):
-    """Squared-return autocorrelation estimates over a lag grid (days).
-
-    Pooled Pearson correlation of (dR(t)^2, dR(t+tau)^2) over anchors and
-    stationary paths, with path-bootstrap standard errors.  ``panel``
-    accepts a precomputed return_panel(p, cfg).
-    """
-    _expect(p, ModelParams, "mc_sq_autocorr")
-    if any(t < 0 for t in tau_grid):
-        raise ValueError("autocorrelation lags must be nonnegative")
-    lags = _lag_steps(tau_grid, cfg)
-    if panel is None:
-        panel = return_panel(p, cfg)
-    n_paths = panel.shape[0]
-    out = []
-    for lag in lags:
-        s_ab, s_m2, s_m4, n_pairs, n_all = _autocorr_sums(panel, lag)
-
-        def stat(sums, n_pairs=n_pairs, n_all=n_all):
-            t_ab, t_m2, t_m4 = sums
-            m2 = t_m2 / (n_paths * n_all)
-            m4 = t_m4 / (n_paths * n_all)
-            cov = t_ab / (n_paths * n_pairs) - m2 * m2
-            return float(cov / (m4 - m2 * m2))
-
-        val = stat([s_ab.sum(), s_m2.sum(), s_m4.sum()])
-        se = _bootstrap_se(stat, [s_ab, s_m2, s_m4], cfg.seed - lag)
-        out.append(McEstimate(value=val, std_error=se,
-                              n_effective=n_paths * n_pairs))
-    return out
+    lev = [_bootstrap_estimate(lev_stat, [num, m2], cfg.seed + lag, n_all - abs(lag))
+           for lag, num in zip(lev_lags, lev_num)]
+    aco = [_bootstrap_estimate(aco_stat, [s_ab, m2, m4], cfg.seed - lag, n_all - lag)
+           for lag, s_ab in zip(aco_lags, aco_ab)]
+    return lev, aco

@@ -34,8 +34,7 @@ from expouvol import (
     implied_vol,
     leverage,
     mc_call_prices,
-    mc_leverage,
-    mc_sq_autocorr,
+    mc_return_stats,
     return_density,
     squared_return_autocorr,
     to_martingale,
@@ -292,7 +291,8 @@ def test_criterion_10a_leverage_statistics():
     taus = [1.0, 5.0, 20.0]
     rows = []
     ok = True
-    for tau, est in zip(taus, mc_leverage(FIG_PHYSICAL, cfg, taus)):
+    lev, _ = mc_return_stats(FIG_PHYSICAL, cfg, taus, [])
+    for tau, est in zip(taus, lev):
         target = leverage(FIG_PHYSICAL, tau)
         z = (est.value - target) / est.std_error
         rows.append(f"tau={tau:g}: z={z:+.2f}")
@@ -319,7 +319,8 @@ def test_criterion_10b_squared_return_autocorrelation():
     taus = [1.0, 5.0, 20.0]
     rows = []
     ok = True
-    for tau, est in zip(taus, mc_sq_autocorr(FIG_PHYSICAL, cfg, taus)):
+    _, aco = mc_return_stats(FIG_PHYSICAL, cfg, [], taus)
+    for tau, est in zip(taus, aco):
         target = squared_return_autocorr(FIG_PHYSICAL, tau)
         z = (est.value - target) / est.std_error
         rows.append(f"tau={tau:g}: z={z:+.2f}")

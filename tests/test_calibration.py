@@ -51,6 +51,26 @@ class TestQuoteTypes:
         with pytest.raises(ValueError):
             OptionQuote(**kw)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("strike", math.nan, "strike must be finite"),
+        ("strike", -5.0, "strike must be positive"),
+        ("strike", 0.0, "strike must be positive"),
+        ("strike", math.inf, "strike must be finite"),
+        ("maturity", math.inf, "maturity must be finite"),
+        ("maturity", math.nan, "maturity must be finite"),
+        ("maturity", -1.0, "maturity must be positive"),
+        ("bid", math.nan, "bid must be finite"),
+        ("bid", -math.inf, "bid must be finite"),
+        ("mid", math.nan, "mid must be finite"),
+        ("ask", math.inf, "ask must be finite"),
+        ("ask", math.nan, "ask must be finite"),
+    ])
+    def test_non_finite_or_non_positive_field_named(self, field, value, message):
+        kw = dict(strike=100.0, maturity=10.0, bid=1.0, ask=2.0, mid=1.5)
+        kw[field] = value
+        with pytest.raises(ValueError, match=message):
+            OptionQuote(**kw)
+
 
 class TestLoadQuotes:
     def test_header_only(self, tmp_path):

@@ -319,9 +319,12 @@ class TestBenchReferences:
 
 class TestImport:
     def test_import_skips_scipy_stats(self):
-        # scipy.stats costs most of the package's import time and is not needed
+        # scipy.stats and scipy.optimize cost most of the package's import
+        # time; only calibrate_risk_aversion needs scipy.optimize, on call
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import expouvol, sys; sys.exit('scipy.stats' in sys.modules)"],
+             "import expouvol, sys; "
+             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

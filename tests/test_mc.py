@@ -13,23 +13,22 @@ from expouvol import (
     RiskAversion,
     SimConfig,
     bs_call,
-    chi_square_vs_density,
     expansion_coeffs,
     expou_call,
     export_paths,
     leverage,
     mc_call_prices,
-    mc_leverage,
     mc_return_density,
-    mc_sq_autocorr,
+    mc_return_stats,
     ou_conditional_moments,
     return_density,
-    return_panel,
     simulate_paths,
     squared_return_autocorr,
     to_martingale,
 )
+from expouvol.mc import BLOCK
 from expouvol.risk_neutral import MartingaleParams
+from oracles import chi_square_vs_density, return_stats_full_panel
 
 
 def small_cfg(**kw):
@@ -66,6 +65,15 @@ class TestReproducibility:
         e1 = mc_call_prices(fig_mp, cfg, spec, 0.0)
         e2 = mc_call_prices(fig_mp, cfg, spec, 0.0)
         assert e1 == e2
+
+    def test_blocks_independent_of_path_count(self, fig_params):
+        # block b's substream is keyed by (seed, b) alone, so adding paths
+        # leaves the earlier blocks' paths untouched
+        cfg = small_cfg(n_paths=2 * BLOCK + 17, n_steps=6)
+        full = simulate_paths(fig_params, cfg, 0.3)
+        first = simulate_paths(fig_params, dataclasses.replace(cfg, n_paths=BLOCK), 0.3)
+        assert np.array_equal(full.x[:BLOCK], first.x)
+        assert np.array_equal(full.y[:BLOCK], first.y)
 
     def test_seed_changes_results(self, fig_mp):
         a = simulate_paths(fig_mp, small_cfg(), 0.0)
@@ -164,14 +172,9 @@ class TestGuards:
             mc_call_prices(fig_params, cfg, spec, 0.0)
         with pytest.raises(TypeError, match="expects MartingaleParams"):
             mc_return_density(fig_params, cfg, 0.0, 10)
-        panel = return_panel(fig_params, cfg)
-        with pytest.raises(TypeError, match="expects ModelParams"):
-            return_panel(fig_mp, cfg)
-        for estimator in (mc_leverage, mc_sq_autocorr):
+        for lev_taus, aco_taus in (([1.0], [1.0]), ([1.0], []), ([], [1.0]), ([], [])):
             with pytest.raises(TypeError, match="expects ModelParams"):
-                estimator(fig_mp, cfg, [1.0])
-            with pytest.raises(TypeError, match="expects ModelParams"):
-                estimator(fig_mp, cfg, [1.0], panel=panel)
+                mc_return_stats(fig_mp, cfg, lev_taus, aco_taus)
         # path simulation takes either measure, and nothing else
         simulate_paths(fig_params, cfg, 0.0)
         simulate_paths(fig_mp, cfg, 0.0)
@@ -186,12 +189,15 @@ class TestGuards:
     def test_lag_beyond_horizon(self, fig_params):
         cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
         with pytest.raises(ValueError, match="horizon"):
-            mc_leverage(fig_params, cfg, [30.0])
+            mc_return_stats(fig_params, cfg, [30.0], [])
+        with pytest.raises(ValueError, match="horizon"):
+            mc_return_stats(fig_params, cfg, [], [30.0])
 
     def test_negative_lag_rejected_for_autocorr(self, fig_params):
         cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
         with pytest.raises(ValueError):
-            mc_sq_autocorr(fig_params, cfg, [-1.0])
+            mc_return_stats(fig_params, cfg, [], [-1.0])
+        mc_return_stats(fig_params, cfg, [-1.0], [])  # fine for the leverage
 
 
 class TestDensity:
@@ -238,12 +244,13 @@ class TestPhysicalStats:
     def test_leverage_matches_formula(self, fig_params):
         cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5)
         taus = [1.0, 5.0]
-        for tau, est in zip(taus, mc_leverage(fig_params, cfg, taus)):
+        lev, _ = mc_return_stats(fig_params, cfg, taus, [])
+        for tau, est in zip(taus, lev):
             assert abs(est.value - leverage(fig_params, tau)) < 3 * est.std_error
 
     def test_leverage_anticausal_side_is_zero(self, fig_params):
         cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5)
-        est = mc_leverage(fig_params, cfg, [-3.0])[0]
+        est = mc_return_stats(fig_params, cfg, [-3.0], [])[0][0]
         assert abs(est.value) < 3 * est.std_error
 
     def test_autocorr_positive_and_decaying(self, fig_params):
@@ -252,7 +259,7 @@ class TestPhysicalStats:
         # beta^2 (lognormal-moment undersampling); the decay shape and
         # positivity are robust
         cfg = SimConfig(n_paths=40_000, n_steps=60, dt=1.0, seed=5)
-        ests = mc_sq_autocorr(fig_params, cfg, [1.0, 20.0])
+        _, ests = mc_return_stats(fig_params, cfg, [], [1.0, 20.0])
         assert ests[0].value > 0
         assert ests[1].value > 0
         assert ests[0].value > ests[1].value
@@ -263,8 +270,28 @@ class TestPhysicalStats:
         p = ModelParams(m=0.01, alpha=0.05, k=0.08, rho=-0.4)  # beta^2 = 0.064
         cfg = SimConfig(n_paths=60_000, n_steps=80, dt=1.0, seed=9)
         taus = [1.0, 5.0, 20.0]
-        for tau, est in zip(taus, mc_sq_autocorr(p, cfg, taus)):
+        _, aco = mc_return_stats(p, cfg, [], taus)
+        for tau, est in zip(taus, aco):
             assert abs(est.value - squared_return_autocorr(p, tau)) < 3 * est.std_error
+
+
+class TestReturnStatsOracle:
+    @pytest.mark.parametrize("kw, lev_taus, aco_taus", [
+        # n_paths not a multiple of BLOCK: the last row block is short
+        (dict(n_paths=2 * BLOCK + 17, n_steps=12, dt=1.0), [1.0, 5.0], [1.0, 11.0]),
+        # negative and zero leverage lags
+        (dict(n_paths=3000, n_steps=20, dt=0.5), [-3.0, 0.0, 2.5], [0.0, 9.5]),
+        (dict(n_paths=5000, n_steps=16, dt=1.0, antithetic=True), [0.0, 3.0], [0.0, 3.0]),
+        # either grid empty
+        (dict(n_paths=4100, n_steps=8, dt=1.0), [], [0.0, 2.0]),
+        (dict(n_paths=4100, n_steps=8, dt=1.0), [-2.0, 7.0], []),
+    ])
+    def test_equals_full_panel_estimator(self, fig_params, kw, lev_taus, aco_taus):
+        cfg = SimConfig(seed=77, **kw)
+        got = mc_return_stats(fig_params, cfg, lev_taus, aco_taus)
+        want = return_stats_full_panel(fig_params, cfg, lev_taus, aco_taus)
+        assert got == want
+        assert [len(got[0]), len(got[1])] == [len(lev_taus), len(aco_taus)]
 
 
 def _vol_path_functionals(mp, t, n_paths, dt, seed, z0=0.0):
