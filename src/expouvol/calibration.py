@@ -96,10 +96,10 @@ class QuoteLoadResult:
 def load_quotes(path) -> QuoteLoadResult:
     """Read an option-chain CSV, validating row by row.
 
-    Malformed rows (missing fields, non-numeric or non-finite values,
-    non-positive prices, crossed markets) are rejected individually with
-    their line numbers; a missing or unusable header raises QuoteError
-    outright.
+    Malformed rows (missing fields, non-numeric or non-finite values, a
+    mid that overflows, non-positive prices, crossed markets) are rejected
+    individually with their line numbers; a missing or unusable header
+    raises QuoteError outright.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -131,8 +131,10 @@ def load_quotes(path) -> QuoteLoadResult:
                 continue
             strike, mat, bid = vals[:3]
             ask = bid if mid_only else vals[3]
+            mid = bid if mid_only else 0.5 * (bid + ask)
             reason = next((why for why, bad in (
                 ("non-finite field", not all(map(math.isfinite, vals))),
+                ("non-finite mid", not math.isfinite(mid)),
                 ("non-positive strike", strike <= 0),
                 ("non-positive maturity", mat <= 0),
                 ("non-positive price", bid <= 0),
@@ -140,8 +142,7 @@ def load_quotes(path) -> QuoteLoadResult:
             if reason:
                 rejects.append((line_no, reason))
                 continue
-            quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid, ask=ask,
-                                      mid=bid if mid_only else 0.5 * (bid + ask)))
+            quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid, ask=ask, mid=mid))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 

@@ -8,14 +8,18 @@ The parameter type fixes the measure: ModelParams simulate the physical
 measure (m, alpha, Y), MartingaleParams the martingale measure (m_bar,
 alpha_bar, shifted Z).  Pricing estimators take only the latter and
 stream terminal states; the return statistics (mc_return_stats, both
-statistics from one simulated return panel) take only the former.
+statistics from one streaming pass, no return panel) take only the former.
 
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
 (seed, b), with one standard-normal vector per noise leg per step
 (numpy's ziggurat standard_normal).  Estimates are therefore bit-exact
 for identical SimConfig regardless of how blocks would be scheduled, and
-accumulators merge associatively.
+accumulators merge associatively.  mc_return_stats draws its bootstrap
+weights (0 or 2, one random bit per path and replicate) from a second
+stream per block, Philox keyed by (seed, 2**63 + b), so they never
+overlap a path stream; the full-sample demeaning is exact algebra on the
+accumulated raw sums.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
 ]
 
 BLOCK = 4096
+#: bootstrap replicates behind every mc_return_stats standard error
+_N_BOOT = 200
 #: simulate_paths refuses ensembles beyond this many stored samples per
 #: component; the streaming estimators below have no such limit.
 PATH_BUDGET = 25_000_000
@@ -313,89 +319,121 @@ def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
     return lags
 
 
-def _lag_pairs(x: np.ndarray, lag: int):
-    """Column views (x(t), x(t+lag)) over every anchor t; lag may be negative."""
-    n = x.shape[1]
-    if lag >= 0:
-        return x[:, : n - lag], x[:, lag:]
-    return x[:, -lag:], x[:, : n + lag]
+#: (p, q) powers of the pair sums sum a^p b^q kept per lag; (0, 0) is the
+#: weighted pair count, which follows from the weight row.
+_PAIR_POWERS = [(p, q) for p in range(3) for q in range(3) if p or q]
 
 
-def _bootstrap_estimate(stat, per_path: Sequence[np.ndarray], seed: int,
-                        n_pairs: int, n_boot: int = 200) -> McEstimate:
-    """``stat(totals, n_pairs)`` of the per-path sums, with its path-bootstrap SE.
+def _raw_sums(r: np.ndarray, lags: Sequence[int]) -> np.ndarray:
+    """Per-path raw sums of one block of returns, one row per sum.
 
-    ``per_path`` holds one array of per-path partial sums per moment.
+    Row 0 is each path's weight 1, rows 1-4 are sum r^p over every step,
+    then each lag l adds sum a^p b^q for (p, q) in _PAIR_POWERS over the
+    pairs a = r(t), b = r(t+l).  Window sums (a or b alone) are the full
+    sums less the l edge steps the window leaves out.
     """
-    rng = np.random.default_rng((seed ^ 0x5DEECE66D) & 0xFFFFFFFFFFFFFFFF)
-    n = per_path[0].size
-    vals = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        vals[b] = stat([a[idx].sum() for a in per_path], n_pairs)
-    return McEstimate(value=stat([a.sum() for a in per_path], n_pairs),
-                      std_error=float(vals.std(ddof=1)), n_effective=n * n_pairs)
+    n = r.shape[1]
+    pw = [None, r, r * r]
+    full = [None, pw[1].sum(axis=1), pw[2].sum(axis=1)]
+    rows = [np.ones(r.shape[0]), full[1], full[2],
+            np.vecdot(pw[2], pw[1]), np.vecdot(pw[2], pw[2])]
+    for lag in lags:
+        for p, q in _PAIR_POWERS:
+            if p and q:
+                rows.append(np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:]))
+            elif p:
+                rows.append(full[p] - pw[p][:, n - lag:].sum(axis=1))
+            else:
+                rows.append(full[q] - pw[q][:, :lag].sum(axis=1))
+    return np.stack(rows)
+
+
+def _double_or_nothing(seed: int, block: int, size: int) -> np.ndarray:
+    """(_N_BOOT + 1, size) path weights of one block.
+
+    Row 0 is all ones (the point estimate); every other entry is 0 or 2
+    with probability 1/2, one bit each, unpacked most significant bit
+    first from _N_BOOT * ceil(size/8) bytes of the block's weight stream:
+    Philox keyed by (seed, 2**63 + block), disjoint from every path stream.
+    """
+    rng = _block_rng(seed, block | 1 << 63)
+    bits = np.frombuffer(rng.bytes(_N_BOOT * -(-size // 8)), dtype=np.uint8)
+    w = np.ones((_N_BOOT + 1, size))
+    w[1:] = np.unpackbits(bits.reshape(_N_BOOT, -1), axis=1, count=size)
+    w[1:] *= 2.0
+    return w
+
+
+def _centered(raw: dict, mu: float, i: int, j: int):
+    """sum (a-mu)^i (b-mu)^j from raw[p, q] = sum a^p b^q, binomially."""
+    return sum(math.comb(i, p) * math.comb(j, q) * (-mu) ** (i - p + j - q) * raw[p, q]
+               for p in range(i + 1) for q in range(j + 1))
 
 
 def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[float],
                     autocorr_taus: Sequence[float]):
     """Leverage and squared-return autocorrelation from one simulation.
 
-    Both pool every anchor and path of one panel of demeaned one-step
-    simple returns dR of stationary paths, with path-bootstrap standard
-    errors.  Leverage is L(tau) = mean[dR(t) dR(t+tau)^2] / mean[dR^2]^2;
-    its negative lags estimate the anticausal side, which vanishes.  The
-    autocorrelation is the Pearson correlation of (dR(t)^2, dR(t+tau)^2)
-    at nonnegative lags.  Lags are in days; either grid may be empty.
-    Returns (leverage, autocorr), one list of McEstimate per grid.
+    Both pool every anchor and path of the demeaned one-step simple
+    returns dR of stationary paths.  Leverage is
+    L(tau) = mean[dR(t) dR(t+tau)^2] / mean[dR^2]^2; its negative lags
+    estimate the anticausal side, which vanishes.  The autocorrelation is
+    the Pearson correlation of (dR(t)^2, dR(t+tau)^2) at nonnegative
+    lags.  Lags are in days; either grid may be empty.  Returns
+    (leverage, autocorr), one list of McEstimate per grid.
+
+    One pass, no return panel: each block's per-path raw sums (powers of
+    r and lagged pair products, see _raw_sums) are reduced at once against
+    the block's bootstrap weights (_double_or_nothing: row 0 all ones,
+    then _N_BOOT rows of 0/2 weights from Philox keyed by
+    (seed, 2**63 + block)).  After the last block, mu = sum r /
+    (n_paths n_steps) is the full-sample mean, and every demeaned sum
+    follows exactly from the raw ones by binomial expansion in that fixed
+    mu.  Each replicate uses its own weight sum in place of n_paths; the
+    standard error is the std (ddof=1) of the _N_BOOT replicates (less
+    any that drew no path at all, possible only for tiny n_paths).
     """
     _expect(p, ModelParams, "mc_return_stats")
     lev_lags = _lag_steps(leverage_taus, cfg)
     if any(t < 0 for t in autocorr_taus):
         raise ValueError("autocorrelation lags must be nonnegative")
     aco_lags = _lag_steps(autocorr_taus, cfg)
+    lags = sorted({abs(lag) for lag in lev_lags + aco_lags})
     n_paths, n_all = cfg.n_paths, cfg.n_steps
-    panel = np.empty((n_paths, n_all))
-    lo = 0
-    for blk in _iter_blocks(p, cfg, 0.0, 0.0, stationary_start=True,
-                            keep_returns=True):
-        hi = lo + blk["rets"].shape[0]
-        panel[lo:hi] = blk["rets"]
-        lo = hi
-    panel -= panel.mean()
+    totals = 0.0
+    for b, blk in enumerate(_iter_blocks(p, cfg, 0.0, 0.0, stationary_start=True,
+                                         keep_returns=True)):
+        sums = _raw_sums(blk["rets"], lags)
+        w = _double_or_nothing(cfg.seed, b, sums.shape[1])
+        # one dot per (replicate, sum): no multithreaded BLAS gemm
+        totals = totals + np.vecdot(w[:, None, :], sums)
+    totals = totals[totals[:, 0] > 0]       # a replicate that drew no path
+    n_w = totals[:, 0]
+    mu = totals[0, 1] / (n_paths * n_all)
+    single = {(k, 0): totals[:, k] for k in range(1, 5)}
+    single[0, 0] = n_w * n_all
+    mean2 = _centered(single, mu, 2, 0) / (n_w * n_all)
+    mean4 = _centered(single, mu, 4, 0) / (n_w * n_all)
 
-    # Per-path sums, BLOCK rows at a time: a row's sum does not depend on
-    # its neighbours.  sum dR^2 is both leverage's denominator and m2.
-    m2, m4 = np.empty(n_paths), np.empty(n_paths)
-    lev_num = np.empty((len(lev_lags), n_paths))
-    aco_ab = np.empty((len(aco_lags), n_paths))
-    for lo in range(0, n_paths, BLOCK):
-        rows = slice(lo, lo + BLOCK)
-        r = panel[rows]
-        sq = r * r
-        m2[rows] = sq.sum(axis=1)
-        m4[rows] = (sq * sq).sum(axis=1)
-        for i, lag in enumerate(lev_lags):
-            a, b = _lag_pairs(r, lag)
-            lev_num[i, rows] = (a * b * b).sum(axis=1)
-        for i, lag in enumerate(aco_lags):
-            a, b = _lag_pairs(sq, lag)
-            aco_ab[i, rows] = (a * b).sum(axis=1)
+    def pair_sums(lag):
+        lo = 5 + len(_PAIR_POWERS) * lags.index(lag)
+        raw = dict(zip(_PAIR_POWERS, totals[:, lo: lo + len(_PAIR_POWERS)].T))
+        raw[0, 0] = n_w * (n_all - lag)
+        return raw
 
-    def lev_stat(sums, n_pairs):
-        s_num, s_den = sums
-        return float((s_num / (n_paths * n_pairs))
-                     / (s_den / (n_paths * n_all)) ** 2)
+    def estimate(stat, lag):
+        return McEstimate(value=float(stat[0]), std_error=float(stat[1:].std(ddof=1)),
+                          n_effective=n_paths * (n_all - abs(lag)))
 
-    def aco_stat(sums, n_pairs):
-        t_ab, t_m2, t_m4 = sums
-        mean2 = t_m2 / (n_paths * n_all)
-        mean4 = t_m4 / (n_paths * n_all)
-        cov = t_ab / (n_paths * n_pairs) - mean2 * mean2
-        return float(cov / (mean4 - mean2 * mean2))
-
-    lev = [_bootstrap_estimate(lev_stat, [num, m2], cfg.seed + lag, n_all - abs(lag))
-           for lag, num in zip(lev_lags, lev_num)]
-    aco = [_bootstrap_estimate(aco_stat, [s_ab, m2, m4], cfg.seed - lag, n_all - lag)
-           for lag, s_ab in zip(aco_lags, aco_ab)]
+    lev = []
+    for lag in lev_lags:
+        raw = pair_sums(abs(lag))
+        # a is the earlier return: tau >= 0 weights the later one squared
+        num = _centered(raw, mu, 1, 2) if lag >= 0 else _centered(raw, mu, 2, 1)
+        lev.append(estimate((num / raw[0, 0]) / mean2 ** 2, lag))
+    aco = []
+    for lag in aco_lags:
+        raw = pair_sums(lag)
+        cov = _centered(raw, mu, 2, 2) / raw[0, 0] - mean2 * mean2
+        aco.append(estimate(cov / (mean4 - mean2 * mean2), lag))
     return lev, aco

@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths under test: payoff
 integrals go through adaptive quadrature against the raw density pieces,
 derivatives through central differences, and the assembled call price
 through its own scalar single-expression formula.  The return statistics
-have the full-panel estimator that mc_return_stats replaced, and the
-Monte Carlo return density a Pearson goodness-of-fit test.
+have the whole-panel estimators that mc_return_stats replaced (with the
+same double-or-nothing bootstrap weights, and with the earlier
+multinomial bootstrap), and the Monte Carlo return density a Pearson
+goodness-of-fit test.
 """
 
 import math
@@ -15,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import chdtrc
 
 from expouvol import hermite_poly
-from expouvol.mc import McEstimate, _iter_blocks, _lag_steps
+from expouvol.mc import BLOCK, McEstimate, _iter_blocks, _lag_steps
 
 
 def bs_call_quadrature(S, K, T, r, vol):
@@ -122,50 +124,106 @@ def chi_square_vs_density(hist, pdf, n_total=None, min_expected=5.0):
     return stat, float(chdtrc(dof, stat)), dof
 
 
-def return_stats_full_panel(p, cfg, leverage_taus, autocorr_taus, n_boot=200):
-    """Leverage and squared-return autocorrelation by whole-panel sums.
+def _return_panel(p, cfg):
+    """The whole (n_paths, n_steps) panel of one-step returns, demeaned."""
+    panel = np.concatenate([blk["rets"] for blk in _iter_blocks(
+        p, cfg, 0.0, 0.0, stationary_start=True, keep_returns=True)])
+    return panel - panel.mean()
 
-    Every per-path sum is taken over the full demeaned panel and recomputed
-    for each lag; same statistics, bootstrap seeds and n_effective as
-    mc_return_stats, which must agree exactly.
+
+def _per_path_sums(panel, leverage_taus, autocorr_taus, cfg):
+    """Per-path sums of the demeaned panel, recomputed for every lag.
+
+    Yields ("lev" or "aco", lag, [per-path arrays], n_pairs): the leverage
+    numerator and sum dR^2, or the autocorrelation cross sum, sum dR^2 and
+    sum dR^4.
     """
     if any(t < 0 for t in autocorr_taus):
         raise ValueError("autocorrelation lags must be nonnegative")
-    panel = np.concatenate([blk["rets"] for blk in _iter_blocks(
-        p, cfg, 0.0, 0.0, stationary_start=True, keep_returns=True)])
-    panel = panel - panel.mean()
-    n_paths, n_all = panel.shape
-
-    def estimate(stat, per_path, seed, n_pairs):
-        rng = np.random.default_rng((seed ^ 0x5DEECE66D) & 0xFFFFFFFFFFFFFFFF)
-        boot = []
-        for _ in range(n_boot):
-            idx = rng.integers(0, n_paths, size=n_paths)
-            boot.append(stat([a[idx].sum() for a in per_path], n_pairs))
-        return McEstimate(value=stat([a.sum() for a in per_path], n_pairs),
-                          std_error=float(np.std(boot, ddof=1)),
-                          n_effective=n_paths * n_pairs)
-
-    def lev_stat(sums, n_pairs):
-        return float((sums[0] / (n_paths * n_pairs))
-                     / (sums[1] / (n_paths * n_all)) ** 2)
-
-    def aco_stat(sums, n_pairs):
-        m2, m4 = sums[1] / (n_paths * n_all), sums[2] / (n_paths * n_all)
-        return float((sums[0] / (n_paths * n_pairs) - m2 * m2) / (m4 - m2 * m2))
-
-    lev = []
+    n_all = panel.shape[1]
     for lag in _lag_steps(leverage_taus, cfg):
         if lag >= 0:
             a, b = panel[:, : n_all - lag], panel[:, lag:]
         else:
             a, b = panel[:, -lag:], panel[:, : n_all + lag]
-        sums = [(a * b * b).sum(axis=1), (panel * panel).sum(axis=1)]
-        lev.append(estimate(lev_stat, sums, cfg.seed + lag, a.shape[1]))
-    aco = []
+        yield "lev", lag, [(a * b * b).sum(axis=1), (panel * panel).sum(axis=1)], a.shape[1]
     sq = panel * panel
     for lag in _lag_steps(autocorr_taus, cfg):
         a, b = sq[:, : n_all - lag], sq[:, lag:]
-        sums = [(a * b).sum(axis=1), sq.sum(axis=1), (sq * sq).sum(axis=1)]
-        aco.append(estimate(aco_stat, sums, cfg.seed - lag, a.shape[1]))
-    return lev, aco
+        yield "aco", lag, [(a * b).sum(axis=1), sq.sum(axis=1), (sq * sq).sum(axis=1)], \
+            a.shape[1]
+
+
+def _stat(kind, sums, n, n_pairs, n_all):
+    """Leverage or autocorrelation from summed moments over n paths."""
+    if kind == "lev":
+        return (sums[0] / (n * n_pairs)) / (sums[1] / (n * n_all)) ** 2
+    m2, m4 = sums[1] / (n * n_all), sums[2] / (n * n_all)
+    return (sums[0] / (n * n_pairs) - m2 * m2) / (m4 - m2 * m2)
+
+
+def return_stats_multinomial(p, cfg, leverage_taus, autocorr_taus, n_boot=200):
+    """Whole-panel leverage and autocorrelation with multinomial bootstrap SEs.
+
+    The earlier estimator: n_paths paths resampled with replacement, 200
+    times per statistic and lag, from a generator seeded by
+    (seed +- lag) ^ 0x5DEECE66D.
+    """
+    panel = _return_panel(p, cfg)
+    n_paths, n_all = panel.shape
+    out = {"lev": [], "aco": []}
+    for kind, lag, per_path, n_pairs in _per_path_sums(panel, leverage_taus,
+                                                       autocorr_taus, cfg):
+        seed = cfg.seed + lag if kind == "lev" else cfg.seed - lag
+        rng = np.random.default_rng((seed ^ 0x5DEECE66D) & 0xFFFFFFFFFFFFFFFF)
+        boot = []
+        for _ in range(n_boot):
+            idx = rng.integers(0, n_paths, size=n_paths)
+            boot.append(_stat(kind, [a[idx].sum() for a in per_path], n_paths,
+                              n_pairs, n_all))
+        out[kind].append(McEstimate(
+            value=float(_stat(kind, [a.sum() for a in per_path], n_paths, n_pairs, n_all)),
+            std_error=float(np.std(boot, ddof=1)), n_effective=n_paths * n_pairs))
+    return out["lev"], out["aco"]
+
+
+def _double_or_nothing_weights(cfg, n_boot=200):
+    """(n_boot, n_paths) bootstrap weights, 0 or 2, from the documented key.
+
+    Block b (BLOCK paths, the last one short) takes n_boot * ceil(size/8)
+    bytes from Philox keyed by (seed mod 2**64, 2**63 + b) and unpacks
+    them most significant bit first, one bit per path and replicate.
+    """
+    blocks = []
+    for b, lo in enumerate(range(0, cfg.n_paths, BLOCK)):
+        size = min(BLOCK, cfg.n_paths - lo)
+        key = np.array([cfg.seed % 2**64, 2**63 + b], dtype=np.uint64)
+        raw = np.random.Generator(np.random.Philox(key=key)).bytes(n_boot * -(-size // 8))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n_boot, -1),
+                             axis=1, count=size)
+        blocks.append(2.0 * bits)
+    return np.concatenate(blocks, axis=1)
+
+
+def return_stats_full_panel(p, cfg, leverage_taus, autocorr_taus):
+    """Whole-panel leverage and autocorrelation with 0/2-weight bootstrap SEs.
+
+    The panel is built and demeaned directly and every per-path sum is
+    recomputed for each lag, the way mc_return_stats did before it
+    streamed.  Each replicate weights the per-path sums by
+    _double_or_nothing_weights and divides by its own weight sum in place
+    of n_paths; mc_return_stats must agree to rounding.
+    """
+    panel = _return_panel(p, cfg)
+    n_paths, n_all = panel.shape
+    w = _double_or_nothing_weights(cfg)
+    w = w[w.sum(axis=1) > 0]
+    n_w = w.sum(axis=1)
+    out = {"lev": [], "aco": []}
+    for kind, lag, per_path, n_pairs in _per_path_sums(panel, leverage_taus,
+                                                       autocorr_taus, cfg):
+        boot = _stat(kind, [w @ a for a in per_path], n_w, n_pairs, n_all)
+        out[kind].append(McEstimate(
+            value=float(_stat(kind, [a.sum() for a in per_path], n_paths, n_pairs, n_all)),
+            std_error=float(boot.std(ddof=1)), n_effective=n_paths * n_pairs))
+    return out["lev"], out["aco"]

@@ -111,6 +111,16 @@ class TestLoadQuotes:
         assert len(res.quotes) == 1
         assert res.rejects == ((3, "non-finite field"),)
 
+    def test_overflowing_mid_rejected_by_line(self, tmp_path):
+        # each price is finite but their sum is not
+        f = tmp_path / "q.csv"
+        f.write_text("strike,maturity_days,bid,ask\n"
+                     "100,10,1.0e308,1.7e308\n"
+                     "100,10,1.0,1.2\n")
+        res = load_quotes(f)
+        assert res.rejects == ((2, "non-finite mid"),)
+        assert [(q.bid, q.ask, q.mid) for q in res.quotes] == [(1.0, 1.2, 1.1)]
+
     def test_mid_only_schema(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text("strike,maturity_days,mid\n100,10,1.5\n")

@@ -214,6 +214,17 @@ class TestCalibrate:
         assert "line 9: non-finite field" in err
         assert "line 10: non-finite field" in err
 
+    def test_overflowing_mid_row_skipped_and_reported(self, capsys, tmp_path):
+        chain = self.make_chain(tmp_path)
+        with open(chain, "a") as fh:
+            fh.write("100,10,1.0e308,1.7e308\n")
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "--set", "rate_annual=0.02",
+                                 "calibrate", "--quotes", str(chain))
+        assert code == 0
+        assert parse_csv(out)[1][0][3] == "7"
+        assert "line 9: non-finite mid" in err
+
     def test_requires_vol_index(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         code, _, err = run_cli(capsys, "calibrate", "--quotes", str(chain))
