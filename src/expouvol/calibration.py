@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _check
 from .pricing import OptionSpec, _call_prices
 from .risk_neutral import RiskAversion, expansion_coeffs, to_martingale
 from .units import daily_vol
@@ -48,12 +48,8 @@ class OptionQuote:
     mid: float
 
     def __post_init__(self):
-        for name in ("strike", "maturity", "bid", "mid", "ask"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
-            if name in ("strike", "maturity") and val <= 0:
-                raise ValueError(f"{name} must be positive, got {val}")
+        for name in ("strike", "maturity", "bid", "ask", "mid"):
+            _check(name, getattr(self, name), positive=name in ("strike", "maturity"))
         if not (0 < self.bid <= self.mid <= self.ask):
             raise ValueError(
                 f"prices must satisfy 0 < bid <= mid <= ask, got "
@@ -96,10 +92,9 @@ class QuoteLoadResult:
 def load_quotes(path) -> QuoteLoadResult:
     """Read an option-chain CSV, validating row by row.
 
-    Malformed rows (missing fields, non-numeric or non-finite values, a
-    mid that overflows, non-positive prices, crossed markets) are rejected
-    individually with their line numbers; a missing or unusable header
-    raises QuoteError outright.
+    Rows with missing or non-numeric fields, or that OptionQuote refuses
+    (its message is the reason), are rejected individually with their line
+    numbers; a missing or unusable header raises QuoteError outright.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -132,17 +127,11 @@ def load_quotes(path) -> QuoteLoadResult:
             strike, mat, bid = vals[:3]
             ask = bid if mid_only else vals[3]
             mid = bid if mid_only else 0.5 * (bid + ask)
-            reason = next((why for why, bad in (
-                ("non-finite field", not all(map(math.isfinite, vals))),
-                ("non-finite mid", not math.isfinite(mid)),
-                ("non-positive strike", strike <= 0),
-                ("non-positive maturity", mat <= 0),
-                ("non-positive price", bid <= 0),
-                ("crossed", bid > ask)) if bad), None)
-            if reason:
-                rejects.append((line_no, reason))
-                continue
-            quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid, ask=ask, mid=mid))
+            try:
+                quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid,
+                                          ask=ask, mid=mid))
+            except ValueError as exc:
+                rejects.append((line_no, str(exc)))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 
@@ -161,10 +150,8 @@ def write_quotes(quotes: Sequence[OptionQuote], path) -> None:
 
 def y0_from_vol_index(sigma0_annual: float, m: float) -> float:
     """Initial log-volatility from an annualized vol index: ln(sigma0_daily/m)."""
-    if sigma0_annual <= 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0_annual}")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m}")
+    _check("sigma0", sigma0_annual)
+    _check("m", m)
     return math.log(daily_vol(sigma0_annual) / m)
 
 

@@ -56,7 +56,7 @@ from .calibration import (
 from .implied import smile_curve
 from .mc import (SimConfig, export_paths, mc_call_prices, mc_return_stats,
                  simulate_paths)
-from .model import ModelParams, leverage, squared_return_autocorr
+from .model import ModelParams, _check, leverage, squared_return_autocorr
 from .pricing import OptionSpec, _call_prices, delta
 from .risk_neutral import (
     RiskAversion,
@@ -157,16 +157,15 @@ def _convert(key: str, val: str):
 
 
 def _number_errors(merged: dict) -> list:
-    """The shared validator: numeric values finite, _POSITIVE_KEYS also positive."""
+    """The package's numeric rule on every value: finite, _POSITIVE_KEYS also positive."""
     errors = []
     for key, val in merged.items():
         if key in _BOOL_KEYS or val is None:
             continue
-        positive = key in _POSITIVE_KEYS
-        lo = 0 if positive else -math.inf
-        if not all(lo < v < math.inf for v in (val if key == "tau_grid" else (val,))):
-            kind = "positive and finite" if positive else "finite"
-            errors.append(f"{key} must be {kind}, got {val!r}")
+        try:
+            _check(key, val, positive=key in _POSITIVE_KEYS)
+        except ValueError as exc:
+            errors.append(str(exc))
     return errors
 
 
@@ -290,7 +289,7 @@ def cmd_greeks(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
     spec = _strike_spec(cfg)
-    est = mc_call_prices(mp, cfg.sim, spec, mp.z0)
+    est = mc_call_prices(mp, cfg.sim, spec)
     analytic = _call_prices(spec, mp, coeffs)[4]
     rows = zip(cfg.moneyness, est.value, est.std_error, analytic,
                np.abs(est.value - analytic))
@@ -321,8 +320,9 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     loaded = load_quotes(args.quotes)
     if loaded.rejects:
         print(loaded.summary(), file=sys.stderr)
-    if not loaded.quotes:
-        print("error: no usable quotes", file=sys.stderr)
+    if len(loaded.quotes) < 2:
+        print("error: calibrate needs at least 2 usable quotes for its 2 parameters, "
+              f"got {len(loaded.quotes)}", file=sys.stderr)
         return 2
     if cfg.y0 is None:
         print("error: calibrate needs sigma0_annual in the config "

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .model import _check
 from .pricing import OptionSpec, _call_prices, _terms, bs_call, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
 from .units import annualize_vol
@@ -121,8 +122,7 @@ def smile_curve(mp: MartingaleParams,
     stationary-averaged variant.  Points whose inversion fails carry
     ``implied_vol_annual=None`` instead of aborting the curve.
     """
-    if any(g <= 0 for g in moneyness_grid):
-        raise ValueError("moneyness grid values must be positive")
+    _check("moneyness", moneyness_grid)
     spot, t, r = spec_template.spot, spec_template.maturity, spec_template.rate
     spec = OptionSpec(spot, [spot / mon for mon in moneyness_grid], t, r)
     prices = _call_prices(spec, mp, coeffs_fn(mp, t, r))[4]

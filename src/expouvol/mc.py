@@ -13,9 +13,10 @@ statistics from one streaming pass, no return panel) take only the former.
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
 (seed, b), with one standard-normal vector per noise leg per step
-(numpy's ziggurat standard_normal).  Estimates are therefore bit-exact
-for identical SimConfig regardless of how blocks would be scheduled, and
-accumulators merge associatively.  mc_return_stats draws its bootstrap
+(numpy's ziggurat standard_normal), so each block's draws depend only on
+(seed, b).  Blocks are reduced in block-index order; floating-point sums
+are not associative, so it is that fixed order which makes estimates
+bit-exact for identical SimConfig.  mc_return_stats draws its bootstrap
 weights (0 or 2, one random bit per path and replicate) from a second
 stream per block, Philox keyed by (seed, 2**63 + b), so they never
 overlap a path stream; the full-sample demeaning is exact algebra on the
@@ -30,7 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .model import ModelParams, _out
+from .model import ModelParams, _check, _out
 from .risk_neutral import MartingaleParams
 from .pricing import OptionSpec
 
@@ -70,8 +71,7 @@ class SimConfig:
             raise ValueError(f"n_paths, n_steps and seed must be integers, got {ints}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
-        if not (0 < self.dt < math.inf):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check("dt", self.dt)
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic mode requires an even n_paths")
 
@@ -160,7 +160,7 @@ def _iter_blocks(params, cfg: SimConfig, y0: float, rate: float,
                  keep_returns: bool = False):
     """Advance each block and yield its terminal/trajectory data.
 
-    Yields dicts with terminal ``x``/``y`` always, full ``xs``/``ys``
+    Yields dicts with the terminal log-price ``x`` always, full ``xs``/``ys``
     (n_block, n_steps+1) when keep_paths, and per-step simple returns
     ``rets`` (n_block, n_steps) when keep_returns.
     """
@@ -198,7 +198,7 @@ def _iter_blocks(params, cfg: SimConfig, y0: float, rate: float,
                 xs[:, step + 1], ys[:, step + 1] = x, y
             if keep_returns:
                 rets[:, step] = np.expm1(dx)
-        yield {"x": x, "y": y, "xs": xs, "ys": ys, "rets": rets}
+        yield {"x": x, "xs": xs, "ys": ys, "rets": rets}
 
 
 def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> PathEnsemble:
@@ -245,9 +245,8 @@ def _pairwise(values: np.ndarray, antithetic: bool) -> np.ndarray:
     return 0.5 * (values[0::2] + values[1::2])
 
 
-def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec,
-                   z0: float) -> McEstimate:
-    """Discounted expected call payoffs under the martingale measure.
+def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> McEstimate:
+    """Discounted expected call payoffs under the martingale measure, from ``mp.z0``.
 
     Spot and strike may be arrays; maturity and rate are scalars and the
     maturity equals the config horizon.  ``value`` and ``std_error`` follow
@@ -268,7 +267,7 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec,
     total = np.zeros(strikes.shape)
     total_sq = np.zeros(strikes.shape)
     n = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    for blk in _iter_blocks(mp, cfg, z0, r):
+    for blk in _iter_blocks(mp, cfg, mp.z0, r):
         growth = np.exp(blk["x"])
         for i in np.ndindex(strikes.shape):
             pay = disc * np.maximum(spots[i] * growth - strikes[i], 0.0)
@@ -280,9 +279,9 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec,
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
 
 
-def mc_return_density(mp: MartingaleParams, cfg: SimConfig, z0: float,
+def mc_return_density(mp: MartingaleParams, cfg: SimConfig,
                       bins: Union[int, np.ndarray], rate: float = 0.0) -> McHistogram:
-    """Normalized histogram of the terminal log-return X(horizon).
+    """Normalized histogram of the terminal log-return X(horizon), from ``mp.z0``.
 
     ``bins`` is either explicit edges or a count, in which case the range
     spans mu +- 6 sqrt(m_bar^2 T) around the expansion's Gaussian center.
@@ -297,7 +296,7 @@ def mc_return_density(mp: MartingaleParams, cfg: SimConfig, z0: float,
         edges = np.asarray(bins, dtype=float)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     n = 0
-    for blk in _iter_blocks(mp, cfg, z0, rate):
+    for blk in _iter_blocks(mp, cfg, mp.z0, rate):
         counts += np.histogram(blk["x"], bins=edges)[0]
         n += blk["x"].size
     widths = np.diff(edges)

@@ -37,6 +37,24 @@ def _out(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _check(name: str, value, positive: bool = True) -> None:
+    """The package's numeric-input rule: ``value`` finite, and > 0 if ``positive``.
+
+    Scalars and arrays alike, element by element; raises ValueError naming
+    the field.  A plain float skips numpy, so the dataclasses rebuilt on
+    every calibration objective evaluation stay cheap.
+    """
+    lo = 0.0 if positive else -math.inf
+    if isinstance(value, (int, float)):
+        ok = lo < value < math.inf
+    else:
+        v = np.asarray(value, dtype=float)
+        ok = np.all((v > lo) & (v < math.inf))
+    if not ok:
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """expOU model parameters (physical measure, daily units).
@@ -61,12 +79,8 @@ class ModelParams:
     rho: float
 
     def __post_init__(self):
-        if not (self.m > 0):
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (self.k > 0):
-            raise ValueError(f"k must be positive, got {self.k}")
+        for name in ("m", "alpha", "k"):
+            _check(name, getattr(self, name))
         if not (-1.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
         if not math.isfinite(self.beta2):
@@ -110,10 +124,8 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check("sigma0", sigma0)
+    _check("t", t)
     decay = math.exp(-p.alpha * t)
     var = p.beta2 * (1.0 - decay * decay)
     z = np.log(sigma / p.m) - decay * math.log(sigma0 / p.m)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .model import _out
+from .model import _check, _out
 from .risk_neutral import (
     ExpansionCoeffs,
     MartingaleParams,
@@ -68,13 +68,10 @@ class OptionSpec:
 
     def __post_init__(self):
         for name in ("spot", "strike", "maturity", "rate"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            lo, kind = ((-math.inf, "finite") if name == "rate"
-                        else (0.0, "positive and finite"))
-            if not np.all((v > lo) & (v < math.inf)):
-                raise ValueError(f"{name} must be {kind}, got {getattr(self, name)}")
-            if v.ndim:
-                object.__setattr__(self, name, v)
+            v = getattr(self, name)
+            _check(name, v, positive=name != "rate")
+            if np.ndim(v):
+                object.__setattr__(self, name, np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,7 @@ def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs
 
 def bs_call(spec: OptionSpec, vol: float):
     """Black-Scholes call price; ``vol`` (day^(-1/2)) broadcasts against the spec."""
-    if not np.all((np.asarray(vol) > 0) & np.isfinite(vol)):
-        raise ValueError(f"vol must be positive and finite, got {vol}")
+    _check("vol", vol)
     d1, d2, _, disc_k, _ = _terms(spec, vol)
     return _out(spec.spot * norm_cdf(d1) - disc_k * norm_cdf(d2))
 

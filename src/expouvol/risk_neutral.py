@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _out
+from .model import ModelParams, _check, _out
 
 __all__ = [
     "RiskAversion",
@@ -59,6 +59,10 @@ class RiskAversion:
     lambda0: float
     lambda1: float
 
+    def __post_init__(self):
+        _check("lambda0", self.lambda0, positive=False)
+        _check("lambda1", self.lambda1, positive=False)
+
 
 @dataclass(frozen=True)
 class MartingaleParams:
@@ -76,12 +80,9 @@ class MartingaleParams:
     z0: float
 
     def __post_init__(self):
-        if not (self.m_bar > 0):
-            raise ValueError(f"m_bar must be positive, got {self.m_bar}")
-        if not (self.alpha_bar > 0):
-            raise ValueError(f"alpha_bar must be positive, got {self.alpha_bar}")
-        if not (self.k > 0):
-            raise ValueError(f"k must be positive, got {self.k}")
+        for name in ("m_bar", "alpha_bar", "k"):
+            _check(name, getattr(self, name))
+        _check("z0", self.z0, positive=False)
         if not (-1.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 

@@ -219,7 +219,7 @@ def test_criterion_06_monte_carlo_price_agreement():
     cfg = SimConfig(n_paths=200_000, n_steps=200, dt=0.1, seed=2021)
     mons = (0.95, 1.0, 1.05)
     spec = OptionSpec(100.0 * np.array(mons), 100.0, t, 0.0)
-    est = mc_call_prices(mp, cfg, spec, mp.z0)
+    est = mc_call_prices(mp, cfg, spec)
     formula = expou_call(spec, mp, co).total
     tol = 3 * est.std_error + 2e-4 * spec.spot
     rows = [f"{mon}: |{f:.4f}-{v:.4f}|={abs(f - v):.4f} vs {tl:.4f}"

@@ -1,0 +1,97 @@
+"""The numeric-input rule at every public boundary.
+
+Every scale field must be positive and finite and every signed field
+finite; each refusal is a ValueError that names the field.  A value
+that slipped through would surface far from its cause: an infinite
+m_bar makes expansion_coeffs divide by zero, an infinite k or a NaN z0
+makes every price NaN, and a non-finite risk aversion gives
+to_martingale an infinite m_bar.
+"""
+
+import math
+
+import pytest
+
+from expouvol import (
+    MartingaleParams,
+    ModelParams,
+    OptionQuote,
+    OptionSpec,
+    RiskAversion,
+    SimConfig,
+    expansion_coeffs,
+    smile_curve,
+    y0_from_vol_index,
+)
+from expouvol.cli import _BOOL_KEYS, _DEFAULTS, main
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+NON_POSITIVE = (0.0, -1.0)
+
+# (constructor, valid keyword arguments, positive fields, signed fields)
+BOUNDARIES = {
+    "ModelParams": (ModelParams, dict(m=0.01, alpha=8e-3, k=0.11, rho=-0.4),
+                    ("m", "alpha", "k"), ()),
+    "MartingaleParams": (MartingaleParams,
+                         dict(m_bar=0.0098653, alpha_bar=8.11e-3, k=0.11, rho=-0.4, z0=0.1),
+                         ("m_bar", "alpha_bar", "k"), ("z0",)),
+    "RiskAversion": (RiskAversion, dict(lambda0=1e-3, lambda1=1e-3),
+                     (), ("lambda0", "lambda1")),
+    "OptionSpec": (OptionSpec, dict(spot=100.0, strike=100.0, maturity=20.0, rate=1e-4),
+                   ("spot", "strike", "maturity"), ("rate",)),
+    "OptionQuote": (OptionQuote, dict(strike=100.0, maturity=10.0, bid=1.0, ask=2.0, mid=1.5),
+                    ("strike", "maturity"), ("bid", "ask", "mid")),
+    "SimConfig": (SimConfig, dict(n_paths=8, n_steps=10, dt=0.1, seed=1),
+                  ("dt",), ()),
+}
+
+CASES = [(kind, field, bad, "positive and finite")
+         for kind, (_, _, positive, _) in BOUNDARIES.items()
+         for field in positive for bad in NON_FINITE + NON_POSITIVE]
+CASES += [(kind, field, bad, "finite")
+          for kind, (_, _, _, signed) in BOUNDARIES.items()
+          for field in signed for bad in NON_FINITE]
+
+
+@pytest.mark.parametrize("kind", list(BOUNDARIES))
+def test_valid_arguments_construct(kind):
+    cls, valid, _, _ = BOUNDARIES[kind]
+    cls(**valid)
+
+
+@pytest.mark.parametrize("kind, field, bad, rule", CASES)
+def test_dataclass_field_rejected_by_name(kind, field, bad, rule):
+    cls, valid, _, _ = BOUNDARIES[kind]
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got "):
+        cls(**{**valid, field: bad})
+
+
+@pytest.mark.parametrize("sigma0, m, field", [
+    (math.nan, 0.01, "sigma0"), (math.inf, 0.01, "sigma0"),
+    (0.1655, math.nan, "m"), (0.1655, -math.inf, "m"),
+])
+def test_vol_index_rejects_non_finite(sigma0, m, field):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        y0_from_vol_index(sigma0, m)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + NON_POSITIVE)
+def test_smile_moneyness_grid_rejected(bad):
+    mp = MartingaleParams(m_bar=0.0098653, alpha_bar=8.11e-3, k=0.11, rho=-0.4, z0=0.0)
+    with pytest.raises(ValueError, match="^moneyness must be positive and finite"):
+        smile_curve(mp, expansion_coeffs, [0.9, bad, 1.1], OptionSpec(100.0, 100.0, 20.0, 0.0))
+
+
+NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in _BOOL_KEYS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_every_numeric_config_key_rejected(capsys, monkeypatch, key, value):
+    monkeypatch.delenv("EXPOUVOL_CONFIG", raising=False)
+    code = main(["--set", f"{key}={value}", "price"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert key in err
+    assert "Traceback" not in err

@@ -52,12 +52,12 @@ class TestQuoteTypes:
             OptionQuote(**kw)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("strike", math.nan, "strike must be finite"),
+        ("strike", math.nan, "strike must be positive and finite"),
         ("strike", -5.0, "strike must be positive"),
         ("strike", 0.0, "strike must be positive"),
-        ("strike", math.inf, "strike must be finite"),
-        ("maturity", math.inf, "maturity must be finite"),
-        ("maturity", math.nan, "maturity must be finite"),
+        ("strike", math.inf, "strike must be positive and finite"),
+        ("maturity", math.inf, "maturity must be positive and finite"),
+        ("maturity", math.nan, "maturity must be positive and finite"),
         ("maturity", -1.0, "maturity must be positive"),
         ("bid", math.nan, "bid must be finite"),
         ("bid", -math.inf, "bid must be finite"),
@@ -86,8 +86,9 @@ class TestLoadQuotes:
                      "105,10,1.0,1.2\n")
         res = load_quotes(f)
         assert len(res.quotes) == 1
-        assert res.rejects == ((2, "crossed"),)
-        assert "crossed" in res.summary()
+        reason = "prices must satisfy 0 < bid <= mid <= ask, got bid=2.0 mid=1.75 ask=1.5"
+        assert res.rejects == ((2, reason),)
+        assert f"line 2: {reason}" in res.summary()
 
     def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -100,8 +101,15 @@ class TestLoadQuotes:
         assert len(res.quotes) == 1
         assert [ln for ln, _ in res.rejects] == [3, 4, 5]
 
-    @pytest.mark.parametrize("row", ["nan,10,1.0,1.2", "100,inf,1.0,1.2",
-                                     "100,10,nan,1.2", "100,10,1.0,inf"])
+    # each row is rejected with OptionQuote's own message for its first bad field
+    NON_FINITE_ROWS = {
+        "nan,10,1.0,1.2": "strike must be positive and finite, got nan",
+        "100,inf,1.0,1.2": "maturity must be positive and finite, got inf",
+        "100,10,nan,1.2": "bid must be finite, got nan",
+        "100,10,1.0,inf": "ask must be finite, got inf",
+    }
+
+    @pytest.mark.parametrize("row", list(NON_FINITE_ROWS))
     def test_non_finite_rows_rejected_by_line(self, tmp_path, row):
         f = tmp_path / "q.csv"
         f.write_text("strike,maturity_days,bid,ask\n"
@@ -109,7 +117,7 @@ class TestLoadQuotes:
                      f"{row}\n")
         res = load_quotes(f)
         assert len(res.quotes) == 1
-        assert res.rejects == ((3, "non-finite field"),)
+        assert res.rejects == ((3, self.NON_FINITE_ROWS[row]),)
 
     def test_overflowing_mid_rejected_by_line(self, tmp_path):
         # each price is finite but their sum is not
@@ -118,7 +126,7 @@ class TestLoadQuotes:
                      "100,10,1.0e308,1.7e308\n"
                      "100,10,1.0,1.2\n")
         res = load_quotes(f)
-        assert res.rejects == ((2, "non-finite mid"),)
+        assert res.rejects == ((2, "mid must be finite, got inf"),)
         assert [(q.bid, q.ask, q.mid) for q in res.quotes] == [(1.0, 1.2, 1.1)]
 
     def test_mid_only_schema(self, tmp_path):

@@ -211,8 +211,8 @@ class TestCalibrate:
                                  "calibrate", "--quotes", str(chain))
         assert code == 0
         assert parse_csv(out)[1][0][3] == "7"
-        assert "line 9: non-finite field" in err
-        assert "line 10: non-finite field" in err
+        assert "line 9: strike must be positive and finite, got nan" in err
+        assert "line 10: bid must be finite, got nan" in err
 
     def test_overflowing_mid_row_skipped_and_reported(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
@@ -223,13 +223,25 @@ class TestCalibrate:
                                  "calibrate", "--quotes", str(chain))
         assert code == 0
         assert parse_csv(out)[1][0][3] == "7"
-        assert "line 9: non-finite mid" in err
+        assert "line 9: mid must be finite, got inf" in err
 
     def test_requires_vol_index(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         code, _, err = run_cli(capsys, "calibrate", "--quotes", str(chain))
         assert code == 2
         assert "sigma0_annual" in err
+
+    @pytest.mark.parametrize("rows, usable", [("", 0), ("100,10,1.0,1.2\n", 1),
+                                              ("100,10,1.0,1.2\n100,10,2.0,1.5\n", 1)])
+    def test_fewer_than_two_usable_quotes_exit_2(self, capsys, tmp_path, rows, usable):
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("strike,maturity_days,bid,ask\n" + rows)
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "calibrate", "--quotes", str(quotes))
+        assert code == 2
+        assert out == ""
+        assert f"needs at least 2 usable quotes for its 2 parameters, got {usable}" in err
+        assert "computation failed" not in err
 
 
 class TestConfigHandling:
@@ -326,6 +338,38 @@ class TestBenchReferences:
             for got, want in zip(cells, ref_row):
                 if want is not None:
                     assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestTracedMode:
+    """``perfbench/tracer.py`` wraps public functions by name and reads
+    counts off their return values, so a refactor can break the
+    benchmark's traced mode without failing anything else: each command
+    must exit 0 under the tracer and print the untraced CSV unchanged."""
+
+    ROOT = Path(__file__).parent.parent
+
+    @pytest.mark.parametrize("argv", [
+        ["price"], ["smile"], ["greeks"], ["density"],
+        ["--set", "n_paths=2000", "simulate"],
+        ["--set", "n_paths=500", "stats"],
+        ["--set", "sigma0_annual=0.1655", "--set", "rate_annual=0.02",
+         "--set", "maturity_days=10", "calibrate", "--quotes", "{chain}",
+         "--repricing", "{work}/repricing.csv"],
+    ], ids=["price", "smile", "greeks", "density", "simulate", "stats", "calibrate"])
+    def test_stdout_matches_untraced(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.delenv("EXPOUVOL_CONFIG", raising=False)
+        chain = TestCalibrate().make_chain(tmp_path) if "{chain}" in argv else None
+        argv = [a.format(chain=chain, work=tmp_path) for a in argv]
+        code, untraced, _ = run_cli(capsys, *argv)
+        assert code == 0
+        env = {**os.environ, "EXPOUVOL_CONFIG": "", "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "perfbench" / "tracer.py"),
+             str(tmp_path / "spans.json"), "0", "--", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == untraced
+        assert json.loads((tmp_path / "spans.json").read_text())["names"]
 
 
 class TestImport:

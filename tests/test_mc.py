@@ -67,8 +67,8 @@ class TestReproducibility:
     def test_bit_exact_estimates(self, fig_mp):
         cfg = small_cfg()
         spec = OptionSpec(100.0, 100.0, cfg.horizon, 0.0)
-        e1 = mc_call_prices(fig_mp, cfg, spec, 0.0)
-        e2 = mc_call_prices(fig_mp, cfg, spec, 0.0)
+        e1 = mc_call_prices(fig_mp, cfg, spec)
+        e2 = mc_call_prices(fig_mp, cfg, spec)
         assert e1 == e2
 
     def test_blocks_independent_of_path_count(self, fig_params):
@@ -133,14 +133,14 @@ class TestScheme:
         cfg = small_cfg(n_paths=200_000, n_steps=40, dt=0.5, seed=3)
         r = 2e-4
         spec = OptionSpec(1.0, 1e-14, 20.0, r)
-        est = mc_call_prices(fig_mp, cfg, spec, 0.0)
+        est = mc_call_prices(fig_mp, cfg, spec)
         assert abs(est.value - 1.0) < 3 * est.std_error
 
     def test_bs_limit_at_tiny_vol_of_vol(self):
         mp = MartingaleParams(m_bar=0.01, alpha_bar=8e-3, k=1e-6, rho=0.0, z0=0.0)
         cfg = small_cfg(n_paths=100_000, n_steps=40, dt=0.5, seed=17)
         spec = OptionSpec(100.0, 100.0, 20.0, 1e-4)
-        est = mc_call_prices(mp, cfg, spec, 0.0)
+        est = mc_call_prices(mp, cfg, spec)
         assert abs(est.value - bs_call(spec, 0.01)) < 3 * est.std_error
 
 
@@ -152,9 +152,9 @@ class TestAntithetic:
 
     def test_mean_preserved_and_variance_reduced(self, fig_mp):
         spec = OptionSpec(100.0, 100.0, 10.0, 0.0)
-        plain = mc_call_prices(fig_mp, small_cfg(n_paths=40_000, seed=5), spec, 0.0)
+        plain = mc_call_prices(fig_mp, small_cfg(n_paths=40_000, seed=5), spec)
         anti = mc_call_prices(fig_mp, small_cfg(n_paths=40_000, seed=5,
-                                                antithetic=True), spec, 0.0)
+                                                antithetic=True), spec)
         assert anti.n_effective == 20_000
         # overlapping confidence intervals at equal total paths
         gap = abs(plain.value - anti.value)
@@ -174,9 +174,9 @@ class TestGuards:
         cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
         spec = OptionSpec(100.0, 100.0, cfg.horizon, 0.0)
         with pytest.raises(TypeError, match="expects MartingaleParams"):
-            mc_call_prices(fig_params, cfg, spec, 0.0)
+            mc_call_prices(fig_params, cfg, spec)
         with pytest.raises(TypeError, match="expects MartingaleParams"):
-            mc_return_density(fig_params, cfg, 0.0, 10)
+            mc_return_density(fig_params, cfg, 10)
         for lev_taus, aco_taus in (([1.0], [1.0]), ([1.0], []), ([], [1.0]), ([], [])):
             with pytest.raises(TypeError, match="expects ModelParams"):
                 mc_return_stats(fig_mp, cfg, lev_taus, aco_taus)
@@ -189,7 +189,7 @@ class TestGuards:
     def test_horizon_mismatch(self, fig_mp):
         spec = OptionSpec(100.0, 100.0, 5.0, 0.0)
         with pytest.raises(ValueError, match="horizon"):
-            mc_call_prices(fig_mp, small_cfg(), spec, 0.0)
+            mc_call_prices(fig_mp, small_cfg(), spec)
 
     def test_lag_beyond_horizon(self, fig_params):
         cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
@@ -207,7 +207,7 @@ class TestGuards:
 
 class TestDensity:
     def test_mass_is_one(self, fig_mp):
-        hist = mc_return_density(fig_mp, small_cfg(), 0.0, 30)
+        hist = mc_return_density(fig_mp, small_cfg(), 30)
         assert np.sum(hist.density * np.diff(hist.edges)) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_square_in_trusted_regime(self):
@@ -218,7 +218,7 @@ class TestDensity:
         t = 3.0
         co = expansion_coeffs(mp, t, 0.0)
         cfg = SimConfig(n_paths=200_000, n_steps=30, dt=0.1, seed=31)
-        hist = mc_return_density(mp, cfg, 0.0, 60)
+        hist = mc_return_density(mp, cfg, 60)
         _, pval, _ = chi_square_vs_density(
             hist, lambda x: return_density(co, mp.m_bar, x, t, mp.rho))
         assert pval > 0.01
@@ -230,14 +230,14 @@ class TestDensity:
         t = 20.0
         co = expansion_coeffs(fig_mp, t, 0.0)
         cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=31)
-        hist = mc_return_density(fig_mp, cfg, 0.0, 60)
+        hist = mc_return_density(fig_mp, cfg, 60)
         _, pval, _ = chi_square_vs_density(
             hist, lambda x: return_density(co, fig_mp.m_bar, x, t, fig_mp.rho))
         assert pval < 1e-6
 
     def test_sample_skew_negative_for_negative_rho(self, fig_mp):
         cfg = SimConfig(n_paths=100_000, n_steps=40, dt=0.5, seed=8)
-        hist = mc_return_density(fig_mp, cfg, 0.0, 80)
+        hist = mc_return_density(fig_mp, cfg, 80)
         mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
         w = hist.density * np.diff(hist.edges)
         mean = np.sum(mids * w)
@@ -390,7 +390,7 @@ class TestConditionalLognormalOracle:
         mix_se = float(px.std(ddof=1)) / math.sqrt(px.size)
 
         cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=15)
-        est = mc_call_prices(fig_mp, cfg, spec, fig_mp.z0)
+        est = mc_call_prices(fig_mp, cfg, spec)
         gap = abs(mix_val - est.value)
         assert gap < 3 * math.hypot(mix_se, est.std_error)
         # and both sit far above the expansion price here, quantifying the
@@ -431,11 +431,11 @@ class TestMultiStrike:
         for antithetic in (False, True):
             cfg = small_cfg(n_paths=20_000, antithetic=antithetic)
             multi = mc_call_prices(
-                fig_mp, cfg, OptionSpec(100.0, self.STRIKES, cfg.horizon, 0.0), 0.0)
+                fig_mp, cfg, OptionSpec(100.0, self.STRIKES, cfg.horizon, 0.0))
             assert multi.value.shape == multi.std_error.shape == (3,)
             for i, k in enumerate(self.STRIKES):
                 single = mc_call_prices(
-                    fig_mp, cfg, OptionSpec(100.0, k, cfg.horizon, 0.0), 0.0)
+                    fig_mp, cfg, OptionSpec(100.0, k, cfg.horizon, 0.0))
                 assert type(single.value) is float
                 assert type(single.std_error) is float
                 assert single.value == multi.value[i]
@@ -446,9 +446,9 @@ class TestMultiStrike:
         cfg = small_cfg(n_paths=8192)
         spots = np.array([[98.0], [102.0]])
         grid = mc_call_prices(
-            fig_mp, cfg, OptionSpec(spots, self.STRIKES, cfg.horizon, 0.0), 0.0)
+            fig_mp, cfg, OptionSpec(spots, self.STRIKES, cfg.horizon, 0.0))
         assert grid.value.shape == grid.std_error.shape == (2, 3)
-        single = mc_call_prices(fig_mp, cfg, OptionSpec(102.0, 95.0, cfg.horizon, 0.0), 0.0)
+        single = mc_call_prices(fig_mp, cfg, OptionSpec(102.0, 95.0, cfg.horizon, 0.0))
         assert single.value == grid.value[1, 0]
 
     def test_mixed_maturities_rejected(self, fig_mp):
@@ -457,9 +457,9 @@ class TestMultiStrike:
         cfg = small_cfg()
         for maturity in ([10.0, 5.0], [10.0, 10.0]):
             with pytest.raises(ValueError, match="scalars"):
-                mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, maturity, 0.0), 0.0)
+                mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, maturity, 0.0))
         with pytest.raises(ValueError, match="scalars"):
-            mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, 10.0, [0.0, 1e-4]), 0.0)
+            mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, 10.0, [0.0, 1e-4]))
 
 
 class TestExport:

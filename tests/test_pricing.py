@@ -1,6 +1,7 @@
 """Closed-form pricing: BS baseline, correction components, call/put/delta."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from expouvol import (
     expou_put,
     norm_cdf,
     norm_pdf,
+    return_density,
 )
 from oracles import (bs_call_quadrature, central_diff, component_integral,
                      expou_call_assembled)
@@ -181,7 +183,7 @@ class TestExpouCall:
         co = expansion_coeffs(fig_mp, t, 0.0)
         cfg = SimConfig(n_paths=100_000, n_steps=50, dt=0.1, seed=99)
         spec = OptionSpec(100.0 * np.array([0.95, 1.0, 1.05]), 100.0, t, 0.0)
-        est = mc_call_prices(fig_mp, cfg, spec, fig_mp.z0)
+        est = mc_call_prices(fig_mp, cfg, spec)
         formula = expou_call(spec, fig_mp, co).total
         assert np.all(np.abs(formula - est.value)
                       <= 3 * est.std_error + 2e-4 * spec.spot)
@@ -335,6 +337,49 @@ class TestParityProperty:
         put = expou_put(spec, mp, co)
         assert abs(call + spec.strike * math.exp(-r * t) - put - spec.spot) \
             <= 1e-12 * spec.spot
+
+
+def _strike_curvature_grid():
+    """Per (T, z0, rho, r) case: central second differences of the call in
+    strike (h = 1e-4 K), the identity's e^{-rT} p(ln(K/S)) / K and the
+    regime flag, over 61 moneyness points in [0.5, 2] at spot 100."""
+    spot = 100.0
+    strikes = spot / np.linspace(0.5, 2.0, 61)
+    h = 1e-4 * strikes
+    for t, z0, rho, r in itertools.product((1.0, 5.0, 20.0, 60.0, 120.0),
+                                           (-0.5, 0.0, 0.5),
+                                           (-1.0, -0.4, 0.0, 0.7, 1.0), (0.0, 1e-3)):
+        mp = MartingaleParams(m_bar=0.0098653, alpha_bar=8.11e-3, k=0.11,
+                              rho=rho, z0=z0)
+        co = expansion_coeffs(mp, t, r)
+        up, mid, down = (expou_call(OptionSpec(spot, k, t, r), mp, co)
+                         for k in (strikes + h, strikes, strikes - h))
+        fd = (up.total - 2.0 * mid.total + down.total) / (h * h)
+        exact = (math.exp(-r * t) * return_density(co, mp.m_bar, np.log(strikes / spot),
+                                                   t, rho) / strikes)
+        yield (t, z0, rho, r), fd, exact, mid.warning
+
+
+class TestStrikeCurvature:
+    """d^2C/dK^2 = e^{-rT} p(ln(K/S)) / K, p the Hermite return density."""
+
+    # worst observed 2.0e-5 of the case's largest density (2.0e-3 at
+    # h = 1e-3 K: the central difference's h^2 error)
+    TOL = 1e-4
+
+    def test_second_derivative_is_discounted_density(self):
+        for case, fd, exact, _ in _strike_curvature_grid():
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(fd - exact)) <= self.TOL * scale, case
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "convexity fails exactly where the Hermite density is negative: 535 of "
+        "the 9,150 grid points, 443 of them unflagged and beyond the identity's "
+        "tolerance; the regime flag does not test the density's sign"))
+    def test_convex_wherever_unflagged(self):
+        for case, fd, exact, flag in _strike_curvature_grid():
+            ok = ~flag
+            assert np.all(fd[ok] >= -self.TOL * np.max(np.abs(exact))), case
 
 
 class TestPut:
