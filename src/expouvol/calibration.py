@@ -1,8 +1,15 @@
 """Risk-aversion calibration against an option chain.
 
 Given fixed physical model parameters and a file of quoted call prices,
-fit the two market-price-of-risk constants (lambda0, lambda1) by least
-squares on mid prices with a bounded derivative-free simplex search.
+fit the two market-price-of-risk constants (lambda0, lambda1) to mid
+prices by Levenberg-Marquardt (More 1978) on the residuals model - mid of
+``_chain_price``, the pricer ``reprice_quotes`` uses.  The Jacobian is a
+central difference, one-sided where a probe would break alpha + k*lambda1
+> 0.  The damping, of diag(J'J) at its running maximum, goes up 10x after
+a trial step that raises the sum of squares or cannot be priced (that
+bound broken, or the expansion overflowing), down 10x after an accepted
+one.  Steps are clipped to |lambda| <= LAMBDA_BOUND; a parameter on that
+box whose gradient points out of it is held there.
 The quote CSV carries a header ``strike,maturity_days,bid,ask`` (mid is
 computed) or ``strike,maturity_days,mid``.
 """
@@ -34,7 +41,8 @@ __all__ = [
 
 LAMBDA_BOUND = 1.0
 MAX_ITER = 500
-SIMPLEX_TOL = 1e-9
+FD_STEP = 1e-7
+STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,13 +112,9 @@ def load_quotes(path) -> QuoteLoadResult:
             raise QuoteError(f"{path}: empty file") from None
         if header[:2] != ["strike", "maturity_days"]:
             raise QuoteError(f"{path}: header must start with strike,maturity_days")
-        if header[2:] == ["bid", "ask"]:
-            mid_only = False
-        elif header[2:] == ["mid"]:
-            mid_only = True
-        else:
-            raise QuoteError(
-                f"{path}: columns after maturity_days must be bid,ask or mid")
+        if header[2:] not in (["bid", "ask"], ["mid"]):
+            raise QuoteError(f"{path}: columns after maturity_days must be bid,ask or mid")
+        mid_only = header[2:] == ["mid"]
 
         quotes, rejects = [], []
         for line_no, row in enumerate(reader, start=2):
@@ -179,35 +183,47 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
                             spot: float, r: float, y0: float) -> CalibResult:
     """Least-squares fit of (lambda0, lambda1) to quoted mid prices.
 
-    Nelder-Mead from (0, 0) with |lambda| <= 1 bounds and a penalty
-    keeping alpha + k*lambda1 positive; converges when the simplex
-    shrinks below 1e-9 or after 500 iterations.
-
-    The reported rmse is the root-mean-square repricing error recomputed
-    at the returned parameters.
+    Levenberg-Marquardt from (0, 0), as in the module docstring.  ``iterations``
+    counts trial steps, accepted or not; ``converged`` means one fell below
+    STEP_TOL in max-norm within MAX_ITER of them.  rmse is that of the
+    residuals at the returned parameters.
     """
     if len(quotes) < 2:
         raise ValueError("underdetermined: need at least 2 quotes for 2 parameters")
-    from scipy.optimize import minimize  # deferred: costs ~0.3 s of import time
     mids = np.array([q.mid for q in quotes])
     chain = _chain_specs(quotes, spot, r)
 
-    def objective(x):
-        l0, l1 = x
-        if p.alpha + p.k * l1 <= 0:
-            return 1e12 * (1.0 + abs(p.alpha + p.k * l1))
-        resid = _chain_price(l0, l1, chain, p, y0) - mids
-        return float(np.sum(resid * resid))
+    def residuals(x):
+        return _chain_price(x[0], x[1], chain, p, y0) - mids
 
-    res = minimize(objective, x0=np.zeros(2), method="Nelder-Mead",
-                   bounds=[(-LAMBDA_BOUND, LAMBDA_BOUND)] * 2,
-                   options={"xatol": SIMPLEX_TOL, "fatol": 1e-18,
-                            "maxiter": MAX_ITER, "maxfev": 4 * MAX_ITER})
-    l0, l1 = float(res.x[0]), float(res.x[1])
-    resid = _chain_price(l0, l1, chain, p, y0) - mids
-    rmse = float(np.sqrt(np.mean(resid * resid)))
-    return CalibResult(lambda0=l0, lambda1=l1, rmse=rmse, n_quotes=len(quotes),
-                       converged=bool(res.success), iterations=int(res.nit))
+    x, f = np.zeros(2), residuals(np.zeros(2))
+    scale, damping, jac = np.zeros(2), 1e-3, None
+    for iterations in range(1, MAX_ITER + 1):
+        if jac is None:  # at the start and after each accepted step
+            jac = np.empty((mids.size, 2))
+            for i, e in enumerate(np.eye(2) * FD_STEP):
+                lo = x - e if p.alpha + p.k * (x - e)[1] > 0 else x
+                jac[:, i] = (residuals(x + e) - residuals(lo)) / (x + e - lo)[i]
+            jtj, grad = jac.T @ jac, jac.T @ f
+            scale = np.maximum(scale, np.diag(jtj))
+            free = ~((np.abs(x) == LAMBDA_BOUND) & (x * grad < 0))  # else held on the box
+        step, lhs = np.zeros(2), jtj + damping * np.diag(scale)
+        step[free] = np.linalg.solve(lhs[np.ix_(free, free)], -grad[free])
+        trial = np.clip(x + step, -LAMBDA_BOUND, LAMBDA_BOUND)
+        converged = bool(np.max(np.abs(trial - x)) < STEP_TOL)
+        if converged:
+            break
+        try:  # no measure (alpha + k*lambda1 <= 0, m_bar out of range), or an overflow
+            f_new = residuals(trial)
+        except (ValueError, ArithmeticError):
+            f_new = np.full(mids.size, np.inf)
+        if f_new @ f_new <= f @ f:
+            x, f, damping, jac = trial, f_new, damping / 10, None
+        else:
+            damping *= 10
+    return CalibResult(lambda0=float(x[0]), lambda1=float(x[1]),
+                       rmse=float(np.sqrt(np.mean(f * f))), n_quotes=len(quotes),
+                       converged=converged, iterations=iterations)
 
 
 def reprice_quotes(result: CalibResult, quotes: Sequence[OptionQuote],

@@ -58,13 +58,8 @@ from .mc import (SimConfig, export_paths, mc_call_prices, mc_return_stats,
                  simulate_paths)
 from .model import ModelParams, _check, leverage, squared_return_autocorr
 from .pricing import OptionSpec, _call_prices, delta
-from .risk_neutral import (
-    RiskAversion,
-    expansion_coeffs,
-    regime_warning,
-    return_density,
-    to_martingale,
-)
+from .risk_neutral import (MartingaleParams, RiskAversion, expansion_coeffs,
+                           regime_warning, return_density, to_martingale)
 from .units import daily_rate
 
 ENV_CONFIG = "EXPOUVOL_CONFIG"
@@ -106,22 +101,14 @@ class RunConfig:
     """Validated run configuration, already converted to daily units."""
 
     params: ModelParams
-    risk: RiskAversion
+    martingale: MartingaleParams   # z0: the z0 key's, or y0 shifted when y0 is set
     spot: float
     rate: float            # day^(-1)
-    z0: Optional[float]    # explicit shifted initial log-vol
     y0: Optional[float]    # physical initial log-vol (from sigma0_annual)
     moneyness: np.ndarray
     maturity: float
     sim: SimConfig
     tau_grid: tuple
-
-    def martingale(self):
-        mp = to_martingale(self.params, self.risk,
-                           0.0 if self.y0 is None else self.y0)
-        if self.z0 is not None:
-            mp = dataclasses.replace(mp, z0=self.z0)
-        return mp
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -187,20 +174,19 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
         raise ConfigError("; ".join(errors))
 
     sigma0 = merged["sigma0_annual"]
-    z0 = merged["z0"]
     explicit_z0 = "z0" in file_values or "z0" in overrides
+    if sigma0 is not None and explicit_z0:
+        print("warning: both sigma0_annual and z0 supplied; z0 wins", file=sys.stderr)
     y0 = None
-    if sigma0 is not None:
-        if explicit_z0:
-            print("warning: both sigma0_annual and z0 supplied; z0 wins",
-                  file=sys.stderr)
-        else:
-            z0 = None
     try:
         params = ModelParams(m=merged["m"], alpha=merged["alpha"],
                              k=merged["k"], rho=merged["rho"])
-        if sigma0 is not None and z0 is None:
+        if sigma0 is not None and not explicit_z0:
             y0 = y0_from_vol_index(sigma0, params.m)
+        risk = RiskAversion(merged["lambda0"], merged["lambda1"])
+        martingale = to_martingale(params, risk, 0.0 if y0 is None else y0)
+        if y0 is None:
+            martingale = dataclasses.replace(martingale, z0=merged["z0"])
         maturity = float(merged["maturity_days"])
         dt = float(merged["dt"])
         n_steps = max(1, round(maturity / dt))
@@ -213,15 +199,9 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
 
     moneyness = np.linspace(merged["moneyness_min"], merged["moneyness_max"],
                             merged["moneyness_points"])
-    return RunConfig(params=params,
-                     risk=RiskAversion(merged["lambda0"], merged["lambda1"]),
-                     spot=merged["spot"],
-                     rate=daily_rate(merged["rate_annual"]),
-                     z0=z0, y0=y0,
-                     moneyness=moneyness,
-                     maturity=maturity,
-                     sim=sim,
-                     tau_grid=tuple(merged["tau_grid"]))
+    return RunConfig(params=params, martingale=martingale, spot=merged["spot"],
+                     rate=daily_rate(merged["rate_annual"]), y0=y0, moneyness=moneyness,
+                     maturity=maturity, sim=sim, tau_grid=tuple(merged["tau_grid"]))
 
 
 def _emit(header: str, rows, out: Optional[str]) -> None:
@@ -237,7 +217,7 @@ def _emit(header: str, rows, out: Optional[str]) -> None:
 
 def _expansion(cfg: RunConfig):
     """Martingale parameters and coefficients at the run's maturity; notes the regime flag."""
-    mp = cfg.martingale()
+    mp = cfg.martingale
     coeffs = expansion_coeffs(mp, cfg.maturity, cfg.rate)
     if regime_warning(mp, coeffs):
         print("warning: expansion regime flag raised (small lambda or large "

@@ -131,16 +131,20 @@ def to_martingale(p: ModelParams, ra: RiskAversion, y0: float) -> MartingalePara
     Raises
     ------
     ValueError
-        If alpha + k*lambda1 <= 0 (risk aversion destabilizes reversion).
+        If alpha + k*lambda1 <= 0 (risk aversion destabilizes reversion) or
+        m_bar = m*exp(-k*lambda0/alpha_bar) is not positive and finite.
     """
     alpha_bar = p.alpha + p.k * ra.lambda1
     if alpha_bar <= 0:
         raise ValueError(
-            "risk aversion destabilizes reversion: alpha + k*lambda1 = "
-            f"{alpha_bar:g} must be positive"
-        )
+            f"lambda1 must be above -alpha/k = {-p.alpha / p.k:g}, got {ra.lambda1:g}: "
+            f"risk aversion destabilizes reversion (alpha + k*lambda1 = {alpha_bar:g})")
     shift = p.k * ra.lambda0 / alpha_bar
-    m_bar = p.m * math.exp(-shift)
+    m_bar = p.m * math.exp(-shift) if shift > -709.0 else math.inf  # math.exp overflow
+    if not 0.0 < m_bar < math.inf:
+        raise ValueError(
+            "lambda0 must be small enough in magnitude for m_bar = "
+            f"m*exp(-k*lambda0/alpha_bar) to be positive and finite, got {ra.lambda0:g}")
     return MartingaleParams(m_bar=m_bar, alpha_bar=alpha_bar, k=p.k, rho=p.rho,
                             z0=y0 + shift)
 

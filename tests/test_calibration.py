@@ -1,5 +1,6 @@
 """Quote ingestion and risk-aversion least-squares calibration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from expouvol import (
     write_quotes,
     y0_from_vol_index,
 )
-from expouvol.calibration import QuoteError
+from expouvol.calibration import LAMBDA_BOUND, MAX_ITER, QuoteError
 
 
 def synthetic_chain(p, lambda0, lambda1, spot, r, y0, strikes, maturity,
@@ -35,6 +36,14 @@ def synthetic_chain(p, lambda0, lambda1, spot, r, y0, strikes, maturity,
         quotes.append(OptionQuote(strike=k, maturity=maturity,
                                   bid=mid - 0.01, ask=mid + 0.01, mid=mid))
     return quotes
+
+
+def cost_near(res, quotes, p, d0, d1):
+    """Sum of squared repricing residuals at the fit moved by (d0, d1).
+
+    The chain is priced at spot 100 with r = y0 = 0."""
+    moved = dataclasses.replace(res, lambda0=res.lambda0 + d0, lambda1=res.lambda1 + d1)
+    return sum(row[3] ** 2 for row in reprice_quotes(moved, quotes, p, 100.0, 0.0, 0.0))
 
 
 class TestQuoteTypes:
@@ -230,28 +239,124 @@ class TestCalibration:
         assert res.lambda0 == pytest.approx(-2e-3, abs=1e-5)
         assert res.lambda1 == pytest.approx(-1e-3, abs=2e-4)
 
-    def test_objective_monotone_across_iterations(self, fig_params):
-        # rerun the fitted objective along the optimizer's own trajectory:
-        # the running best must never increase
-        from scipy.optimize import minimize
-        from expouvol import OptionSpec, expou_call, to_martingale, RiskAversion
-        from expouvol.risk_neutral import expansion_coeffs as coeffs_fn
-
+    def test_fitted_cost_is_local_minimum(self, fig_params):
         quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
                                  np.linspace(94, 106, 7), 10.0)
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+        best = cost_near(res, quotes, fig_params, 0.0, 0.0)
+        assert best == pytest.approx(len(quotes) * res.rmse ** 2, rel=1e-9, abs=1e-30)
+        for d0, d1 in [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)]:
+            assert best <= cost_near(res, quotes, fig_params, d0, d1)
+
+    def test_fit_next_to_reversion_bound(self, fig_params):
+        # alpha + k*lambda1 = 2.5e-5: the fit's probes and steps must keep it positive
+        quotes = synthetic_chain(fig_params, 0.0, -0.0725, 100.0, 0.0, 0.0,
+                                 np.linspace(94, 106, 7), 10.0)
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+        assert res.converged
+        assert fig_params.alpha + fig_params.k * res.lambda1 > 0
+        assert res.lambda1 == pytest.approx(-0.0725, abs=1e-6)
+
+    def test_jacobian_one_sided_at_reversion_bound(self, fig_params, monkeypatch):
+        # linear residuals vanishing 3e-8 inside alpha + k*lambda1 > 0, where the
+        # pricer raises like to_martingale: a central probe would cross the bound
+        quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
+                                 [98.0, 102.0], 10.0)
+        mids = np.array([q.mid for q in quotes])
+        target = np.array([1e-3, -fig_params.alpha / fig_params.k + 3e-8])
+
+        def linear_chain_price(lambda0, lambda1, chain, p, y0):
+            if p.alpha + p.k * lambda1 <= 0:
+                raise ValueError("risk aversion destabilizes reversion")
+            return mids + [lambda0 - target[0], lambda1 - target[1]]
+
+        monkeypatch.setattr("expouvol.calibration._chain_price", linear_chain_price)
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+        assert res.converged
+        assert np.allclose([res.lambda0, res.lambda1], target, rtol=0.0, atol=1e-12)
+
+    def test_minimum_on_box_edge_converges(self, fig_params):
+        # these mids want lambda1 beyond the box: it is held at the edge
+        quotes = [OptionQuote(strike=k, maturity=10.0, bid=v - 0.01, ask=v + 0.01, mid=v)
+                  for k, v in [(98.0, 2.9), (100.0, 1.6), (102.0, 0.8)]]
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+        assert res.converged
+        assert res.lambda1 == LAMBDA_BOUND
+        best = cost_near(res, quotes, fig_params, 0.0, 0.0)
+        for d0, d1 in [(1e-6, 0.0), (-1e-6, 0.0), (0.0, -1e-6)]:
+            assert best <= cost_near(res, quotes, fig_params, d0, d1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unpriceable_chain_stops_unconverged(self, fig_params, monkeypatch):
+        # NaN residuals admit no descent step; the fit must end at MAX_ITER
+        quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
+                                 np.linspace(94, 106, 7), 10.0)
+        monkeypatch.setattr("expouvol.calibration._chain_price",
+                            lambda *args: np.full(len(quotes), np.nan))
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+        assert not res.converged
+        assert res.iterations == MAX_ITER
+        assert (res.lambda0, res.lambda1) == (0.0, 0.0)
+
+
+def six_maturity_chain(p, y0, seed):
+    """Seeded chain over six maturities: mids within +-0.01 of the model price,
+    bid/ask at mid +-0.01, quotes with a non-positive bid dropped."""
+    mp = to_martingale(p, RiskAversion(1e-3, 1e-3), y0)
+    rng = np.random.default_rng(seed)
+    quotes = []
+    for t in (5.0, 10.0, 20.0, 30.0, 40.0, 60.0):
+        spec = OptionSpec(100.0, np.linspace(92, 108, 9), t, 0.0)
+        mids = expou_call(spec, mp, expansion_coeffs(mp, t, 0.0)).total
+        for k, mid in zip(spec.strike, mids + rng.uniform(-0.01, 0.01, mids.size)):
+            if mid > 0.01:
+                quotes.append(OptionQuote(strike=float(k), maturity=t, bid=mid - 0.01,
+                                          ask=mid + 0.01, mid=float(mid)))
+    return quotes
+
+
+class TestIndependentMinimiser:
+    """The fit against scipy's trust-region least squares on the same residuals."""
+
+    @staticmethod
+    def reference(quotes, p, r, y0):
+        from scipy.optimize import least_squares
+
         mids = np.array([q.mid for q in quotes])
 
-        def objective(x):
-            mp = to_martingale(fig_params, RiskAversion(*x), 0.0)
-            resid = np.array([
-                expou_call(OptionSpec(100.0, q.strike, q.maturity, 0.0), mp,
-                           coeffs_fn(mp, q.maturity, 0.0)).total
+        def residuals(x):
+            mp = to_martingale(p, RiskAversion(*x), y0)
+            return np.array([
+                expou_call(OptionSpec(100.0, q.strike, q.maturity, r), mp,
+                           expansion_coeffs(mp, q.maturity, r)).total
                 for q in quotes]) - mids
-            return float(resid @ resid)
 
-        best_track = []
-        minimize(objective, x0=np.zeros(2), method="Nelder-Mead",
-                 bounds=[(-1, 1)] * 2,
-                 options={"xatol": 1e-9, "fatol": 1e-18, "maxiter": 500},
-                 callback=lambda x: best_track.append(objective(x)))
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(best_track, best_track[1:]))
+        fit = least_squares(residuals, x0=np.zeros(2), jac="3-point", diff_step=1e-5,
+                            x_scale=1e-3, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        return fit.x
+
+    def test_criterion_11_noisy_chain(self, fig_params):
+        r, y0 = 0.02 / 252.0, 0.0417
+        mp = to_martingale(fig_params, RiskAversion(1e-3, 1e-3), y0)
+        co = expansion_coeffs(mp, 10.0, r)
+        rng = np.random.default_rng(77)
+        quotes = []
+        for k in np.linspace(94, 106, 7):
+            mid = (expou_call(OptionSpec(100.0, k, 10.0, r), mp, co).total
+                   + float(rng.uniform(-0.025, 0.025)))
+            quotes.append(OptionQuote(strike=k, maturity=10.0, bid=mid - 0.01,
+                                      ask=mid + 0.01, mid=mid))
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, r, y0)
+        assert res.converged
+        ref = self.reference(quotes, fig_params, r, y0)
+        assert abs(res.lambda0 - ref[0]) <= 1e-7
+        assert abs(res.lambda1 - ref[1]) <= 1e-7
+
+    def test_six_maturity_chain(self, fig_params):
+        y0 = y0_from_vol_index(0.1655, fig_params.m)
+        quotes = six_maturity_chain(fig_params, y0, seed=101)
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, y0)
+        assert res.converged
+        ref = self.reference(quotes, fig_params, 0.0, y0)
+        assert abs(res.lambda0 - ref[0]) <= 1e-7
+        assert abs(res.lambda1 - ref[1]) <= 1e-7

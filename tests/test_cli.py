@@ -285,6 +285,10 @@ class TestConfigHandling:
         ("rate_annual=inf", "rate_annual"),
         ("spot=nan", "spot"),
         ("tau_grid=0,inf", "tau_grid"),
+        # no martingale measure: m_bar overflows / underflows, alpha + k*lambda1 <= 0
+        ("lambda0=-1e6", "lambda0"),
+        ("lambda0=1e6", "lambda0"),
+        ("lambda1=-1", "lambda1"),
     ])
     def test_non_finite_or_non_positive_exit_2(self, capsys, setting, key):
         code, out, err = run_cli(capsys, "--set", setting, "price")
@@ -375,11 +379,19 @@ class TestTracedMode:
 class TestImport:
     def test_import_skips_scipy_stats(self):
         # scipy.stats and scipy.optimize cost most of the package's import
-        # time; only calibrate_risk_aversion needs scipy.optimize, on call
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import expouvol, sys; "
-             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"],
-            capture_output=True, text=True)
+        # time; neither the import nor a calibration fit loads them
+        script = "\n".join([
+            "import sys, expouvol as ev",
+            "mods = ('scipy.stats', 'scipy.optimize')",
+            "print([m for m in mods if m in sys.modules])",
+            "p = ev.ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=-0.4)",
+            "quotes = [ev.OptionQuote(strike=k, maturity=10.0, bid=v - 0.01,",
+            "                         ask=v + 0.01, mid=v)",
+            "          for k, v in [(98.0, 2.9), (100.0, 1.6), (102.0, 0.8)]]",
+            "res = ev.calibrate_risk_aversion(quotes, p, 100.0, 0.0, 0.0)",
+            "print(res.converged, [m for m in mods if m in sys.modules])",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "True []"]

@@ -59,6 +59,12 @@ class TestToMartingale:
         with pytest.raises(ValueError, match="destabilizes"):
             to_martingale(fig_params, RiskAversion(0.0, -1.0), y0=0.0)
 
+    @pytest.mark.parametrize("lambda0", [-1e6, -1e3, 1e3, 1e6])
+    def test_out_of_range_m_bar_names_lambda0(self, fig_params, lambda0):
+        # m_bar = m exp(-k lambda0 / alpha_bar) overflows (lambda0 < 0) or underflows
+        with pytest.raises(ValueError, match="lambda0 must be small enough"):
+            to_martingale(fig_params, RiskAversion(lambda0, 0.0), y0=0.0)
+
     def test_invalid_direct_construction(self):
         with pytest.raises(ValueError):
             MartingaleParams(m_bar=-0.01, alpha_bar=8e-3, k=0.1, rho=0.0, z0=0.0)
