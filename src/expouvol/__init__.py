@@ -41,9 +41,7 @@ from .pricing import (
 from .implied import ImpliedVolError, SmilePoint, implied_vol, smile_curve
 from .mc import (
     SimConfig,
-    export_paths,
     mc_call_prices,
-    mc_return_density,
     mc_return_stats,
     simulate_paths,
 )
@@ -53,7 +51,6 @@ from .calibration import (
     calibrate_risk_aversion,
     load_quotes,
     reprice_quotes,
-    write_quotes,
     y0_from_vol_index,
 )
 from .units import TRADING_DAYS_PER_YEAR, annualize_vol, daily_rate, daily_vol

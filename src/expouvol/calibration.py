@@ -10,8 +10,9 @@ a trial step that raises the sum of squares or cannot be priced (that
 bound broken, or the expansion overflowing), down 10x after an accepted
 one.  Steps are clipped to |lambda| <= LAMBDA_BOUND; a parameter on that
 box whose gradient points out of it is held there.
-The quote CSV carries a header ``strike,maturity_days,bid,ask`` (mid is
-computed) or ``strike,maturity_days,mid``.
+The quote CSV that load_quotes reads (the package writes none) carries a
+header ``strike,maturity_days,bid,ask`` (mid is computed) or
+``strike,maturity_days,mid``.
 """
 
 from __future__ import annotations
@@ -77,11 +78,7 @@ class CalibResult:
 
 
 class QuoteError(ValueError):
-    """Quote file cannot be used; carries per-row (line, reason) details."""
-
-    def __init__(self, message, rows=()):
-        super().__init__(message)
-        self.rows = tuple(rows)
+    """Quote file cannot be used at all: empty, or without a usable header."""
 
 
 @dataclass(frozen=True)
@@ -137,19 +134,6 @@ def load_quotes(path) -> QuoteLoadResult:
             except ValueError as exc:
                 rejects.append((line_no, str(exc)))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
-
-
-def write_quotes(quotes: Sequence[OptionQuote], path) -> None:
-    """Write quotes back out in the bid/ask schema (round-trips load_quotes).
-
-    Full shortest-repr float precision, so read-back is value-identical.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strike", "maturity_days", "bid", "ask"])
-        for q in quotes:
-            writer.writerow([repr(float(q.strike)), repr(float(q.maturity)),
-                             repr(float(q.bid)), repr(float(q.ask))])
 
 
 def y0_from_vol_index(sigma0_annual: float, m: float) -> float:

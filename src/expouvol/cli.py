@@ -30,8 +30,9 @@ Recognized keys and defaults::
 Annual quantities are converted once at load: rates divide by 252,
 volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins
 and a warning goes to stderr.  Numeric values must be finite, and scales,
-sizes and steps positive.  Exit codes: 0 success (regime warnings on
-stderr), 2 config/input error, 3 computation failure.
+sizes and steps positive; maturity_days and the tau_grid lags must be
+multiples of dt, and the lags nonnegative.  Exit codes: 0 success (regime
+warnings on stderr), 2 config/input error, 3 computation failure.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ from .calibration import (
     y0_from_vol_index,
 )
 from .implied import smile_curve
-from .mc import (SimConfig, export_paths, mc_call_prices, mc_return_stats,
-                 simulate_paths)
+from .mc import SimConfig, mc_call_prices, mc_return_stats, simulate_paths
 from .model import ModelParams, _check, leverage, squared_return_autocorr
 from .pricing import OptionSpec, _call_prices, delta
 from .risk_neutral import (MartingaleParams, RiskAversion, expansion_coeffs,
@@ -192,9 +192,13 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
         n_steps = max(1, round(maturity / dt))
         if abs(n_steps * dt - maturity) > 1e-9 * max(1.0, maturity):
             raise ValueError(f"maturity_days {maturity} is not a multiple of dt {dt}")
+        for tau in merged["tau_grid"]:
+            if tau < 0 or abs(round(tau / dt) * dt - tau) > 1e-9 * max(1.0, tau):
+                raise ValueError(f"tau_grid lag {tau} is not a nonnegative multiple "
+                                 f"of dt {dt}")
         sim = SimConfig(n_paths=merged["n_paths"], n_steps=n_steps, dt=dt,
                         seed=merged["seed"], antithetic=merged["antithetic"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # a step count too large for an int
         raise ConfigError(str(exc)) from None
 
     moneyness = np.linspace(merged["moneyness_min"], merged["moneyness_max"],
@@ -277,14 +281,14 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     if args.dump_paths:
         dump_cfg = dataclasses.replace(cfg.sim, n_paths=min(cfg.sim.n_paths, 64))
         ens = simulate_paths(mp, dump_cfg, mp.z0, rate=cfg.rate)
-        with open(args.dump_paths, "w", newline="") as fh:
-            export_paths(ens, fh)
+        rows = ((p, s, t, ens.x[p, s], ens.y[p, s])
+                for p in range(dump_cfg.n_paths) for s, t in enumerate(ens.times))
+        _emit("path,step,t_days,x,y", rows, args.dump_paths)
     return 0
 
 
 def cmd_stats(cfg: RunConfig, args) -> int:
-    max_tau = max(cfg.tau_grid) if cfg.tau_grid else 0.0
-    n_steps = int(round(max_tau / cfg.sim.dt)) + 100
+    n_steps = int(round(max(cfg.tau_grid) / cfg.sim.dt)) + 100
     sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
     lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
     rows = []

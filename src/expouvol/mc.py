@@ -6,9 +6,11 @@ Scheme: the log-volatility is advanced by its exact OU transition
 same-step correlated Gaussian pair xi2 = rho xi1 + sqrt(1-rho^2) xi_perp.
 The parameter type fixes the measure: ModelParams simulate the physical
 measure (m, alpha, Y), MartingaleParams the martingale measure (m_bar,
-alpha_bar, shifted Z).  Pricing estimators take only the latter and
-stream terminal states; the return statistics (mc_return_stats, both
-statistics from one streaming pass, no return panel) take only the former.
+alpha_bar, shifted Z).  The pricer (mc_call_prices) takes only the
+latter and streams terminal states; the return statistics
+(mc_return_stats, both statistics from one streaming pass, no return
+panel) take only the former; simulate_paths takes either and stores
+whole paths.
 
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -39,11 +41,8 @@ __all__ = [
     "SimConfig",
     "McEstimate",
     "PathEnsemble",
-    "McHistogram",
     "simulate_paths",
-    "export_paths",
     "mc_call_prices",
-    "mc_return_density",
     "mc_return_stats",
 ]
 
@@ -106,16 +105,6 @@ class PathEnsemble:
         self.x.flags.writeable = False
         self.y.flags.writeable = False
         self.times.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class McHistogram:
-    """Normalized terminal-return histogram; sum(density * widths) == 1."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    density: np.ndarray
-    n_samples: int
 
 
 def _coerce(params):
@@ -228,16 +217,6 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
     return PathEnsemble(x=xs, y=ys, times=times)
 
 
-def export_paths(ens: PathEnsemble, fileobj) -> None:
-    """Write an ensemble as CSV rows ``path,step,t_days,x,y``."""
-    fileobj.write("path,step,t_days,x,y\n")
-    n_paths, n_nodes = ens.x.shape
-    for p in range(n_paths):
-        for s in range(n_nodes):
-            fileobj.write(f"{p},{s},{ens.times[s]:.12g},"
-                          f"{ens.x[p, s]:.12g},{ens.y[p, s]:.12g}\n")
-
-
 def _pairwise(values: np.ndarray, antithetic: bool) -> np.ndarray:
     """Collapse antithetic pairs to their means (the iid samples)."""
     if not antithetic:
@@ -279,38 +258,11 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
 
 
-def mc_return_density(mp: MartingaleParams, cfg: SimConfig,
-                      bins: Union[int, np.ndarray], rate: float = 0.0) -> McHistogram:
-    """Normalized histogram of the terminal log-return X(horizon), from ``mp.z0``.
-
-    ``bins`` is either explicit edges or a count, in which case the range
-    spans mu +- 6 sqrt(m_bar^2 T) around the expansion's Gaussian center.
-    """
-    _expect(mp, MartingaleParams, "mc_return_density")
-    t = cfg.horizon
-    if isinstance(bins, (int, np.integer)):
-        mu = rate * t - 0.5 * mp.m_bar**2 * t
-        half = 6.0 * mp.m_bar * math.sqrt(t)
-        edges = np.linspace(mu - half, mu + half, bins + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    n = 0
-    for blk in _iter_blocks(mp, cfg, mp.z0, rate):
-        counts += np.histogram(blk["x"], bins=edges)[0]
-        n += blk["x"].size
-    widths = np.diff(edges)
-    in_range = counts.sum()
-    density = counts / (in_range * widths) if in_range else np.zeros_like(widths)
-    return McHistogram(edges=edges, counts=counts, density=density, n_samples=n)
-
-
 def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
     lags = []
     for tau in tau_grid:
-        steps = tau / cfg.dt
-        rounded = round(steps)
-        if abs(steps - rounded) > 1e-9:
+        rounded = round(tau / cfg.dt)
+        if abs(rounded * cfg.dt - tau) > 1e-9 * max(1.0, abs(tau)):
             raise ValueError(f"lag {tau} is not a multiple of dt={cfg.dt}")
         if abs(rounded) >= cfg.n_steps:
             raise ValueError(f"lag {tau} reaches beyond the simulated horizon")

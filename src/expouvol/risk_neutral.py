@@ -117,7 +117,6 @@ class ExpansionCoeffs:
     sigma3: float
     kappa: float
     maturity: float
-    rate: float
 
     @property
     def quartic_weight(self) -> float:
@@ -176,8 +175,7 @@ def expansion_coeffs(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeff
     sigma3 = ((at - a1) - z0 * (at * e1 - a1)) / (lam**3 * nu**2)
     kappa = ((at + 0.5 * a2 - 2.0 * a1)
              + rho * rho * (at - 2.0 * a1 + at * e1)) / (2.0 * lam**4 * nu**3)
-    return ExpansionCoeffs(mu=mu, theta=theta, sigma3=sigma3, kappa=kappa,
-                           maturity=t, rate=r)
+    return ExpansionCoeffs(mu=mu, theta=theta, sigma3=sigma3, kappa=kappa, maturity=t)
 
 
 def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeffs:
@@ -197,7 +195,7 @@ def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> Expan
     a1 = -math.expm1(-mp.alpha_bar * t)
     return ExpansionCoeffs(mu=at_z0.mu, theta=0.0, sigma3=at_z0.sigma3,
                            kappa=at_z0.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3),
-                           maturity=t, rate=r)
+                           maturity=t)
 
 
 def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
@@ -297,16 +295,16 @@ def return_density(coeffs: ExpansionCoeffs, m_bar: float, x, t: float, rho: floa
 
 
 def negative_mass_fraction(coeffs: ExpansionCoeffs, m_bar: float, t: float,
-                           rho: float, n_grid: int = 4001, half_width: float = 10.0) -> float:
+                           rho: float) -> float:
     """Fraction of probability mass where the corrected density is negative.
 
     The Hermite corrections can push the far tails below zero; pricing never
     integrates the density numerically, so the value is a diagnostic of how
     far outside its domain the expansion is being used.  Trapezoid estimate
-    over mu +- half_width standard deviations.
+    on 4,001 points over mu +- 10 standard deviations.
     """
     sd = m_bar * math.sqrt(t)
-    xs = np.linspace(coeffs.mu - half_width * sd, coeffs.mu + half_width * sd, n_grid)
+    xs = np.linspace(coeffs.mu - 10.0 * sd, coeffs.mu + 10.0 * sd, 4001)
     p = return_density(coeffs, m_bar, xs, t, rho)
     return float(np.trapezoid(np.minimum(p, 0.0), xs) * -1.0)
 

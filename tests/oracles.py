@@ -6,8 +6,8 @@ derivatives through central differences, and the assembled call price
 through its own scalar single-expression formula.  The return statistics
 have the whole-panel estimators that mc_return_stats replaced (with the
 same double-or-nothing bootstrap weights, and with the earlier
-multinomial bootstrap), and the Monte Carlo return density a Pearson
-goodness-of-fit test.
+multinomial bootstrap), and the Monte Carlo terminal-return histogram a
+Pearson goodness-of-fit test against a density.
 """
 
 import math
@@ -90,22 +90,38 @@ def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def chi_square_vs_density(hist, pdf, n_total=None, min_expected=5.0):
+def terminal_histogram(mp, cfg, n_bins):
+    """Histogram of the martingale-measure terminal log-return X(horizon), from mp.z0.
+
+    ``n_bins`` equal bins span mu +- 6 sqrt(m_bar^2 T) around the
+    expansion's Gaussian center (rate 0).  Returns (edges, counts, density),
+    the density normalized over the samples that fall in range.
+    """
+    t = cfg.horizon
+    mu = -0.5 * mp.m_bar**2 * t
+    half = 6.0 * mp.m_bar * math.sqrt(t)
+    edges = np.linspace(mu - half, mu + half, n_bins + 1)
+    counts = sum(np.histogram(blk["x"], bins=edges)[0]
+                 for blk in _iter_blocks(mp, cfg, mp.z0, 0.0))
+    return edges, counts, counts / (counts.sum() * np.diff(edges))
+
+
+def chi_square_vs_density(edges, counts, pdf, n_total=None, min_expected=5.0):
     """Pearson chi-square of histogram counts against a density callable.
 
     Bin probabilities come from Simpson's rule on (lo, mid, hi); bins with
     expected count below ``min_expected`` are pooled into their neighbor.
     Returns (statistic, p_value, dof).
     """
-    n = hist.counts.sum() if n_total is None else n_total
-    lo, hi = hist.edges[:-1], hist.edges[1:]
+    n = counts.sum() if n_total is None else n_total
+    lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     probs = (hi - lo) / 6.0 * (pdf(lo) + 4.0 * pdf(mid) + pdf(hi))
     expected = n * probs
     # pool small-expectation bins left to right
     obs_p, exp_p = [], []
     acc_o = acc_e = 0.0
-    for o, e in zip(hist.counts, expected):
+    for o, e in zip(counts, expected):
         acc_o += o
         acc_e += e
         if acc_e >= min_expected:

@@ -83,7 +83,7 @@ def test_criterion_02a_black_scholes_exact_reduction():
     mp = fig_martingale()
     worst = 0.0
     co0 = ExpansionCoeffs(mu=0.0, theta=0.0, sigma3=0.0, kappa=0.0,
-                          maturity=20.0, rate=0.0)
+                          maturity=20.0)
     for mon in np.linspace(0.8, 1.2, 201):
         spec = OptionSpec(100.0 * mon, 100.0, 20.0, 0.0)
         diff = abs(expou_call(spec, mp, co0).total - bs_call(spec, mp.m_bar))

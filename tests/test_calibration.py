@@ -17,7 +17,6 @@ from expouvol import (
     load_quotes,
     reprice_quotes,
     to_martingale,
-    write_quotes,
     y0_from_vol_index,
 )
 from expouvol.calibration import LAMBDA_BOUND, MAX_ITER, QuoteError
@@ -150,18 +149,6 @@ class TestLoadQuotes:
         f.write_text("k,t,b,a\n100,10,1.0,1.2\n")
         with pytest.raises(QuoteError):
             load_quotes(f)
-
-    def test_round_trip(self, tmp_path, fig_params):
-        quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
-                                 np.linspace(92, 108, 10), 20.0)
-        f = tmp_path / "q.csv"
-        write_quotes(quotes, f)
-        back = load_quotes(f)
-        assert back.rejects == ()
-        assert len(back.quotes) == 10
-        for a, b in zip(quotes, back.quotes):
-            assert b.strike == pytest.approx(a.strike, rel=1e-12)
-            assert b.mid == pytest.approx(a.mid, rel=1e-12)
 
 
 class TestY0FromVolIndex:

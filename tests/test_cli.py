@@ -128,6 +128,15 @@ class TestSimulate:
         assert first[0] == "path,step,t_days,x,y"
         assert len(first) == 1 + 64 * 41
 
+    def test_golden_dump_paths_bytes(self, capsys, tmp_path):
+        dump = tmp_path / "paths.csv"
+        code, _, _ = run_cli(capsys, "--set", "n_paths=3", "--set", "maturity_days=1",
+                             "--set", "dt=0.5", "--set", "moneyness_points=1",
+                             "--set", "z0=0.1", "--set", "rate_annual=0.05",
+                             "simulate", "--dump-paths", str(dump))
+        assert code == 0
+        assert dump.read_bytes() == (GOLDEN / "dump_paths_seeded.csv").read_bytes()
+
 
 class TestStats:
     def test_golden_seeded_bytes(self, capsys):
@@ -152,21 +161,19 @@ class TestStats:
 class TestCalibrate:
     def make_chain(self, tmp_path):
         # synthetic chain generated through the CLI's own pricing stack
-        from expouvol import (ModelParams, OptionQuote, RiskAversion, OptionSpec,
-                              expansion_coeffs, expou_call, to_martingale,
-                              write_quotes, y0_from_vol_index)
+        from expouvol import (ModelParams, RiskAversion, OptionSpec, expansion_coeffs,
+                              expou_call, to_martingale, y0_from_vol_index)
         p = ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=-0.4)
         r = 0.02 / 252.0
         y0 = y0_from_vol_index(0.1655, p.m)
         mp = to_martingale(p, RiskAversion(1e-3, 1e-3), y0)
         co = expansion_coeffs(mp, 10.0, r)
-        quotes = []
+        rows = ["strike,maturity_days,bid,ask"]
         for k in np.linspace(95, 105, 7):
             mid = expou_call(OptionSpec(100.0, k, 10.0, r), mp, co).total
-            quotes.append(OptionQuote(strike=k, maturity=10.0, bid=mid - 0.01,
-                                      ask=mid + 0.01, mid=mid))
+            rows.append(f"{float(k)!r},10.0,{mid - 0.01!r},{mid + 0.01!r}")
         path = tmp_path / "chain.csv"
-        write_quotes(quotes, path)
+        path.write_text("\n".join(rows) + "\n")
         return path
 
     def test_end_to_end_round_trip(self, capsys, tmp_path):
@@ -295,6 +302,23 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert f"{key} must be" in err
+
+    @pytest.mark.parametrize("command", ["price", "stats"])
+    @pytest.mark.parametrize("grid", ["0.05", "0,1.25", "-1,0,1", "-0.1"])
+    def test_bad_tau_grid_exit_2(self, capsys, command, grid):
+        # every command checks the lags, as it checks maturity_days against dt
+        code, out, err = run_cli(capsys, "--set", f"tau_grid={grid}", "--set", "dt=0.1",
+                                 "--set", "n_paths=64", command)
+        assert code == 2
+        assert out == ""
+        assert "tau_grid" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", ["maturity_days=1e308", "tau_grid=1e300"])
+    def test_step_count_overflow_exit_2(self, capsys, setting):
+        code, out, err = run_cli(capsys, "--set", setting, "--set", "dt=1e-10", "price")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_z0_wins_with_warning(self, capsys):
         code, _, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",

@@ -1,7 +1,6 @@
 """Monte Carlo oracle: reproducibility, scheme exactness, estimator checks."""
 
 import dataclasses
-import io
 import math
 import tracemalloc
 
@@ -16,10 +15,8 @@ from expouvol import (
     bs_call,
     expansion_coeffs,
     expou_call,
-    export_paths,
     leverage,
     mc_call_prices,
-    mc_return_density,
     mc_return_stats,
     ou_conditional_moments,
     return_density,
@@ -33,6 +30,7 @@ from oracles import (
     chi_square_vs_density,
     return_stats_full_panel,
     return_stats_multinomial,
+    terminal_histogram,
 )
 
 
@@ -169,14 +167,12 @@ class TestGuards:
             simulate_paths(fig_mp, cfg, 0.0)
 
     def test_measure_type_coherence(self, fig_mp, fig_params):
-        # the parameter type is the measure: pricing and the return density
-        # take MartingaleParams, the return statistics ModelParams
+        # the parameter type is the measure: pricing takes MartingaleParams,
+        # the return statistics ModelParams
         cfg = small_cfg(n_paths=64, n_steps=10, dt=1.0)
         spec = OptionSpec(100.0, 100.0, cfg.horizon, 0.0)
         with pytest.raises(TypeError, match="expects MartingaleParams"):
             mc_call_prices(fig_params, cfg, spec)
-        with pytest.raises(TypeError, match="expects MartingaleParams"):
-            mc_return_density(fig_params, cfg, 10)
         for lev_taus, aco_taus in (([1.0], [1.0]), ([1.0], []), ([], [1.0]), ([], [])):
             with pytest.raises(TypeError, match="expects ModelParams"):
                 mc_return_stats(fig_mp, cfg, lev_taus, aco_taus)
@@ -207,8 +203,8 @@ class TestGuards:
 
 class TestDensity:
     def test_mass_is_one(self, fig_mp):
-        hist = mc_return_density(fig_mp, small_cfg(), 30)
-        assert np.sum(hist.density * np.diff(hist.edges)) == pytest.approx(1.0, abs=1e-12)
+        edges, _, density = terminal_histogram(fig_mp, small_cfg(), 30)
+        assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_square_in_trusted_regime(self):
         # small vol-of-vol time k^2*T: the expansion density is accurate and
@@ -218,9 +214,9 @@ class TestDensity:
         t = 3.0
         co = expansion_coeffs(mp, t, 0.0)
         cfg = SimConfig(n_paths=200_000, n_steps=30, dt=0.1, seed=31)
-        hist = mc_return_density(mp, cfg, 60)
+        edges, counts, _ = terminal_histogram(mp, cfg, 60)
         _, pval, _ = chi_square_vs_density(
-            hist, lambda x: return_density(co, mp.m_bar, x, t, mp.rho))
+            edges, counts, lambda x: return_density(co, mp.m_bar, x, t, mp.rho))
         assert pval > 0.01
 
     def test_chi_square_detects_expansion_breakdown(self, fig_mp):
@@ -230,16 +226,16 @@ class TestDensity:
         t = 20.0
         co = expansion_coeffs(fig_mp, t, 0.0)
         cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=31)
-        hist = mc_return_density(fig_mp, cfg, 60)
+        edges, counts, _ = terminal_histogram(fig_mp, cfg, 60)
         _, pval, _ = chi_square_vs_density(
-            hist, lambda x: return_density(co, fig_mp.m_bar, x, t, fig_mp.rho))
+            edges, counts, lambda x: return_density(co, fig_mp.m_bar, x, t, fig_mp.rho))
         assert pval < 1e-6
 
     def test_sample_skew_negative_for_negative_rho(self, fig_mp):
         cfg = SimConfig(n_paths=100_000, n_steps=40, dt=0.5, seed=8)
-        hist = mc_return_density(fig_mp, cfg, 80)
-        mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-        w = hist.density * np.diff(hist.edges)
+        edges, _, density = terminal_histogram(fig_mp, cfg, 80)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        w = density * np.diff(edges)
         mean = np.sum(mids * w)
         m3 = np.sum((mids - mean) ** 3 * w)
         assert m3 < 0
@@ -460,16 +456,3 @@ class TestMultiStrike:
                 mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, maturity, 0.0))
         with pytest.raises(ValueError, match="scalars"):
             mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, 10.0, [0.0, 1e-4]))
-
-
-class TestExport:
-    def test_csv_layout(self, fig_mp):
-        ens = simulate_paths(fig_mp, small_cfg(n_paths=3, n_steps=2), 0.1)
-        buf = io.StringIO()
-        export_paths(ens, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "path,step,t_days,x,y"
-        assert len(lines) == 1 + 3 * 3
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[3]) == 0.0 and float(first[4]) == pytest.approx(0.1)

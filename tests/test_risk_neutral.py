@@ -244,7 +244,7 @@ class TestReturnDensity:
     def test_pure_gaussian_when_corrections_vanish(self, fig_mp):
         t = 20.0
         co = ExpansionCoeffs(mu=-1e-3, theta=0.0, sigma3=0.0, kappa=0.0,
-                             maturity=t, rate=0.0)
+                             maturity=t)
         xs = np.linspace(-0.2, 0.2, 7)
         s2 = fig_mp.m_bar**2 * t
         expected = np.exp(-(xs + 1e-3)**2 / (2 * s2)) / math.sqrt(2 * math.pi * s2)
@@ -307,7 +307,7 @@ class TestNegativeMassDiagnostic:
     def test_zero_for_pure_gaussian(self, fig_mp):
         from expouvol import negative_mass_fraction
         co = ExpansionCoeffs(mu=0.0, theta=0.0, sigma3=0.0, kappa=0.0,
-                             maturity=20.0, rate=0.0)
+                             maturity=20.0)
         assert negative_mass_fraction(co, fig_mp.m_bar, 20.0, fig_mp.rho) == 0.0
 
     def test_small_at_reference_params(self, fig_mp):
@@ -319,7 +319,7 @@ class TestNegativeMassDiagnostic:
     def test_grows_with_forced_corrections(self, fig_mp):
         from expouvol import negative_mass_fraction
         co = ExpansionCoeffs(mu=0.0, theta=0.0, sigma3=3e-3, kappa=0.0,
-                             maturity=20.0, rate=0.0)
+                             maturity=20.0)
         frac = negative_mass_fraction(co, fig_mp.m_bar, 20.0, fig_mp.rho)
         assert frac > 1e-3
 
@@ -337,5 +337,5 @@ class TestRegimeWarning:
 
     def test_large_corrections_flag(self, fig_mp):
         co = ExpansionCoeffs(mu=0.0, theta=0.9 * (2 * fig_mp.m_bar**2 * 20.0),
-                             sigma3=0.0, kappa=0.0, maturity=20.0, rate=0.0)
+                             sigma3=0.0, kappa=0.0, maturity=20.0)
         assert regime_warning(fig_mp, co)
