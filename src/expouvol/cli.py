@@ -28,10 +28,10 @@ Recognized keys and defaults::
     tau_grid = 0,1,5,20  # days, for the stats command
 
 Annual quantities are converted once at load: rates divide by 252,
-volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins
-and a warning goes to stderr.  Numeric values must be finite, and scales,
-sizes and steps positive; maturity_days and the tau_grid lags must be
-multiples of dt, and the lags nonnegative.  Exit codes: 0 success (regime
+volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins and
+a warning goes to stderr.  Numeric values must be finite; scales, sizes and
+steps positive; moneyness_points at most 25,000,000; maturity_days and the
+tau_grid lags nonnegative multiples of dt.  Exit codes: 0 success (regime
 warnings on stderr), 2 config/input error, 3 computation failure.
 """
 
@@ -55,7 +55,8 @@ from .calibration import (
     y0_from_vol_index,
 )
 from .implied import smile_curve
-from .mc import SimConfig, mc_call_prices, mc_return_stats, simulate_paths
+from .mc import (PATH_BUDGET, SimConfig, _day_steps, mc_call_prices, mc_return_stats,
+                 simulate_paths)
 from .model import ModelParams, _check, leverage, squared_return_autocorr
 from .pricing import OptionSpec, _call_prices, delta
 from .risk_neutral import (MartingaleParams, RiskAversion, expansion_coeffs,
@@ -64,32 +65,27 @@ from .units import daily_rate
 
 ENV_CONFIG = "EXPOUVOL_CONFIG"
 
-_DEFAULTS = {
-    "m": 0.01,
-    "alpha": 8e-3,
-    "k": 0.11,
-    "rho": -0.4,
-    "lambda0": 1e-3,
-    "lambda1": 1e-3,
-    "spot": 100.0,
-    "rate_annual": 0.0,
-    "sigma0_annual": None,
-    "z0": 0.0,
-    "moneyness_min": 0.8,
-    "moneyness_max": 1.2,
-    "moneyness_points": 101,
-    "maturity_days": 20.0,
-    "n_paths": 100_000,
-    "dt": 0.1,
-    "seed": 12345,
-    "antithetic": False,
-    "tau_grid": (0.0, 1.0, 5.0, 20.0),
+_KEYS = {
+    "m": (0.01, "positive"),
+    "alpha": (8e-3, "positive"),
+    "k": (0.11, "positive"),
+    "rho": (-0.4, "real"),
+    "lambda0": (1e-3, "real"),
+    "lambda1": (1e-3, "real"),
+    "spot": (100.0, "positive"),
+    "rate_annual": (0.0, "real"),
+    "sigma0_annual": (None, "positive"),
+    "z0": (0.0, "real"),
+    "moneyness_min": (0.8, "positive"),
+    "moneyness_max": (1.2, "positive"),
+    "moneyness_points": (101, "count"),
+    "maturity_days": (20.0, "positive"),
+    "n_paths": (100_000, "count"),
+    "dt": (0.1, "positive"),
+    "seed": (12345, "int"),
+    "antithetic": (False, "bool"),
+    "tau_grid": ((0.0, 1.0, 5.0, 20.0), "grid"),
 }
-
-_INT_KEYS = {"moneyness_points", "n_paths", "seed"}
-_BOOL_KEYS = {"antithetic"}
-_POSITIVE_KEYS = {"m", "alpha", "k", "spot", "sigma0_annual", "moneyness_min",
-                  "moneyness_max", "moneyness_points", "maturity_days", "n_paths", "dt"}
 
 
 class ConfigError(ValueError):
@@ -126,7 +122,7 @@ def _parse_kv_file(path: str) -> dict:
 
 
 def _convert(key: str, val: str):
-    if key in _BOOL_KEYS:
+    if _KEYS[key][1] == "bool":
         low = val.lower()
         if low in ("true", "1", "yes"):
             return True
@@ -134,9 +130,9 @@ def _convert(key: str, val: str):
             return False
         raise ConfigError(f"{key}: expected true/false, got {val!r}")
     try:
-        if key == "tau_grid":
+        if _KEYS[key][1] == "grid":
             return tuple(float(v) for v in val.split(","))
-        if key in _INT_KEYS:
+        if _KEYS[key][1] in ("int", "count"):
             return int(val)
         return float(val)
     except ValueError:
@@ -144,13 +140,13 @@ def _convert(key: str, val: str):
 
 
 def _number_errors(merged: dict) -> list:
-    """The package's numeric rule on every value: finite, _POSITIVE_KEYS also positive."""
+    """The package's numeric rule on every value: finite, "positive" and "count" also > 0."""
     errors = []
     for key, val in merged.items():
-        if key in _BOOL_KEYS or val is None:
+        if val is None or _KEYS[key][1] == "bool":
             continue
         try:
-            _check(key, val, positive=key in _POSITIVE_KEYS)
+            _check(key, val, positive=_KEYS[key][1] in ("positive", "count"))
         except ValueError as exc:
             errors.append(str(exc))
     return errors
@@ -158,11 +154,11 @@ def _number_errors(merged: dict) -> list:
 
 def build_config(file_values: dict, overrides: dict) -> RunConfig:
     """Merge defaults, file values and CLI overrides into a RunConfig."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _) in _KEYS.items()}
     errors = []
     for source in (file_values, overrides):
         for key, val in source.items():
-            if key not in _DEFAULTS:
+            if key not in _KEYS:
                 errors.append(f"unknown key {key!r}")
                 continue
             try:
@@ -189,16 +185,14 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
             martingale = dataclasses.replace(martingale, z0=merged["z0"])
         maturity = float(merged["maturity_days"])
         dt = float(merged["dt"])
-        n_steps = max(1, round(maturity / dt))
-        if abs(n_steps * dt - maturity) > 1e-9 * max(1.0, maturity):
-            raise ValueError(f"maturity_days {maturity} is not a multiple of dt {dt}")
+        n_steps = _day_steps(maturity, dt, "maturity_days")
         for tau in merged["tau_grid"]:
-            if tau < 0 or abs(round(tau / dt) * dt - tau) > 1e-9 * max(1.0, tau):
-                raise ValueError(f"tau_grid lag {tau} is not a nonnegative multiple "
-                                 f"of dt {dt}")
+            _day_steps(tau, dt, "tau_grid lag")
         sim = SimConfig(n_paths=merged["n_paths"], n_steps=n_steps, dt=dt,
                         seed=merged["seed"], antithetic=merged["antithetic"])
-    except (ValueError, OverflowError) as exc:  # a step count too large for an int
+        if merged["moneyness_points"] > PATH_BUDGET:
+            raise ValueError(f"moneyness_points must be at most {PATH_BUDGET}")
+    except (ValueError, OverflowError) as exc:  # float() of an int beyond float range
         raise ConfigError(str(exc)) from None
 
     moneyness = np.linspace(merged["moneyness_min"], merged["moneyness_max"],
@@ -244,9 +238,7 @@ def cmd_price(cfg: RunConfig, args) -> int:
 
 def cmd_smile(cfg: RunConfig, args) -> int:
     mp, _ = _expansion(cfg)
-    template = OptionSpec(spot=cfg.spot, strike=cfg.spot,
-                          maturity=cfg.maturity, rate=cfg.rate)
-    points = smile_curve(mp, expansion_coeffs, cfg.moneyness, template)
+    points = smile_curve(mp, expansion_coeffs, cfg.moneyness, _strike_spec(cfg))
     rows = [(pt.moneyness,
              pt.implied_vol_annual if pt.implied_vol_annual is not None else "")
             for pt in points]
@@ -258,7 +250,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
     sd = mp.m_bar * math.sqrt(cfg.maturity)
     xs = np.linspace(coeffs.mu - 8.0 * sd, coeffs.mu + 8.0 * sd, 401)
-    ps = return_density(coeffs, mp.m_bar, xs, cfg.maturity, mp.rho)
+    ps = return_density(mp, coeffs, xs)
     _emit("x,p", list(zip(xs, ps)), args.output)
     return 0
 
@@ -288,7 +280,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_stats(cfg: RunConfig, args) -> int:
-    n_steps = int(round(max(cfg.tau_grid) / cfg.sim.dt)) + 100
+    n_steps = _day_steps(max(cfg.tau_grid), cfg.sim.dt, "tau_grid lag") + 100
     sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
     lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
     rows = []

@@ -49,8 +49,8 @@ __all__ = [
 BLOCK = 4096
 #: bootstrap replicates behind every mc_return_stats standard error
 _N_BOOT = 200
-#: simulate_paths refuses ensembles beyond this many stored samples per
-#: component; the streaming estimators below have no such limit.
+#: simulate_paths refuses ensembles, and mc_return_stats per-block return
+#: panels, beyond this many samples; mc_call_prices streams and has no limit.
 PATH_BUDGET = 25_000_000
 
 
@@ -239,7 +239,7 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     t, r = spec.maturity, spec.rate
     if np.ndim(t) or np.ndim(r):
         raise ValueError("maturity and rate must be scalars (one horizon per ensemble)")
-    if abs(cfg.horizon - t) > 1e-9 * max(1.0, t):
+    if _day_steps(t, cfg.dt, "config horizon: option maturity") != cfg.n_steps:
         raise ValueError(f"config horizon {cfg.horizon:g} != option maturity {t:g}")
     spots, strikes = np.broadcast_arrays(spec.spot, spec.strike)
     disc = math.exp(-r * t)
@@ -258,16 +258,19 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
 
 
+def _day_steps(days: float, dt: float, name: str) -> int:
+    """Steps of dt in ``days``: a nonnegative multiple to 1e-9 relative, else ValueError."""
+    n = round(days / dt, 0)  # a float: an infinite or NaN count fails the test below
+    if days < 0 or not abs(n * dt - days) <= 1e-9 * days:
+        raise ValueError(f"{name} must be a nonnegative multiple of dt {dt}, got {days}")
+    return int(n)
+
+
 def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
-    lags = []
-    for tau in tau_grid:
-        rounded = round(tau / cfg.dt)
-        if abs(rounded * cfg.dt - tau) > 1e-9 * max(1.0, abs(tau)):
-            raise ValueError(f"lag {tau} is not a multiple of dt={cfg.dt}")
-        if abs(rounded) >= cfg.n_steps:
-            raise ValueError(f"lag {tau} reaches beyond the simulated horizon")
-        lags.append(int(rounded))
-    return lags
+    steps = [_day_steps(abs(tau), cfg.dt, "lag magnitude") for tau in tau_grid]
+    if any(n >= cfg.n_steps for n in steps):
+        raise ValueError(f"lag {max(map(abs, tau_grid))} is beyond the simulated horizon")
+    return [n if tau >= 0 else -n for tau, n in zip(tau_grid, steps)]
 
 
 #: (p, q) powers of the pair sums sum a^p b^q kept per lag; (0, 0) is the
@@ -333,18 +336,20 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     lags.  Lags are in days; either grid may be empty.  Returns
     (leverage, autocorr), one list of McEstimate per grid.
 
-    One pass, no return panel: each block's per-path raw sums (powers of
-    r and lagged pair products, see _raw_sums) are reduced at once against
-    the block's bootstrap weights (_double_or_nothing: row 0 all ones,
-    then _N_BOOT rows of 0/2 weights from Philox keyed by
-    (seed, 2**63 + block)).  After the last block, mu = sum r /
-    (n_paths n_steps) is the full-sample mean, and every demeaned sum
-    follows exactly from the raw ones by binomial expansion in that fixed
-    mu.  Each replicate uses its own weight sum in place of n_paths; the
-    standard error is the std (ddof=1) of the _N_BOOT replicates (less
-    any that drew no path at all, possible only for tiny n_paths).
+    One pass, no panel beyond one block's (at most PATH_BUDGET returns): each
+    block's per-path raw sums (powers of r and lagged pair products, see
+    _raw_sums) are reduced at once against the block's bootstrap weights
+    (_double_or_nothing: row 0 all ones, then _N_BOOT rows of 0/2 weights from
+    Philox keyed by (seed, 2**63 + block)).  After the last block, mu =
+    sum r / (n_paths n_steps) is the full-sample mean, and every demeaned sum
+    follows exactly from the raw ones by binomial expansion in that fixed mu.
+    Each replicate uses its own weight sum in place of n_paths; the standard
+    error is the std (ddof=1) of the _N_BOOT replicates (less any that drew no
+    path at all, possible only for tiny n_paths).
     """
     _expect(p, ModelParams, "mc_return_stats")
+    if min(cfg.n_paths, BLOCK) * cfg.n_steps > PATH_BUDGET:
+        raise ValueError(f"a block's return panel exceeds the storage budget ({PATH_BUDGET})")
     lev_lags = _lag_steps(leverage_taus, cfg)
     if any(t < 0 for t in autocorr_taus):
         raise ValueError("autocorrelation lags must be nonnegative")

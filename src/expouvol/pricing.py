@@ -135,6 +135,8 @@ def _call_terms(spec: OptionSpec, vol: float):
 
 def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """(bs, c0, c1, c2, total) of the expansion call over the broadcast spec."""
+    if np.any(coeffs.maturity != spec.maturity):
+        raise ValueError(f"coeffs are for maturity {coeffs.maturity}, not {spec.maturity}")
     bs, c0, c1, c2 = _call_terms(spec, mp.m_bar)
     total = (bs + coeffs.theta * c0 + mp.rho * coeffs.sigma3 * c1
              + coeffs.quartic_weight * c2)
@@ -169,7 +171,7 @@ def expou_call(spec: OptionSpec, mp: MartingaleParams,
     """Approximate expOU European call price with component breakdown.
 
     ``coeffs`` must come from the same martingale parameters and the
-    option's maturity/rate.
+    option's maturity/rate; another maturity raises ValueError.
     """
     bs, c0, c1, c2, total = _call_prices(spec, mp, coeffs)
     warn = (total < 0.0) | regime_warning(mp, coeffs)
@@ -190,8 +192,10 @@ def delta(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
               - P H1(h)/sqrt(2 m_bar^2 T) + P ]
 
     with P = theta + rho sigma3 + Q, R = rho sigma3 + Q, Q the quartic
-    weight and h = d2/sqrt(2).
+    weight and h = d2/sqrt(2).  ``coeffs`` must be at the option's maturity.
     """
+    if np.any(coeffs.maturity != spec.maturity):
+        raise ValueError(f"coeffs are for maturity {coeffs.maturity}, not {spec.maturity}")
     d1, d2, w, disc_k, h = _terms(spec, mp.m_bar)
     c2t = 2.0 * mp.m_bar * mp.m_bar * spec.maturity
     rs = mp.rho * coeffs.sigma3

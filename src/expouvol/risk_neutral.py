@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,8 +190,7 @@ def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> Expan
 
     The quartic density/price weight is then kappa_hat alone.
     """
-    at_z0 = expansion_coeffs(MartingaleParams(m_bar=mp.m_bar, alpha_bar=mp.alpha_bar,
-                                              k=mp.k, rho=mp.rho, z0=0.0), t, r)
+    at_z0 = expansion_coeffs(replace(mp, z0=0.0), t, r)
     a1 = -math.expm1(-mp.alpha_bar * t)
     return ExpansionCoeffs(mu=at_z0.mu, theta=0.0, sigma3=at_z0.sigma3,
                            kappa=at_z0.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3),
@@ -232,17 +231,16 @@ def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
     return cmath.exp(-c)
 
 
-def char_fn_expanded(mp: MartingaleParams, omega: float, t: float, r: float,
-                     coeffs: ExpansionCoeffs) -> complex:
-    """Fourth-order characteristic function of the log-return at maturity t.
+def char_fn_expanded(mp: MartingaleParams, coeffs: ExpansionCoeffs, omega: float) -> complex:
+    """Fourth-order characteristic function of the log-return at t = coeffs.maturity.
 
     phi(omega) = exp(-[i omega mu + m_bar^2 omega^2 t / 2])
                  * [1 - theta w^2 + i rho sigma3 w^3 + (kappa + theta^2/2) w^4]
     """
-    if t < 0:
+    if coeffs.maturity < 0:
         raise ValueError("t must be nonnegative")
     w = float(omega)
-    gauss = cmath.exp(-(1j * w * coeffs.mu + 0.5 * mp.m_bar**2 * w * w * t))
+    gauss = cmath.exp(-(1j * w * coeffs.mu + 0.5 * mp.m_bar**2 * w * w * coeffs.maturity))
     poly = (1.0 - coeffs.theta * w**2
             + 1j * mp.rho * coeffs.sigma3 * w**3
             + coeffs.quartic_weight * w**4)
@@ -267,8 +265,15 @@ def hermite_poly(n: int, x):
     return _out(h)
 
 
-def return_density(coeffs: ExpansionCoeffs, m_bar: float, x, t: float, rho: float):
-    """Hermite-corrected risk-neutral density of the log-return at maturity t.
+def _hermite_weights(mp: MartingaleParams, coeffs: ExpansionCoeffs):
+    """c2 = 2 m_bar^2 t and the density's H2, H3 and H4 weights at t = coeffs.maturity."""
+    c2 = 2.0 * mp.m_bar * mp.m_bar * coeffs.maturity
+    return c2, (coeffs.theta / c2, mp.rho * coeffs.sigma3 / c2**1.5,
+                coeffs.quartic_weight / (c2 * c2))
+
+
+def return_density(mp: MartingaleParams, coeffs: ExpansionCoeffs, x):
+    """Hermite-corrected risk-neutral density of the log-return at t = coeffs.maturity.
 
     Gaussian N(mu, m_bar^2 t) times
 
@@ -279,23 +284,17 @@ def return_density(coeffs: ExpansionCoeffs, m_bar: float, x, t: float, rho: floa
     total mass is one, but the density can go negative in far tails; values
     are returned as computed, never clamped.
     """
-    if t <= 0:
+    if coeffs.maturity <= 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
-    s2 = m_bar * m_bar * t          # Gaussian variance
-    c2 = 2.0 * s2                   # (2 m_bar^2 t)
+    c2, weights = _hermite_weights(mp, coeffs)
     u = (x - coeffs.mu) / math.sqrt(c2)
     gauss = np.exp(-u * u) / math.sqrt(math.pi * c2)
-    corr = (1.0
-            + (coeffs.theta / c2) * hermite_poly(2, u)
-            + (rho * coeffs.sigma3 / c2**1.5) * hermite_poly(3, u)
-            + (coeffs.quartic_weight / (c2 * c2)) * hermite_poly(4, u))
-    out = gauss * corr
-    return _out(out)
+    corr = sum((w * hermite_poly(n, u) for n, w in enumerate(weights, start=2)), start=1.0)
+    return _out(gauss * corr)
 
 
-def negative_mass_fraction(coeffs: ExpansionCoeffs, m_bar: float, t: float,
-                           rho: float) -> float:
+def negative_mass_fraction(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> float:
     """Fraction of probability mass where the corrected density is negative.
 
     The Hermite corrections can push the far tails below zero; pricing never
@@ -303,9 +302,9 @@ def negative_mass_fraction(coeffs: ExpansionCoeffs, m_bar: float, t: float,
     far outside its domain the expansion is being used.  Trapezoid estimate
     on 4,001 points over mu +- 10 standard deviations.
     """
-    sd = m_bar * math.sqrt(t)
+    sd = mp.m_bar * math.sqrt(coeffs.maturity)
     xs = np.linspace(coeffs.mu - 10.0 * sd, coeffs.mu + 10.0 * sd, 4001)
-    p = return_density(coeffs, m_bar, xs, t, rho)
+    p = return_density(mp, coeffs, xs)
     return float(np.trapezoid(np.minimum(p, 0.0), xs) * -1.0)
 
 
@@ -318,11 +317,6 @@ def regime_warning(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> bool:
     """
     if mp.lam < REGIME_MIN_LAMBDA:
         return True
-    t = coeffs.maturity
-    if t <= 0:
+    if coeffs.maturity <= 0:
         return False
-    c2 = 2.0 * mp.m_bar * mp.m_bar * t
-    weights = (abs(coeffs.theta) / c2,
-               abs(mp.rho * coeffs.sigma3) / c2**1.5,
-               abs(coeffs.quartic_weight) / (c2 * c2))
-    return max(weights) > REGIME_MAX_CORRECTION
+    return max(abs(w) for w in _hermite_weights(mp, coeffs)[1]) > REGIME_MAX_CORRECTION

@@ -126,7 +126,7 @@ def test_criterion_03_density_normalization():
     for t in (5.0, 20.0, 60.0):
         co = expansion_coeffs(mp, t, 0.0)
         sd = mp.m_bar * math.sqrt(t)
-        total, _ = quad(lambda x: return_density(co, mp.m_bar, x, t, mp.rho),
+        total, _ = quad(lambda x: return_density(mp, co, x),
                         co.mu - 14 * sd, co.mu + 14 * sd, limit=300)
         worst = max(worst, abs(total - 1.0))
     elapsed = time.time() - t0
@@ -145,13 +145,13 @@ def test_criterion_04_characteristic_function_consistency():
     worst_ft = 0.0
     for omega in (0.5, 1.0, 2.0):
         re, _ = quad(lambda x: math.cos(omega * x)
-                     * return_density(co, mp.m_bar, x, t, mp.rho),
+                     * return_density(mp, co, x),
                      co.mu - 12 * sd, co.mu + 12 * sd, limit=300)
         im, _ = quad(lambda x: -math.sin(omega * x)
-                     * return_density(co, mp.m_bar, x, t, mp.rho),
+                     * return_density(mp, co, x),
                      co.mu - 12 * sd, co.mu + 12 * sd, limit=300)
         worst_ft = max(worst_ft, abs(complex(re, im)
-                                     - char_fn_expanded(mp, omega, t, r, co)))
+                                     - char_fn_expanded(mp, co, omega)))
 
     # residual between expanded and resummed transforms shrinks ~2^5 per
     # lambda doubling (z0 = 0: the published coefficients carry no z0
@@ -166,7 +166,7 @@ def test_criterion_04_characteristic_function_consistency():
         for w in np.linspace(-2, 2, 17):
             if abs(w) < 1e-9:
                 continue
-            fe = char_fn_expanded(mpl, w, t, r, col)
+            fe = char_fn_expanded(mpl, col, w)
             ff = char_fn_full(mpl, w / lam, tp, 0.0, rate=r)
             worst = max(worst, abs(cmath.log(fe) - cmath.log(ff)))
         resids.append(worst)

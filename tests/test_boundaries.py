@@ -23,7 +23,7 @@ from expouvol import (
     smile_curve,
     y0_from_vol_index,
 )
-from expouvol.cli import _BOOL_KEYS, _DEFAULTS, main
+from expouvol.cli import _KEYS, main
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 NON_POSITIVE = (0.0, -1.0)
@@ -82,7 +82,7 @@ def test_smile_moneyness_grid_rejected(bad):
         smile_curve(mp, expansion_coeffs, [0.9, bad, 1.1], OptionSpec(100.0, 100.0, 20.0, 0.0))
 
 
-NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in _BOOL_KEYS)
+NUMERIC_KEYS = sorted(k for k, (_, kind) in _KEYS.items() if kind != "bool")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expouvol import cli
 from expouvol.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -296,12 +297,14 @@ class TestConfigHandling:
         ("lambda0=-1e6", "lambda0"),
         ("lambda0=1e6", "lambda0"),
         ("lambda1=-1", "lambda1"),
+        # positive, but zero whole steps of dt
+        ("maturity_days=1e-12", "maturity_days"),
     ])
     def test_non_finite_or_non_positive_exit_2(self, capsys, setting, key):
         code, out, err = run_cli(capsys, "--set", setting, "price")
         assert code == 2
         assert out == ""
-        assert f"{key} must be" in err
+        assert f"{key} must be" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["price", "stats"])
     @pytest.mark.parametrize("grid", ["0.05", "0,1.25", "-1,0,1", "-0.1"])
@@ -318,7 +321,37 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, "--set", setting, "--set", "dt=1e-10", "price")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {setting.split('=')[0]}")
+
+    @pytest.mark.parametrize("points, code", [(50, 0), (51, 2), (10**20, 2)])
+    def test_moneyness_grid_budget(self, capsys, monkeypatch, points, code):
+        monkeypatch.setattr("expouvol.cli.PATH_BUDGET", 50)
+        got, out, err = run_cli(capsys, "--set", f"moneyness_points={points}", "price")
+        assert got == code
+        if code:
+            assert out == "" and "moneyness_points must be at most 50" in err
+        else:
+            assert len(parse_csv(out)[1]) == 50
+
+    def test_return_panel_budget_exit_3(self, capsys, monkeypatch, tmp_path):
+        # stats simulates the largest lag plus 100 steps: 8 x 300 > 1000
+        monkeypatch.setattr("expouvol.mc.PATH_BUDGET", 1000)
+        target = tmp_path / "stats.csv"
+        code, out, err = run_cli(capsys, "--set", "n_paths=8", "--set", "tau_grid=0,20",
+                                 "stats", "--output", str(target))
+        assert code == 3
+        assert out == "" and "budget" in err and "Traceback" not in err
+        assert not target.exists()
+
+    def test_docstring_lists_every_key_and_default(self):
+        doc = cli.__doc__.split("Recognized keys and defaults::")[1].split("\n\n")[1]
+        listed = {}
+        for line in doc.splitlines():
+            commented = line.strip().startswith("#")
+            key, val = line.strip().lstrip("# ").split("#")[0].split("=")
+            key = key.strip()
+            listed[key] = None if commented else cli._convert(key, val.strip())
+        assert listed == {key: default for key, (default, _) in cli._KEYS.items()}
 
     def test_z0_wins_with_warning(self, capsys):
         code, _, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",

@@ -166,6 +166,15 @@ class TestGuards:
         with pytest.raises(ValueError, match="budget"):
             simulate_paths(fig_mp, cfg, 0.0)
 
+    def test_return_panel_budget(self, fig_params, monkeypatch):
+        # one block's panel, min(n_paths, BLOCK) x n_steps, must fit; the whole run need not
+        monkeypatch.setattr("expouvol.mc.PATH_BUDGET", 2 * BLOCK)
+        mc_return_stats(fig_params, small_cfg(n_paths=BLOCK + 8, n_steps=2), [0.25], [0.25])
+        for n_paths, n_steps in ((BLOCK + 8, 3), (8, 2 * BLOCK + 1)):
+            with pytest.raises(ValueError, match="budget"):
+                mc_return_stats(fig_params, small_cfg(n_paths=n_paths, n_steps=n_steps),
+                                [0.25], [0.25])
+
     def test_measure_type_coherence(self, fig_mp, fig_params):
         # the parameter type is the measure: pricing takes MartingaleParams,
         # the return statistics ModelParams
@@ -216,7 +225,7 @@ class TestDensity:
         cfg = SimConfig(n_paths=200_000, n_steps=30, dt=0.1, seed=31)
         edges, counts, _ = terminal_histogram(mp, cfg, 60)
         _, pval, _ = chi_square_vs_density(
-            edges, counts, lambda x: return_density(co, mp.m_bar, x, t, mp.rho))
+            edges, counts, lambda x: return_density(mp, co, x))
         assert pval > 0.01
 
     def test_chi_square_detects_expansion_breakdown(self, fig_mp):
@@ -228,7 +237,7 @@ class TestDensity:
         cfg = SimConfig(n_paths=100_000, n_steps=200, dt=0.1, seed=31)
         edges, counts, _ = terminal_histogram(fig_mp, cfg, 60)
         _, pval, _ = chi_square_vs_density(
-            edges, counts, lambda x: return_density(co, fig_mp.m_bar, x, t, fig_mp.rho))
+            edges, counts, lambda x: return_density(fig_mp, co, x))
         assert pval < 1e-6
 
     def test_sample_skew_negative_for_negative_rho(self, fig_mp):

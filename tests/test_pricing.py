@@ -189,6 +189,15 @@ class TestExpouCall:
         assert np.all(np.abs(formula - est.value)
                       <= 3 * est.std_error + 2e-4 * spec.spot)
 
+    @pytest.mark.parametrize("fn", [expou_call, expou_put, delta])
+    @pytest.mark.parametrize("maturity", [5.0, [20.0, 5.0]])
+    def test_coefficients_at_another_maturity_rejected(self, fig_mp, fn, maturity):
+        # 20-day coefficients priced this 5-day call at 0.313 against 0.869, silently
+        co = expansion_coeffs(fig_mp, 20.0, 0.0)
+        with pytest.raises(ValueError, match="maturity"):
+            fn(OptionSpec(100.0, 100.0, maturity), fig_mp, co)
+        fn(OptionSpec(100.0, 100.0, [20.0, 20.0]), fig_mp, co)
+
 
 class TestAssembledOracle:
     @pytest.mark.parametrize("t", [1.0, 5.0, 20.0, 60.0])
@@ -369,7 +378,7 @@ def _strike_difference_grid():
             + co.quartic_weight / c2**2 * hermite_poly(3, u))
         disc = math.exp(-r * t)
         yield ((t, z0, rho, r), slope, -disc * tail, fd,
-               disc * return_density(co, mp.m_bar, x, t, rho) / strikes, mid.warning)
+               disc * return_density(mp, co, x) / strikes, mid.warning)
 
 
 class TestStrikeSlope:

@@ -208,7 +208,7 @@ class TestCharFnFull:
 class TestCharFnExpanded:
     def test_zero_frequency(self, fig_mp):
         co = expansion_coeffs(fig_mp, 20.0, 0.0)
-        assert char_fn_expanded(fig_mp, 0.0, 20.0, 0.0, co) == 1.0
+        assert char_fn_expanded(fig_mp, co, 0.0) == 1.0
 
     def test_zero_rho_phase_is_pure_drift(self, fig_params):
         p = ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=0.0)
@@ -216,7 +216,7 @@ class TestCharFnExpanded:
         t, r = 20.0, 3e-4
         co = expansion_coeffs(mp, t, r)
         for w in (0.3, 1.0, 1.7):
-            val = char_fn_expanded(mp, w, t, r, co)
+            val = char_fn_expanded(mp, co, w)
             assert cmath.log(val).imag == pytest.approx(-w * co.mu, abs=1e-12)
 
     @pytest.mark.parametrize("z0", [0.0])
@@ -232,7 +232,7 @@ class TestCharFnExpanded:
             for w in np.linspace(-2, 2, 17):
                 if abs(w) < 1e-9:
                     continue
-                fe = char_fn_expanded(mp, w, t, r, co)
+                fe = char_fn_expanded(mp, co, w)
                 ff = char_fn_full(mp, w / lam, tp, lam * z0, rate=r)
                 worst = max(worst, abs(cmath.log(fe) - cmath.log(ff)))
             resids.append(worst)
@@ -248,14 +248,14 @@ class TestReturnDensity:
         xs = np.linspace(-0.2, 0.2, 7)
         s2 = fig_mp.m_bar**2 * t
         expected = np.exp(-(xs + 1e-3)**2 / (2 * s2)) / math.sqrt(2 * math.pi * s2)
-        got = return_density(co, fig_mp.m_bar, xs, t, fig_mp.rho)
+        got = return_density(fig_mp, co, xs)
         assert got == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("t", [5.0, 20.0, 60.0])
     def test_normalization(self, fig_mp, t):
         co = expansion_coeffs(fig_mp, t, 0.0)
         sd = fig_mp.m_bar * math.sqrt(t)
-        total, _ = quad(lambda x: return_density(co, fig_mp.m_bar, x, t, fig_mp.rho),
+        total, _ = quad(lambda x: return_density(fig_mp, co, x),
                         co.mu - 14 * sd, co.mu + 14 * sd, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -264,7 +264,7 @@ class TestReturnDensity:
         co = expansion_coeffs(fig_mp, t, 0.0)
         sd = fig_mp.m_bar * math.sqrt(t)
         m3, _ = quad(lambda x: (x - co.mu)**3
-                     * return_density(co, fig_mp.m_bar, x, t, fig_mp.rho),
+                     * return_density(fig_mp, co, x),
                      co.mu - 14 * sd, co.mu + 14 * sd, limit=300)
         assert m3 < 0
         assert m3 == pytest.approx(6 * fig_mp.rho * co.sigma3, rel=1e-6)
@@ -274,11 +274,11 @@ class TestReturnDensity:
         mp = dataclasses.replace(fig_mp, z0=0.3)
         co = expansion_coeffs(mp, t, r)
         sd = mp.m_bar * math.sqrt(t)
-        mean, _ = quad(lambda x: x * return_density(co, mp.m_bar, x, t, mp.rho),
+        mean, _ = quad(lambda x: x * return_density(mp, co, x),
                        co.mu - 14 * sd, co.mu + 14 * sd, limit=300)
         h = 1e-4
-        dphi = (char_fn_expanded(mp, h, t, r, co)
-                - char_fn_expanded(mp, -h, t, r, co)) / (2 * h)
+        dphi = (char_fn_expanded(mp, co, h)
+                - char_fn_expanded(mp, co, -h)) / (2 * h)
         mean_cf = (1j * dphi).real
         assert mean == pytest.approx(mean_cf, abs=1e-6)
         assert mean == pytest.approx(co.mu, abs=1e-6)
@@ -291,16 +291,16 @@ class TestReturnDensity:
         sd = mp.m_bar * math.sqrt(t)
         lo, hi = co.mu - 12 * sd, co.mu + 12 * sd
         re, _ = quad(lambda x: math.cos(omega * x)
-                     * return_density(co, mp.m_bar, x, t, mp.rho), lo, hi, limit=300)
+                     * return_density(mp, co, x), lo, hi, limit=300)
         im, _ = quad(lambda x: -math.sin(omega * x)
-                     * return_density(co, mp.m_bar, x, t, mp.rho), lo, hi, limit=300)
-        target = char_fn_expanded(mp, omega, t, r, co)
+                     * return_density(mp, co, x), lo, hi, limit=300)
+        target = char_fn_expanded(mp, co, omega)
         assert complex(re, im) == pytest.approx(target, abs=1e-6)
 
     def test_rejects_nonpositive_maturity(self, fig_mp):
-        co = expansion_coeffs(fig_mp, 20.0, 0.0)
+        co = expansion_coeffs(fig_mp, 0.0, 0.0)
         with pytest.raises(ValueError):
-            return_density(co, fig_mp.m_bar, 0.0, 0.0, fig_mp.rho)
+            return_density(fig_mp, co, 0.0)
 
 
 class TestNegativeMassDiagnostic:
@@ -308,19 +308,19 @@ class TestNegativeMassDiagnostic:
         from expouvol import negative_mass_fraction
         co = ExpansionCoeffs(mu=0.0, theta=0.0, sigma3=0.0, kappa=0.0,
                              maturity=20.0)
-        assert negative_mass_fraction(co, fig_mp.m_bar, 20.0, fig_mp.rho) == 0.0
+        assert negative_mass_fraction(fig_mp, co) == 0.0
 
     def test_small_at_reference_params(self, fig_mp):
         from expouvol import negative_mass_fraction
         co = expansion_coeffs(fig_mp, 20.0, 0.0)
-        frac = negative_mass_fraction(co, fig_mp.m_bar, 20.0, fig_mp.rho)
+        frac = negative_mass_fraction(fig_mp, co)
         assert 0.0 <= frac < 1e-3
 
     def test_grows_with_forced_corrections(self, fig_mp):
         from expouvol import negative_mass_fraction
         co = ExpansionCoeffs(mu=0.0, theta=0.0, sigma3=3e-3, kappa=0.0,
                              maturity=20.0)
-        frac = negative_mass_fraction(co, fig_mp.m_bar, 20.0, fig_mp.rho)
+        frac = negative_mass_fraction(fig_mp, co)
         assert frac > 1e-3
 
 
