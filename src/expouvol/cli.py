@@ -32,7 +32,8 @@ volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins and
 a warning goes to stderr.  Numeric values must be finite; scales, sizes and
 steps positive; moneyness_points at most 25,000,000; maturity_days and the
 tau_grid lags nonnegative multiples of dt.  Exit codes: 0 success (regime
-warnings on stderr), 2 config/input error, 3 computation failure.
+warnings on stderr), 2 config/input error, 3 computation failure (running
+out of memory included).
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def main(argv=None) -> int:
     except (QuoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
 

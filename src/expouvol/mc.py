@@ -15,19 +15,25 @@ whole paths.
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
 (seed, b), with one standard-normal vector per noise leg per step
-(numpy's ziggurat standard_normal), so each block's draws depend only on
-(seed, b).  Blocks are reduced in block-index order; floating-point sums
-are not associative, so it is that fixed order which makes estimates
-bit-exact for identical SimConfig.  mc_return_stats draws its bootstrap
-weights (0 or 2, one random bit per path and replicate) from a second
-stream per block, Philox keyed by (seed, 2**63 + b), so they never
-overlap a path stream; the full-sample demeaning is exact algebra on the
-accumulated raw sums.
+(numpy's ziggurat standard_normal), so each block's draws and per-block
+sums depend only on (seed, b).  The blocks run concurrently on a thread
+pool with one thread per CPU in the process's affinity mask (numpy
+releases the GIL while it fills normals and does array arithmetic); each
+worker computes one block's sums, and the calling thread adds them in
+block-index order.  Floating-point sums are not associative, so it is that
+fixed order, not the order in which blocks finish or the number of
+threads, which makes estimates bit-exact for identical SimConfig.
+mc_return_stats draws its bootstrap weights (0 or 2, one random bit per
+path and replicate) from a second stream per block, Philox keyed by
+(seed, 2**63 + b), so they never overlap a path stream; the full-sample
+demeaning is exact algebra on the accumulated raw sums.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +58,8 @@ _N_BOOT = 200
 #: simulate_paths refuses ensembles, and mc_return_stats per-block return
 #: panels, beyond this many samples; mc_call_prices streams and has no limit.
 PATH_BUDGET = 25_000_000
+#: working-set size of one chunk of the per-block bootstrap reduction
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -144,14 +152,34 @@ def _normals(rng, size, antithetic):
     return g
 
 
-def _iter_blocks(params, cfg: SimConfig, y0: float, rate: float,
-                 stationary_start: bool = False, keep_paths: bool = False,
-                 keep_returns: bool = False):
-    """Advance each block and yield its terminal/trajectory data.
+def _n_workers() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Yields dicts with the terminal log-price ``x`` always, full ``xs``/``ys``
-    (n_block, n_steps+1) when keep_paths, and per-step simple returns
-    ``rets`` (n_block, n_steps) when keep_returns.
+
+def _map_blocks(fn, cfg: SimConfig):
+    """Yield ``fn(b, size)`` for every block of ``cfg``, in block order.
+
+    Blocks run concurrently on a thread pool of one thread per usable CPU
+    (numpy drops the GIL inside the RNG fill and the array arithmetic);
+    the pool is joined before this returns.  A block that raises cancels
+    every block not yet started, and the exception propagates.
+    """
+    sizes = _block_sizes(cfg.n_paths)
+    with ThreadPoolExecutor(min(len(sizes), _n_workers())) as pool:
+        yield from pool.map(fn, range(len(sizes)), sizes)
+
+
+def _block(params, cfg: SimConfig, y0: float, rate: float, b: int, size: int,
+           stationary_start: bool = False, paths=None, keep_returns: bool = False):
+    """Advance block ``b`` of ``size`` paths; return its terminal/trajectory data.
+
+    Returns a dict with the terminal log-price ``x`` always and per-step
+    simple returns ``rets`` (size, n_steps) when keep_returns.  ``paths``,
+    when given, is the (xs, ys) pair of (size, n_steps+1) arrays to fill
+    with the trajectories.
     """
     vol0, rev, k, rho = _coerce(params)
     dt, n_steps = cfg.dt, cfg.n_steps
@@ -161,33 +189,31 @@ def _iter_blocks(params, cfg: SimConfig, y0: float, rate: float,
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
     sdt = math.sqrt(dt)
 
-    for b, size in enumerate(_block_sizes(cfg.n_paths)):
-        rng = _block_rng(cfg.seed, b)
-        if stationary_start:
-            y = beta * _normals(rng, size, cfg.antithetic)
-        else:
-            y = np.full(size, float(y0))
-        x = np.zeros(size)
-        xs = ys = rets = None
-        if keep_paths:
-            xs = np.empty((size, n_steps + 1))
-            ys = np.empty((size, n_steps + 1))
-            xs[:, 0], ys[:, 0] = x, y
+    rng = _block_rng(cfg.seed, b)
+    if stationary_start:
+        y = beta * _normals(rng, size, cfg.antithetic)
+    else:
+        y = np.full(size, float(y0))
+    x = np.zeros(size)
+    rets = None
+    if paths is not None:
+        xs, ys = paths
+        xs[:, 0], ys[:, 0] = x, y
+    if keep_returns:
+        rets = np.empty((size, n_steps))
+    for step in range(n_steps):
+        g1 = _normals(rng, size, cfg.antithetic)
+        gp = _normals(rng, size, cfg.antithetic)
+        g2 = rho * g1 + rho_perp * gp
+        sig = vol0 * np.exp(y)
+        dx = (rate - 0.5 * sig * sig) * dt + sig * sdt * g1
+        x = x + dx
+        y = y * decay + sd_ou * g2
+        if paths is not None:
+            xs[:, step + 1], ys[:, step + 1] = x, y
         if keep_returns:
-            rets = np.empty((size, n_steps))
-        for step in range(n_steps):
-            g1 = _normals(rng, size, cfg.antithetic)
-            gp = _normals(rng, size, cfg.antithetic)
-            g2 = rho * g1 + rho_perp * gp
-            sig = vol0 * np.exp(y)
-            dx = (rate - 0.5 * sig * sig) * dt + sig * sdt * g1
-            x = x + dx
-            y = y * decay + sd_ou * g2
-            if keep_paths:
-                xs[:, step + 1], ys[:, step + 1] = x, y
-            if keep_returns:
-                rets[:, step] = np.expm1(dx)
-        yield {"x": x, "xs": xs, "ys": ys, "rets": rets}
+            rets[:, step] = np.expm1(dx)
+    return {"x": x, "rets": rets}
 
 
 def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> PathEnsemble:
@@ -207,12 +233,13 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
             f"storage budget ({PATH_BUDGET}); use the streaming estimators")
     xs = np.empty((cfg.n_paths, cfg.n_steps + 1))
     ys = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    lo = 0
-    for blk in _iter_blocks(params, cfg, y0, rate, keep_paths=True):
-        hi = lo + blk["xs"].shape[0]
-        xs[lo:hi] = blk["xs"]
-        ys[lo:hi] = blk["ys"]
-        lo = hi
+
+    def fill(b, size):
+        rows = slice(b * BLOCK, b * BLOCK + size)
+        _block(params, cfg, y0, rate, b, size, paths=(xs[rows], ys[rows]))
+
+    for _ in _map_blocks(fill, cfg):
+        pass
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     return PathEnsemble(x=xs, y=ys, times=times)
 
@@ -243,16 +270,23 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
         raise ValueError(f"config horizon {cfg.horizon:g} != option maturity {t:g}")
     spots, strikes = np.broadcast_arrays(spec.spot, spec.strike)
     disc = math.exp(-r * t)
-    total = np.zeros(strikes.shape)
-    total_sq = np.zeros(strikes.shape)
     n = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    for blk in _iter_blocks(mp, cfg, mp.z0, r):
-        growth = np.exp(blk["x"])
+
+    def payoff_sums(b, size):
+        growth = np.exp(_block(mp, cfg, mp.z0, r, b, size)["x"])
+        sums = np.empty((2,) + strikes.shape)
         for i in np.ndindex(strikes.shape):
             pay = disc * np.maximum(spots[i] * growth - strikes[i], 0.0)
             pay = _pairwise(pay, cfg.antithetic)
-            total[i] += pay.sum()
-            total_sq[i] += (pay * pay).sum()
+            sums[(0,) + i] = pay.sum()
+            sums[(1,) + i] = (pay * pay).sum()
+        return sums
+
+    total = np.zeros(strikes.shape)
+    total_sq = np.zeros(strikes.shape)
+    for s, s_sq in _map_blocks(payoff_sums, cfg):
+        total += s
+        total_sq += s_sq
     mean = total / n
     var = np.maximum(0.0, (total_sq - n * mean * mean) / max(n - 1, 1))
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
@@ -302,20 +336,40 @@ def _raw_sums(r: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     return np.stack(rows)
 
 
-def _double_or_nothing(seed: int, block: int, size: int) -> np.ndarray:
-    """(_N_BOOT + 1, size) path weights of one block.
+def _chunks(n_rows: int, width: int):
+    """Row slices of an (n_rows, width) float array, about _CHUNK_BYTES each."""
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
-    Row 0 is all ones (the point estimate); every other entry is 0 or 2
-    with probability 1/2, one bit each, unpacked most significant bit
+
+def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
+    """_raw_sums of a block's returns, computed on row chunks: each path's
+    sums use only its own row, so the values are those of one whole call."""
+    return np.concatenate([_raw_sums(rets[rows], lags) for rows in _chunks(*rets.shape)],
+                          axis=1)
+
+
+def _bootstrap_sums(seed: int, block: int, sums: np.ndarray) -> np.ndarray:
+    """(_N_BOOT + 1, n_sums) weighted totals of one block's per-path sums.
+
+    Entry (i, j) is the dot of path weight row i with sums row j.  Row 0's
+    weights are all ones (the point estimate); every other weight is 0 or
+    2 with probability 1/2, one bit each, unpacked most significant bit
     first from _N_BOOT * ceil(size/8) bytes of the block's weight stream:
     Philox keyed by (seed, 2**63 + block), disjoint from every path stream.
+    The weight rows are built a chunk at a time, never all at once.
     """
+    size = sums.shape[1]
     rng = _block_rng(seed, block | 1 << 63)
     bits = np.frombuffer(rng.bytes(_N_BOOT * -(-size // 8)), dtype=np.uint8)
-    w = np.ones((_N_BOOT + 1, size))
-    w[1:] = np.unpackbits(bits.reshape(_N_BOOT, -1), axis=1, count=size)
-    w[1:] *= 2.0
-    return w
+    bits = bits.reshape(_N_BOOT, -1)
+    out = np.empty((_N_BOOT + 1, sums.shape[0]))
+    # one dot per (replicate, sum): no multithreaded BLAS gemm
+    out[0] = np.vecdot(np.ones(size), sums)
+    for rows in _chunks(_N_BOOT, size):
+        w = np.unpackbits(bits[rows], axis=1, count=size) * 2.0
+        out[1:][rows] = np.vecdot(w[:, None, :], sums)
+    return out
 
 
 def _centered(raw: dict, mu: float, i: int, j: int):
@@ -336,11 +390,12 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     lags.  Lags are in days; either grid may be empty.  Returns
     (leverage, autocorr), one list of McEstimate per grid.
 
-    One pass, no panel beyond one block's (at most PATH_BUDGET returns): each
-    block's per-path raw sums (powers of r and lagged pair products, see
-    _raw_sums) are reduced at once against the block's bootstrap weights
-    (_double_or_nothing: row 0 all ones, then _N_BOOT rows of 0/2 weights from
-    Philox keyed by (seed, 2**63 + block)).  After the last block, mu =
+    One pass, no panel beyond one block's per worker (at most PATH_BUDGET
+    returns): each block's per-path raw sums (powers of r and lagged pair
+    products, see _raw_sums) are reduced at once against the block's
+    bootstrap weights (_bootstrap_sums: row 0 all ones, then _N_BOOT rows of
+    0/2 weights from Philox keyed by (seed, 2**63 + block)), and the block
+    totals are added in block order.  After the last block, mu =
     sum r / (n_paths n_steps) is the full-sample mean, and every demeaned sum
     follows exactly from the raw ones by binomial expansion in that fixed mu.
     Each replicate uses its own weight sum in place of n_paths; the standard
@@ -356,13 +411,16 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     aco_lags = _lag_steps(autocorr_taus, cfg)
     lags = sorted({abs(lag) for lag in lev_lags + aco_lags})
     n_paths, n_all = cfg.n_paths, cfg.n_steps
+
+    def weighted_sums(b, size):
+        # no name holds the returns: they are freed before the bootstrap
+        sums = _block_sums(_block(p, cfg, 0.0, 0.0, b, size, stationary_start=True,
+                                  keep_returns=True)["rets"], lags)
+        return _bootstrap_sums(cfg.seed, b, sums)
+
     totals = 0.0
-    for b, blk in enumerate(_iter_blocks(p, cfg, 0.0, 0.0, stationary_start=True,
-                                         keep_returns=True)):
-        sums = _raw_sums(blk["rets"], lags)
-        w = _double_or_nothing(cfg.seed, b, sums.shape[1])
-        # one dot per (replicate, sum): no multithreaded BLAS gemm
-        totals = totals + np.vecdot(w[:, None, :], sums)
+    for block_totals in _map_blocks(weighted_sums, cfg):
+        totals = totals + block_totals
     totals = totals[totals[:, 0] > 0]       # a replicate that drew no path
     n_w = totals[:, 0]
     mu = totals[0, 1] / (n_paths * n_all)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import chdtrc
 
 from expouvol import hermite_poly
-from expouvol.mc import BLOCK, McEstimate, _iter_blocks, _lag_steps
+from expouvol.mc import BLOCK, McEstimate, _block, _block_sizes, _lag_steps
 
 
 def bs_call_quadrature(S, K, T, r, vol):
@@ -101,8 +101,8 @@ def terminal_histogram(mp, cfg, n_bins):
     mu = -0.5 * mp.m_bar**2 * t
     half = 6.0 * mp.m_bar * math.sqrt(t)
     edges = np.linspace(mu - half, mu + half, n_bins + 1)
-    counts = sum(np.histogram(blk["x"], bins=edges)[0]
-                 for blk in _iter_blocks(mp, cfg, mp.z0, 0.0))
+    counts = sum(np.histogram(_block(mp, cfg, mp.z0, 0.0, b, size)["x"], bins=edges)[0]
+                 for b, size in enumerate(_block_sizes(cfg.n_paths)))
     return edges, counts, counts / (counts.sum() * np.diff(edges))
 
 
@@ -142,8 +142,9 @@ def chi_square_vs_density(edges, counts, pdf, n_total=None, min_expected=5.0):
 
 def _return_panel(p, cfg):
     """The whole (n_paths, n_steps) panel of one-step returns, demeaned."""
-    panel = np.concatenate([blk["rets"] for blk in _iter_blocks(
-        p, cfg, 0.0, 0.0, stationary_start=True, keep_returns=True)])
+    panel = np.concatenate([
+        _block(p, cfg, 0.0, 0.0, b, size, stationary_start=True, keep_returns=True)["rets"]
+        for b, size in enumerate(_block_sizes(cfg.n_paths))])
     return panel - panel.mean()
 
 

@@ -1,10 +1,13 @@
 """Command-line front end: schemas, determinism, exit codes, round trips."""
 
+import functools
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +346,18 @@ class TestConfigHandling:
         assert out == "" and "budget" in err and "Traceback" not in err
         assert not target.exists()
 
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        # numpy's _ArrayMemoryError subclasses MemoryError; 2**61 bytes is
+        # beyond any address space, so the allocation fails at once
+        def exhausted(*args):
+            np.empty(1 << 58)
+
+        monkeypatch.setattr(cli, "_call_prices", exhausted)
+        code, out, err = run_cli(capsys, "price")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("computation failed: ") and "Traceback" not in err
+
     def test_docstring_lists_every_key_and_default(self):
         doc = cli.__doc__.split("Recognized keys and defaults::")[1].split("\n\n")[1]
         listed = {}
@@ -431,6 +446,40 @@ class TestTracedMode:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == untraced
         assert json.loads((tmp_path / "spans.json").read_text())["names"]
+
+
+class TestWorkerThreads:
+    """The MC block pool's workers call no public function: the benchmark's
+    tracer wraps every one of them with a single, unsynchronised span stack."""
+
+    def test_public_functions_run_on_the_main_thread(self, capsys, monkeypatch):
+        calls = []
+
+        def record(name, fn):
+            @functools.wraps(fn)
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        modules = [m for name, m in list(sys.modules.items())
+                   if name.startswith("expouvol.") and m is not None]
+        wrappers = {fn: record(f"{mod.__name__}.{attr}", fn)
+                    for mod in modules for attr, fn in vars(mod).items()
+                    if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                    and not attr.startswith("_")}
+        for mod in modules + [sys.modules["expouvol"]]:
+            for attr, val in list(vars(mod).items()):
+                if inspect.isfunction(val) and val in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[val])
+        size = ["--set", "n_paths=9000", "--set", "dt=1"]
+        for argv in (["--set", "maturity_days=3", "simulate"],
+                     ["--set", "antithetic=true", "--set", "tau_grid=0,1,5", "stats"]):
+            code, _, err = run_cli(capsys, *size, *argv)
+            assert code == 0, err
+        names = {name for name, _ in calls}
+        assert {"expouvol.mc.mc_call_prices", "expouvol.mc.mc_return_stats"} <= names
+        assert {ident for _, ident in calls} == {threading.main_thread().ident}
 
 
 class TestImport:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +27,7 @@ from expouvol import (
     squared_return_autocorr,
     to_martingale,
 )
+from expouvol import mc
 from expouvol.mc import BLOCK
 from expouvol.risk_neutral import MartingaleParams
 from oracles import (
@@ -87,6 +91,85 @@ class TestReproducibility:
         ens = simulate_paths(fig_mp, small_cfg(), 0.0)
         with pytest.raises(ValueError):
             ens.x[0, 0] = 1.0
+
+
+def _reverse_map(fn, cfg):
+    """A block map that runs the blocks last to first and yields them in order."""
+    sizes = mc._block_sizes(cfg.n_paths)
+    done = {b: fn(b, size) for b, size in reversed(list(enumerate(sizes)))}
+    for b in range(len(sizes)):
+        yield done[b]
+
+
+class TestBlockPool:
+    """The pool decides when blocks run, never what the estimates are:
+    the calling thread reduces block results in block order."""
+
+    def run_all(self, fig_params, fig_mp):
+        out = []
+        for antithetic in (False, True):
+            cfg = small_cfg(n_paths=2 * BLOCK + 17 + antithetic, n_steps=8,
+                            antithetic=antithetic)
+            at_100 = OptionSpec(100.0, 100.0, cfg.horizon, 0.0)
+            smile = OptionSpec(100.0, np.linspace(80.0, 120.0, 101), cfg.horizon, 1e-4)
+            vec = mc_call_prices(fig_mp, cfg, smile)
+            ens = simulate_paths(fig_mp, cfg, 0.1, rate=1e-4)
+            out += [mc_call_prices(fig_mp, cfg, at_100), vec.value, vec.std_error,
+                    mc_return_stats(fig_params, cfg, [-1.0, 0.5], [0.0, 1.0]), ens.x, ens.y]
+        return out
+
+    def assert_same(self, got, want):
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w) if isinstance(w, np.ndarray) else g == w
+
+    def test_worker_count_and_block_order_keep_the_bits(self, fig_params, fig_mp,
+                                                         monkeypatch):
+        monkeypatch.setattr(mc, "_n_workers", lambda: 1)
+        want = self.run_all(fig_params, fig_mp)
+        switch = sys.getswitchinterval()
+        for workers in (2, 3):
+            monkeypatch.setattr(mc, "_n_workers", lambda: workers)
+            sys.setswitchinterval(1e-6)     # many GIL hand-offs inside each block
+            try:
+                got = self.run_all(fig_params, fig_mp)
+            finally:
+                sys.setswitchinterval(switch)
+            self.assert_same(got, want)
+        monkeypatch.setattr(mc, "_map_blocks", _reverse_map)
+        self.assert_same(self.run_all(fig_params, fig_mp), want)
+
+    def calls(self, fig_params, fig_mp, cfg):
+        spec = OptionSpec(100.0, [95.0, 105.0], cfg.horizon, 0.0)
+        return {"mc_call_prices": lambda: mc_call_prices(fig_mp, cfg, spec),
+                "mc_return_stats": lambda: mc_return_stats(fig_params, cfg, [0.25], [0.25]),
+                "simulate_paths": lambda: simulate_paths(fig_mp, cfg, 0.0)}
+
+    @pytest.mark.parametrize("name", ["mc_call_prices", "mc_return_stats", "simulate_paths"])
+    def test_no_thread_outlives_a_call(self, fig_params, fig_mp, name):
+        call = self.calls(fig_params, fig_mp, small_cfg(n_paths=3 * BLOCK, n_steps=4))[name]
+        before = threading.active_count()
+        call()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ["mc_call_prices", "mc_return_stats", "simulate_paths"])
+    def test_failing_block_stops_the_run(self, fig_params, fig_mp, monkeypatch, name):
+        started = []
+        block = mc._block
+
+        def failing(params, cfg, y0, rate, b, size, **kw):
+            started.append(b)
+            if b == 1:
+                raise RuntimeError("block 1 failed")
+            time.sleep(0.01)
+            return block(params, cfg, y0, rate, b, size, **kw)
+
+        monkeypatch.setattr(mc, "_block", failing)
+        call = self.calls(fig_params, fig_mp, small_cfg(n_paths=40 * BLOCK, n_steps=2))[name]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            call()
+        assert threading.active_count() == before
+        assert len(started) < 40
 
 
 class TestScheme:
