@@ -18,10 +18,11 @@ paths; block ``b`` consumes an independent Philox substream keyed by
 (numpy's ziggurat standard_normal), so each block's draws and per-block
 sums depend only on (seed, b).  The blocks run concurrently on a thread
 pool with one thread per CPU in the process's affinity mask (numpy
-releases the GIL while it fills normals and does array arithmetic); each
-worker computes one block's sums, and the calling thread adds them in
-block-index order.  Floating-point sums are not associative, so it is that
-fixed order, not the order in which blocks finish or the number of
+releases the GIL while it fills normals and does array arithmetic), fewer
+for mc_return_stats when PATH_BUDGET cannot hold one return panel per
+thread; each worker computes one block's sums, and the calling thread adds
+them in block-index order.  Floating-point sums are not associative, so it
+is that fixed order, not the order in which blocks finish or the number of
 threads, which makes estimates bit-exact for identical SimConfig.
 mc_return_stats draws its bootstrap weights (0 or 2, one random bit per
 path and replicate) from a second stream per block, Philox keyed by
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -159,17 +162,35 @@ def _n_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _map_blocks(fn, cfg: SimConfig):
+def _map_blocks(fn, cfg: SimConfig, block_samples: int = 0):
     """Yield ``fn(b, size)`` for every block of ``cfg``, in block order.
 
     Blocks run concurrently on a thread pool of one thread per usable CPU
-    (numpy drops the GIL inside the RNG fill and the array arithmetic);
-    the pool is joined before this returns.  A block that raises cancels
-    every block not yet started, and the exception propagates.
+    (numpy drops the GIL inside the RNG fill and the array arithmetic).
+    ``block_samples`` is the size of the panel one running block holds
+    (mc_return_stats' returns); the pool then runs at most
+    PATH_BUDGET // block_samples blocks at once, so PATH_BUDGET bounds the
+    panels of all running blocks together.  At most two blocks per thread
+    are queued ahead of the one being yielded, so the bookkeeping does not
+    grow with the block count.  A block that raises cancels every queued
+    block, and the exception propagates; the pool is joined before this
+    returns.
     """
     sizes = _block_sizes(cfg.n_paths)
-    with ThreadPoolExecutor(min(len(sizes), _n_workers())) as pool:
-        yield from pool.map(fn, range(len(sizes)), sizes)
+    workers = min(len(sizes), _n_workers())
+    if block_samples:
+        workers = min(workers, max(1, PATH_BUDGET // block_samples))
+    todo = iter(enumerate(sizes))
+    with ThreadPoolExecutor(workers) as pool:
+        window = deque(pool.submit(fn, b, size) for b, size in islice(todo, 2 * workers))
+        try:
+            while window:
+                result = window.popleft().result()
+                window.extend(pool.submit(fn, b, size) for b, size in islice(todo, 1))
+                yield result
+        finally:
+            for future in window:
+                future.cancel()
 
 
 def _block(params, cfg: SimConfig, y0: float, rate: float, b: int, size: int,
@@ -390,9 +411,10 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     lags.  Lags are in days; either grid may be empty.  Returns
     (leverage, autocorr), one list of McEstimate per grid.
 
-    One pass, no panel beyond one block's per worker (at most PATH_BUDGET
-    returns): each block's per-path raw sums (powers of r and lagged pair
-    products, see _raw_sums) are reduced at once against the block's
+    One pass, at most one block's return panel per worker, and at most
+    PATH_BUDGET returns in the panels of all running blocks together: each
+    block's per-path raw sums (powers of r and lagged pair products, see
+    _raw_sums) are reduced at once against the block's
     bootstrap weights (_bootstrap_sums: row 0 all ones, then _N_BOOT rows of
     0/2 weights from Philox keyed by (seed, 2**63 + block)), and the block
     totals are added in block order.  After the last block, mu =
@@ -403,7 +425,8 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     path at all, possible only for tiny n_paths).
     """
     _expect(p, ModelParams, "mc_return_stats")
-    if min(cfg.n_paths, BLOCK) * cfg.n_steps > PATH_BUDGET:
+    panel = min(cfg.n_paths, BLOCK) * cfg.n_steps
+    if panel > PATH_BUDGET:
         raise ValueError(f"a block's return panel exceeds the storage budget ({PATH_BUDGET})")
     lev_lags = _lag_steps(leverage_taus, cfg)
     if any(t < 0 for t in autocorr_taus):
@@ -419,7 +442,7 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
         return _bootstrap_sums(cfg.seed, b, sums)
 
     totals = 0.0
-    for block_totals in _map_blocks(weighted_sums, cfg):
+    for block_totals in _map_blocks(weighted_sums, cfg, block_samples=panel):
         totals = totals + block_totals
     totals = totals[totals[:, 0] > 0]       # a replicate that drew no path
     n_w = totals[:, 0]

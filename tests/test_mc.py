@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestReproducibility:
             ens.x[0, 0] = 1.0
 
 
-def _reverse_map(fn, cfg):
+def _reverse_map(fn, cfg, block_samples=0):
     """A block map that runs the blocks last to first and yields them in order."""
     sizes = mc._block_sizes(cfg.n_paths)
     done = {b: fn(b, size) for b, size in reversed(list(enumerate(sizes)))}
@@ -153,6 +154,7 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("name", ["mc_call_prices", "mc_return_stats", "simulate_paths"])
     def test_failing_block_stops_the_run(self, fig_params, fig_mp, monkeypatch, name):
+        monkeypatch.setattr(mc, "_n_workers", lambda: 2)
         started = []
         block = mc._block
 
@@ -169,7 +171,62 @@ class TestBlockPool:
         with pytest.raises(RuntimeError, match="block 1 failed"):
             call()
         assert threading.active_count() == before
-        assert len(started) < 40
+        # blocks 0-3 queued at once, block 4 once block 0 was taken, then block 1 raises
+        assert len(started) <= 5
+
+    def test_failing_block_cancels_the_queue(self, monkeypatch):
+        monkeypatch.setattr(mc, "_n_workers", lambda: 2)
+        gate = threading.Event()
+        started = []
+
+        def fn(b, size):
+            started.append(b)
+            if b == 1:
+                raise RuntimeError("block 1 failed")
+            if b > 1:
+                gate.wait(5.0)      # blocks 2 and 3 hold the workers
+            return b
+
+        opener = threading.Timer(0.2, gate.set)
+        opener.start()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            for _ in mc._map_blocks(fn, small_cfg(n_paths=40 * BLOCK, n_steps=1)):
+                pass
+        opener.join(5.0)
+        assert not opener.is_alive()
+        # block 4 was queued behind blocks 2 and 3 when block 1's error came back
+        assert {0, 1} <= set(started) and 4 not in started
+
+    def test_queue_does_not_grow_with_the_block_count(self, monkeypatch):
+        workers = 3
+        monkeypatch.setattr(mc, "_n_workers", lambda: workers)
+        started = []
+
+        def record(b, size):
+            started.append(b)
+            return b
+
+        cfg = small_cfg(n_paths=500 * BLOCK, n_steps=1)
+        for i, b in enumerate(mc._map_blocks(record, cfg)):
+            assert b == i
+            assert max(started) <= i + 2 * workers
+        assert sorted(started) == list(range(500))
+
+    def test_return_panels_in_flight_fit_the_budget(self, fig_params, fig_mp, monkeypatch):
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(mc, "_n_workers", lambda: 8)
+        cfg = small_cfg(n_paths=8 * BLOCK, n_steps=5)
+        monkeypatch.setattr(mc, "PATH_BUDGET", 3 * BLOCK * cfg.n_steps + 1)
+        mc_return_stats(fig_params, cfg, [0.25], [0.25])
+        mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, cfg.horizon, 0.0))
+        assert pools == [3, 8]
 
 
 class TestScheme:
@@ -404,7 +461,11 @@ class TestReturnStatsOracle:
 
 
 class TestReturnStatsStreaming:
-    def test_memory_independent_of_path_count(self, fig_params):
+    def test_memory_independent_of_path_count(self, fig_params, monkeypatch):
+        # the pool holds one block panel per worker; with one worker the peak
+        # does not depend on the host's CPU count or on thread timing
+        monkeypatch.setattr(mc, "_n_workers", lambda: 1)
+
         def peak(n_paths):
             cfg = SimConfig(n_paths=n_paths, n_steps=40, dt=1.0, seed=3)
             tracemalloc.start()
