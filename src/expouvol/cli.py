@@ -203,10 +203,19 @@ def build_config(file_values: dict, overrides: dict) -> RunConfig:
                      maturity=maturity, sim=sim, tau_grid=tuple(merged["tau_grid"]))
 
 
-def _emit(header: str, rows, out: Optional[str]) -> None:
-    lines = [header] + [",".join(c if isinstance(c, str) else f"{c:.12g}"
-                                 for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+_G = "%.12g"   # every number in every CSV
+
+
+def _emit(header: str, columns, out: Optional[str]) -> None:
+    """Write a CSV given one column per header field.
+
+    A column of str cells prints as is; any other prints every cell as
+    %.12g.  Array columns go through ``.tolist()`` and each row through one
+    format string, so cells are formatted as Python floats and ints.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    fmt = ",".join("%s" if c and isinstance(c[0], str) else _G for c in cols)
+    text = "\n".join([header] + [fmt % row for row in zip(*cols)]) + "\n"
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -233,17 +242,16 @@ def _strike_spec(cfg: RunConfig) -> OptionSpec:
 def cmd_price(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
     bs, *_, total = _call_prices(_strike_spec(cfg), mp, coeffs)
-    _emit("moneyness,call,bs,diff", zip(cfg.moneyness, total, bs, total - bs), args.output)
+    _emit("moneyness,call,bs,diff", (cfg.moneyness, total, bs, total - bs), args.output)
     return 0
 
 
 def cmd_smile(cfg: RunConfig, args) -> int:
     mp, _ = _expansion(cfg)
     points = smile_curve(mp, expansion_coeffs, cfg.moneyness, _strike_spec(cfg))
-    rows = [(pt.moneyness,
-             pt.implied_vol_annual if pt.implied_vol_annual is not None else "")
+    vols = ["" if pt.implied_vol_annual is None else _G % pt.implied_vol_annual
             for pt in points]
-    _emit("moneyness,implied_vol_annual", rows, args.output)
+    _emit("moneyness,implied_vol_annual", (cfg.moneyness, vols), args.output)
     return 0
 
 
@@ -252,13 +260,13 @@ def cmd_density(cfg: RunConfig, args) -> int:
     sd = mp.m_bar * math.sqrt(cfg.maturity)
     xs = np.linspace(coeffs.mu - 8.0 * sd, coeffs.mu + 8.0 * sd, 401)
     ps = return_density(mp, coeffs, xs)
-    _emit("x,p", list(zip(xs, ps)), args.output)
+    _emit("x,p", (xs, ps), args.output)
     return 0
 
 
 def cmd_greeks(cfg: RunConfig, args) -> int:
     mp, coeffs = _expansion(cfg)
-    _emit("moneyness,delta", zip(cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)),
+    _emit("moneyness,delta", (cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)),
           args.output)
     return 0
 
@@ -268,15 +276,17 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     spec = _strike_spec(cfg)
     est = mc_call_prices(mp, cfg.sim, spec)
     analytic = _call_prices(spec, mp, coeffs)[4]
-    rows = zip(cfg.moneyness, est.value, est.std_error, analytic,
-               np.abs(est.value - analytic))
-    _emit("moneyness,mc_price,std_err,analytic,abs_diff", rows, args.output)
+    _emit("moneyness,mc_price,std_err,analytic,abs_diff",
+          (cfg.moneyness, est.value, est.std_error, analytic, np.abs(est.value - analytic)),
+          args.output)
     if args.dump_paths:
         dump_cfg = dataclasses.replace(cfg.sim, n_paths=min(cfg.sim.n_paths, 64))
         ens = simulate_paths(mp, dump_cfg, mp.z0, rate=cfg.rate)
-        rows = ((p, s, t, ens.x[p, s], ens.y[p, s])
-                for p in range(dump_cfg.n_paths) for s, t in enumerate(ens.times))
-        _emit("path,step,t_days,x,y", rows, args.dump_paths)
+        n_paths, n_times = ens.x.shape
+        _emit("path,step,t_days,x,y",
+              (np.repeat(np.arange(n_paths), n_times), np.tile(np.arange(n_times), n_paths),
+               np.tile(ens.times, n_paths), ens.x.ravel(), ens.y.ravel()),
+              args.dump_paths)
     return 0
 
 
@@ -284,12 +294,12 @@ def cmd_stats(cfg: RunConfig, args) -> int:
     n_steps = _day_steps(max(cfg.tau_grid), cfg.sim.dt, "tau_grid lag") + 100
     sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
     lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
-    rows = []
-    for tau, le, ae in zip(cfg.tau_grid, lev, aco):
-        rows.append((tau, le.value, le.std_error, leverage(cfg.params, tau),
-                     ae.value, ae.std_error, squared_return_autocorr(cfg.params, tau)))
     _emit("tau,leverage_mc,leverage_se,leverage_fml,autocorr_mc,autocorr_se,autocorr_fml",
-          rows, args.output)
+          (cfg.tau_grid, [e.value for e in lev], [e.std_error for e in lev],
+           [leverage(cfg.params, tau) for tau in cfg.tau_grid],
+           [e.value for e in aco], [e.std_error for e in aco],
+           [squared_return_autocorr(cfg.params, tau) for tau in cfg.tau_grid]),
+          args.output)
     return 0
 
 
@@ -309,12 +319,12 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     result = calibrate_risk_aversion(list(loaded.quotes), cfg.params,
                                      cfg.spot, cfg.rate, cfg.y0)
     _emit("lambda0,lambda1,rmse,n_quotes,converged,iterations",
-          [(result.lambda0, result.lambda1, result.rmse, result.n_quotes,
-            str(result.converged).lower(), result.iterations)], args.output)
+          [[result.lambda0], [result.lambda1], [result.rmse], [result.n_quotes],
+           [str(result.converged).lower()], [result.iterations]], args.output)
     if args.repricing:
         table = reprice_quotes(result, list(loaded.quotes), cfg.params,
                                cfg.spot, cfg.rate, cfg.y0)
-        _emit("strike,mid,model,residual", table, args.repricing)
+        _emit("strike,mid,model,residual", zip(*table), args.repricing)
     return 0
 
 

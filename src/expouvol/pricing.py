@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .model import _check, _out
 from .risk_neutral import (
@@ -94,13 +93,96 @@ class PriceBreakdown:
     warning: bool = False
 
 
-def norm_cdf(d):
-    """Standard normal CDF via the complementary error function.
+# Cephes ndtr.c (Moshier, "Methods and Programs for Mathematical
+# Functions", 1989): erfc(x) = exp(-x^2) P(|x|)/Q(|x|) for 1 <= |x| < 8,
+# exp(-x^2) R(|x|)/S(|x|) beyond, and erf(x) = x T(x^2)/U(x^2) for |x| < 1.
+# Highest power first.  Q, S and U are monic: their leading 1 is written
+# out (Cephes' p1evl leaves it implicit; x*1 is exact, so the bits agree).
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2   # log(DBL_MAX)
 
-    norm_cdf(d) = erfc(-d/sqrt(2))/2 to ~1e-16 with scipy.special.erfc (libm's
-    erfc differs in the last bits); the fixed algorithm keeps CSVs bit-exact.
+
+def _polevl(x, coef):
+    """Cephes polevl: the polynomial by Horner's rule, highest power first, in place."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erfc(a):
+    """erfc as Cephes computes it, step for step, so equal to scipy.special.erfc.
+
+    Same branches as Cephes: 1 - erf(a) for |a| < 1; P/Q for 1 <= |a| < 8
+    and R/S beyond, times exp(-a^2); 0 once a^2 > MAXLOG; 2 - y for a < 0.
+    Each polynomial runs only on its own lanes.  exp(-a^2) is libm's
+    (``math.exp``), as in Cephes: numpy's SIMD ``np.exp`` differs from libm
+    in the last bit at some inputs, and that moves printed digits.
     """
-    return _out(0.5 * erfc(-np.asarray(d, dtype=float) / _SQRT2))
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    out = np.full(flat.shape, np.nan)   # NaN lanes take neither branch
+    x = np.abs(flat)
+    small = x < 1.0
+    s = flat[small]
+    if s.size:
+        z = s * s
+        out[small] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    big = np.flatnonzero(x >= 1.0)
+    if big.size:
+        b = flat[big]
+        with np.errstate(over="ignore"):   # a^2 is inf past |a| ~ 1.3e154
+            sq = b * b
+        live = sq <= _MAXLOG
+        if not live.all():
+            out[big[~live]] = 2.0 * (b[~live] < 0.0)
+            big, b, sq = big[live], b[live], sq[live]
+        y = np.fromiter(map(math.exp, (-sq).tolist()), float, count=sq.size)
+        xb = x[big]
+        mid = xb < 8.0
+        if mid.all():
+            y *= _polevl(xb, _ERFC_P)
+            y /= _polevl(xb, _ERFC_Q)
+        else:
+            for lanes, p, q in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+                xl = xb[lanes]
+                y[lanes] = y[lanes] * _polevl(xl, p) / _polevl(xl, q)
+        neg = b < 0.0
+        y[neg] = 2.0 - y[neg]
+        out[big] = y
+    return out.reshape(a.shape)
+
+
+def norm_cdf(d):
+    """Standard normal CDF, erfc(-d/sqrt(2))/2.
+
+    erfc is ``_erfc``, Cephes' algorithm in numpy with libm's exp: bit for
+    bit what scipy.special.erfc gives, so every CSV digit is fixed without
+    importing scipy.  Floats for scalars, arrays of d's shape otherwise.
+    """
+    return _out(0.5 * _erfc(-np.asarray(d, dtype=float) / _SQRT2))
 
 
 def norm_pdf(d):
@@ -119,15 +201,25 @@ def _terms(spec: OptionSpec, vol: float):
     return d1, d2, w, disc_k, d2 / _SQRT2
 
 
+def _cdf_pair(d1, d2):
+    """N(d1) and N(d2), same shape, from one erfc call.
+
+    ``_erfc`` runs some fifty numpy operations per call whatever the size,
+    which outweighs its per-element cost on option-chain-sized arrays.
+    """
+    return norm_cdf(np.stack((d1, d2)))
+
+
 def _call_terms(spec: OptionSpec, vol: float):
     """Black-Scholes price and the correction components (C0, C1, C2)."""
     d1, d2, w, disc_k, h = _terms(spec, vol)
     c2t = 2.0 * vol * vol * spec.maturity   # 2 m_bar^2 T
     q = disc_k / w * norm_pdf(d2)
-    sn1 = spec.spot * norm_cdf(d1)
+    n1, n2 = _cdf_pair(d1, d2)
+    sn1 = spec.spot * n1
     h1 = hermite_poly(1, h)
     h2 = hermite_poly(2, h)
-    return (sn1 - disc_k * norm_cdf(d2),
+    return (sn1 - disc_k * n2,
             sn1 + q,
             sn1 - q * (h1 / np.sqrt(c2t) - 1.0),
             sn1 + q * (h2 / c2t - h1 / np.sqrt(c2t) + 1.0))
@@ -147,7 +239,8 @@ def bs_call(spec: OptionSpec, vol: float):
     """Black-Scholes call price; ``vol`` (day^(-1/2)) broadcasts against the spec."""
     _check("vol", vol)
     d1, d2, _, disc_k, _ = _terms(spec, vol)
-    return _out(spec.spot * norm_cdf(d1) - disc_k * norm_cdf(d2))
+    n1, n2 = _cdf_pair(d1, d2)
+    return _out(spec.spot * n1 - disc_k * n2)
 
 
 def call_components(spec: OptionSpec, m_bar: float):

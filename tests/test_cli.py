@@ -481,10 +481,28 @@ class TestWorkerThreads:
         assert {ident for _, ident in calls} == {threading.main_thread().ident}
 
 
+class TestEmit:
+    def test_row_format_matches_per_cell_format(self, capsys):
+        # one %.12g row format over .tolist() cells prints what formatting
+        # each numpy cell on its own prints, special values included
+        vals = np.array([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan,
+                         1e300, -1.234567890123456, 7.0, 1e12, 123456789012345.0])
+        ints = np.arange(len(vals)) * 10**11
+        flags = ["true", ""] * (len(vals) // 2)
+        cli._emit("a,b,c", (vals, ints, flags), None)
+        want = ["a,b,c"] + [f"{v:.12g},{i:.12g},{f}" for v, i, f in zip(vals, ints, flags)]
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+    def test_no_rows_prints_header(self, capsys):
+        cli._emit("a,b", ([], np.empty(0)), None)
+        assert capsys.readouterr().out == "a,b\n"
+
+
 class TestImport:
     def test_import_skips_scipy_stats(self):
-        # scipy.stats and scipy.optimize cost most of the package's import
-        # time; neither the import nor a calibration fit loads them
+        # scipy.stats and scipy.optimize would each cost more than the
+        # package's whole import; neither the import nor a calibration fit
+        # loads them
         script = "\n".join([
             "import sys, expouvol as ev",
             "mods = ('scipy.stats', 'scipy.optimize')",
@@ -500,3 +518,32 @@ class TestImport:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True []"]
+
+    def test_no_scipy_on_any_run_path(self, tmp_path):
+        # scipy is a test-only oracle: no scipy module, scipy.special
+        # included, loads on import or in any command
+        chain = TestCalibrate().make_chain(tmp_path)
+        out = ["--output", str(tmp_path / "out.csv")]
+        small = ["--set", "n_paths=2000", "--set", "dt=1"]
+        runs = [["price", *out], ["smile", *out], ["greeks", *out], ["density", *out],
+                [*small, "simulate", *out, "--dump-paths", str(tmp_path / "paths.csv")],
+                [*small, "--set", "tau_grid=0,1,5", "stats", *out],
+                ["--set", "sigma0_annual=0.1655", "--set", "maturity_days=10",
+                 "calibrate", *out, "--quotes", str(chain),
+                 "--repricing", str(tmp_path / "reprice.csv")]]
+        script = "\n".join([
+            "import sys",
+            "import expouvol.cli",
+            "def scipy_mods():",
+            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]",
+            "print(repr(('import', scipy_mods())))",
+            f"for argv in {runs!r}:",
+            "    code = expouvol.cli.main(argv)",
+            "    print(repr((argv[argv.index('--output') - 1], code, scipy_mods())))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [repr(("import", []))] + [
+            repr((cmd, 0, [])) for cmd in ("price", "smile", "greeks", "density",
+                                           "simulate", "stats", "calibrate")]

@@ -3,10 +3,12 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
 
 from expouvol import (
     ExpansionCoeffs,
@@ -24,6 +26,7 @@ from expouvol import (
 )
 from oracles import (bs_call_quadrature, central_diff, component_integral,
                      expou_call_assembled)
+from expouvol.pricing import _MAXLOG, _erfc
 from expouvol.risk_neutral import MartingaleParams
 
 # The moneyness grid of the CLI defaults, as strikes at spot 100.
@@ -52,6 +55,70 @@ class TestNormal:
         for d in (-1.5, 0.0, 0.9):
             fd = central_diff(norm_cdf, d, 1e-6)
             assert norm_pdf(d) == pytest.approx(fd, abs=1e-9)
+
+    def test_cdf_keeps_scalar_and_array_shapes(self):
+        assert type(norm_cdf(0.3)) is float
+        assert type(norm_cdf(np.float64(-9.0))) is float
+        assert type(norm_cdf(np.array(1.5))) is float
+        d = np.linspace(-12.0, 12.0, 24).reshape(2, 3, 4)
+        got = norm_cdf(d)
+        assert got.shape == (2, 3, 4)
+        assert got.tolist() == [[[norm_cdf(v) for v in r] for r in m] for m in d]
+        assert norm_cdf(np.empty((0, 3))).shape == (0, 3)
+
+
+class TestErfcPort:
+    """``pricing._erfc`` is scipy.special.erfc bit for bit; scipy is the oracle here only."""
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @staticmethod
+    def assert_identical(x):
+        x = np.asarray(x, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy RuntimeWarning for any input
+            got = _erfc(x)
+        want = scipy_erfc(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_dense_grid(self):
+        self.assert_identical(np.linspace(-40.0, 40.0, 800_001))
+
+    def test_branch_points_and_neighbours(self):
+        edges = np.array([1.0, 8.0, math.sqrt(_MAXLOG)])
+        edges = np.concatenate([edges, -edges])
+        up, down = np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)
+        self.assert_identical(np.concatenate(
+            [edges, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf)]))
+
+    def test_special_values(self):
+        special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                   5e-324, -5e-324, 26.65, -26.65, 1e300, -1e300, 1.4e154, -1.4e154]
+        self.assert_identical(special)
+        for v in special:
+            self.assert_identical(v)
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(2008)
+        self.assert_identical(4.0 * rng.standard_normal(200_000))
+        self.assert_identical(rng.standard_cauchy(200_000))
+
+    def test_shapes(self):
+        self.assert_identical(np.linspace(-30.0, 30.0, 60).reshape(3, 4, 5))
+        self.assert_identical(np.empty((2, 0)))
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=500, deadline=None)
+    def test_any_float(self, x):
+        self.assert_identical(x)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_array(self, xs):
+        self.assert_identical(np.array(xs, dtype=float))
 
 
 class TestBsCall:
