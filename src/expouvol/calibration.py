@@ -3,16 +3,16 @@
 Given fixed physical model parameters and a file of quoted call prices,
 fit the two market-price-of-risk constants (lambda0, lambda1) to mid
 prices by Levenberg-Marquardt (More 1978) on the residuals model - mid of
-``_chain_price``, the pricer ``reprice_quotes`` uses.  The Jacobian is a
-central difference, one-sided where a probe would break alpha + k*lambda1
-> 0.  The damping, of diag(J'J) at its running maximum, goes up 10x after
-a trial step that raises the sum of squares or cannot be priced (that
-bound broken, or the expansion overflowing), down 10x after an accepted
-one.  Steps are clipped to |lambda| <= LAMBDA_BOUND; a parameter on that
-box whose gradient points out of it is held there.
-The quote CSV that load_quotes reads (the package writes none) carries a
-header ``strike,maturity_days,bid,ask`` (mid is computed) or
-``strike,maturity_days,mid``.
+``_chain_price``, which ``reprice_quotes`` shares: one kernel call prices
+every quote at every maturity.  The Jacobian is a central difference,
+one-sided where a probe would break alpha + k*lambda1 > 0.  The damping,
+of diag(J'J) at its running maximum, goes up 10x after a trial step that
+raises the sum of squares or cannot be priced (that bound broken, or the
+expansion overflowing), down 10x after an accepted one.  Steps are
+clipped to |lambda| <= LAMBDA_BOUND; a parameter on that box whose
+gradient points out of it is held there.  The quote CSV that load_quotes
+reads (the package writes none) has the header ``strike,maturity_days,bid,ask``
+(mid computed) or ``strike,maturity_days,mid``; a UTF-8 BOM is skipped.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def load_quotes(path) -> QuoteLoadResult:
     (its message is the reason), are rejected individually with their line
     numbers; a missing or unusable header raises QuoteError outright.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
         reader = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(reader)]
@@ -143,24 +143,17 @@ def y0_from_vol_index(sigma0_annual: float, m: float) -> float:
     return math.log(daily_vol(sigma0_annual) / m)
 
 
-def _chain_specs(quotes, spot: float, r: float) -> list:
-    """(quote indices, OptionSpec over their strikes) per distinct maturity."""
-    strikes = np.array([q.strike for q in quotes])
-    maturities = np.array([q.maturity for q in quotes])
-    groups = [np.flatnonzero(maturities == t) for t in np.unique(maturities)]
-    return [(idx, OptionSpec(spot, strikes[idx], quotes[idx[0]].maturity, r))
-            for idx in groups]
+def _chain_spec(quotes, spot: float, r: float) -> OptionSpec:
+    """One OptionSpec over every quote's strike and maturity, in quote order."""
+    return OptionSpec(spot, np.array([q.strike for q in quotes]),
+                      np.array([q.maturity for q in quotes]), r)
 
 
-def _chain_price(lambda0: float, lambda1: float, chain, p: ModelParams,
+def _chain_price(lambda0: float, lambda1: float, spec: OptionSpec, p: ModelParams,
                  y0: float) -> np.ndarray:
-    """Model prices of a ``_chain_specs`` chain, in quote order."""
+    """Model prices of a ``_chain_spec`` chain, in quote order, from one kernel call."""
     mp = to_martingale(p, RiskAversion(lambda0, lambda1), y0)
-    out = np.empty(sum(idx.size for idx, _ in chain))
-    for idx, spec in chain:
-        coeffs = expansion_coeffs(mp, spec.maturity, spec.rate)
-        out[idx] = _call_prices(spec, mp, coeffs)[4]
-    return out
+    return _call_prices(spec, mp, expansion_coeffs(mp, spec.maturity, spec.rate))[4]
 
 
 def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
@@ -175,10 +168,10 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
     if len(quotes) < 2:
         raise ValueError("underdetermined: need at least 2 quotes for 2 parameters")
     mids = np.array([q.mid for q in quotes])
-    chain = _chain_specs(quotes, spot, r)
+    spec = _chain_spec(quotes, spot, r)
 
     def residuals(x):
-        return _chain_price(x[0], x[1], chain, p, y0) - mids
+        return _chain_price(x[0], x[1], spec, p, y0) - mids
 
     x, f = np.zeros(2), residuals(np.zeros(2))
     scale, damping, jac = np.zeros(2), 1e-3, None
@@ -213,7 +206,6 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
 def reprice_quotes(result: CalibResult, quotes: Sequence[OptionQuote],
                    p: ModelParams, spot: float, r: float, y0: float):
     """Per-quote model prices and residuals at the fitted parameters."""
-    model = _chain_price(result.lambda0, result.lambda1,
-                         _chain_specs(quotes, spot, r), p, y0)
+    model = _chain_price(result.lambda0, result.lambda1, _chain_spec(quotes, spot, r), p, y0)
     return [(q.strike, q.mid, float(mv), float(mv - q.mid))
             for q, mv in zip(quotes, model)]

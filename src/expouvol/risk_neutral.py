@@ -148,7 +148,7 @@ def to_martingale(p: ModelParams, ra: RiskAversion, y0: float) -> MartingalePara
                             z0=y0 + shift)
 
 
-def expansion_coeffs(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeffs:
+def expansion_coeffs(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
     """Expansion coefficients (mu, theta, sigma3, kappa) at maturity t.
 
     With at = alpha_bar*t, e1 = exp(-at), e2 = exp(-2at):
@@ -161,8 +161,16 @@ def expansion_coeffs(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeff
 
     kappa uses the "+" sign on the (1-e2)/2 term: that sign keeps kappa
     nonnegative and is the variant consistent with both the stationary
-    averaging identity and Monte Carlo cumulants.
+    averaging identity and Monte Carlo cumulants.  An array t gives fields
+    of its shape, each lane bit for bit the scalar call at its maturity.
     """
+    ts, lane = np.unique(t, return_inverse=True)
+    cols = np.array([_coeffs(mp, float(ti), r) for ti in ts]).reshape(-1, 4).T
+    return ExpansionCoeffs(*map(_out, cols[:, lane]), maturity=_out(np.asarray(t, float)))
+
+
+def _coeffs(mp: MartingaleParams, t: float, r: float) -> tuple:
+    """(mu, theta, sigma3, kappa) at one maturity t >= 0."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     lam, nu, z0, rho = mp.lam, mp.nu, mp.z0, mp.rho
@@ -175,7 +183,7 @@ def expansion_coeffs(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeff
     sigma3 = ((at - a1) - z0 * (at * e1 - a1)) / (lam**3 * nu**2)
     kappa = ((at + 0.5 * a2 - 2.0 * a1)
              + rho * rho * (at - 2.0 * a1 + at * e1)) / (2.0 * lam**4 * nu**3)
-    return ExpansionCoeffs(mu=mu, theta=theta, sigma3=sigma3, kappa=kappa, maturity=t)
+    return mu, theta, sigma3, kappa
 
 
 def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeffs:
@@ -190,11 +198,10 @@ def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> Expan
 
     The quartic density/price weight is then kappa_hat alone.
     """
-    at_z0 = expansion_coeffs(replace(mp, z0=0.0), t, r)
+    mu, _, sigma3, kappa = _coeffs(replace(mp, z0=0.0), t, r)
     a1 = -math.expm1(-mp.alpha_bar * t)
-    return ExpansionCoeffs(mu=at_z0.mu, theta=0.0, sigma3=at_z0.sigma3,
-                           kappa=at_z0.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3),
-                           maturity=t)
+    return ExpansionCoeffs(mu=mu, theta=0.0, sigma3=sigma3, maturity=t,
+                           kappa=kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3))
 
 
 def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
@@ -308,15 +315,16 @@ def negative_mass_fraction(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> flo
     return float(np.trapezoid(np.minimum(p, 0.0), xs) * -1.0)
 
 
-def regime_warning(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> bool:
+def regime_warning(mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """True when the expansion should not be trusted.
 
     Flags lam < REGIME_MIN_LAMBDA or any Hermite correction weight of the
-    return density exceeding REGIME_MAX_CORRECTION in magnitude.  Purely
+    return density exceeding REGIME_MAX_CORRECTION in magnitude (never at
+    maturity <= 0), lane by lane for array coefficients.  Purely
     diagnostic; operations still compute.
     """
-    if mp.lam < REGIME_MIN_LAMBDA:
-        return True
-    if coeffs.maturity <= 0:
-        return False
-    return max(abs(w) for w in _hermite_weights(mp, coeffs)[1]) > REGIME_MAX_CORRECTION
+    t = np.asarray(coeffs.maturity, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t <= 0 lanes, masked below
+        weights = np.broadcast_arrays(*_hermite_weights(mp, replace(coeffs, maturity=t))[1])
+        big = np.max(np.abs(weights), axis=0) > REGIME_MAX_CORRECTION
+    return _out((mp.lam < REGIME_MIN_LAMBDA) | ((t > 0) & big))

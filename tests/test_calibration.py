@@ -19,7 +19,9 @@ from expouvol import (
     to_martingale,
     y0_from_vol_index,
 )
+from expouvol import calibration, pricing
 from expouvol.calibration import LAMBDA_BOUND, MAX_ITER, QuoteError
+from expouvol.pricing import _call_prices
 
 
 def synthetic_chain(p, lambda0, lambda1, spot, r, y0, strikes, maturity,
@@ -143,6 +145,16 @@ class TestLoadQuotes:
         res = load_quotes(f)
         q = res.quotes[0]
         assert q.bid == q.ask == q.mid == 1.5
+
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        text = "strike,maturity_days,bid,ask\n100,10,1.0,1.2\n105,10,0.5,0.7\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert load_quotes(bom) == load_quotes(plain)
+        assert len(load_quotes(bom).quotes) == 2
 
     def test_bad_header_raises(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -347,3 +359,43 @@ class TestIndependentMinimiser:
         ref = self.reference(quotes, fig_params, 0.0, y0)
         assert abs(res.lambda0 - ref[0]) <= 1e-7
         assert abs(res.lambda1 - ref[1]) <= 1e-7
+
+
+class TestOneKernelCall:
+    """The whole chain is priced by one ``_call_prices`` call per evaluation."""
+
+    def test_chain_price_equals_per_maturity_calls(self, fig_params):
+        y0 = y0_from_vol_index(0.1655, fig_params.m)
+        quotes = six_maturity_chain(fig_params, y0, seed=101)
+        strikes = np.array([q.strike for q in quotes])
+        maturities = np.array([q.maturity for q in quotes])
+        assert len(np.unique(maturities)) == 6
+        spec = calibration._chain_spec(quotes, 100.0, 2e-4)
+        for lambdas in [(1e-3, 1e-3), (-2e-3, 4e-3), (0.0, 0.0)]:
+            mp = to_martingale(fig_params, RiskAversion(*lambdas), y0)
+            ref = np.empty(len(quotes))
+            for t in np.unique(maturities):
+                idx = np.flatnonzero(maturities == t)
+                ref[idx] = _call_prices(OptionSpec(100.0, strikes[idx], float(t), 2e-4), mp,
+                                        expansion_coeffs(mp, float(t), 2e-4))[4]
+            got = calibration._chain_price(*lambdas, spec, fig_params, y0)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_one_erfc_call_per_chain_evaluation(self, fig_params, monkeypatch):
+        y0 = y0_from_vol_index(0.1655, fig_params.m)
+        quotes = six_maturity_chain(fig_params, y0, seed=101)
+        calls = {"erfc": 0, "chain": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(pricing, "_erfc", counted("erfc", pricing._erfc))
+        monkeypatch.setattr(calibration, "_chain_price",
+                            counted("chain", calibration._chain_price))
+        res = calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, y0)
+        assert res.converged
+        assert calls["chain"] > 10
+        assert calls["erfc"] == calls["chain"]

@@ -236,6 +236,16 @@ class TestCalibrate:
         assert parse_csv(out)[1][0][3] == "7"
         assert "line 9: mid must be finite, got inf" in err
 
+    def test_utf8_byte_order_mark_accepted(self, capsys, tmp_path):
+        chain = self.make_chain(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + chain.read_bytes())
+        runs = [run_cli(capsys, "--set", "sigma0_annual=0.1655", "--set", "rate_annual=0.02",
+                        "calibrate", "--quotes", str(path)) for path in (chain, bom)]
+        assert runs[1] == runs[0]
+        assert runs[1][0] == 0 and runs[1][2] == ""
+        assert parse_csv(runs[1][1])[1][0][3] == "7"
+
     def test_requires_vol_index(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         code, _, err = run_cli(capsys, "calibrate", "--quotes", str(chain))

@@ -304,6 +304,21 @@ class TestArrayContract:
         assert delta(spec, fig_mp, co).shape == (2, 3)
         assert expou_put(spec, fig_mp, co).shape == (2, 3)
 
+    def test_two_maturity_spec_equals_scalar_calls(self, fig_mp):
+        mp = dataclasses.replace(fig_mp, z0=0.2)
+        spec = OptionSpec(100, [100, 100], [5, 20], 0)
+        co = expansion_coeffs(mp, spec.maturity, 0.0)
+        pb = expou_call(spec, mp, co)
+        put, dlt = expou_put(spec, mp, co), delta(spec, mp, co)
+        for i, t in enumerate((5.0, 20.0)):
+            one = OptionSpec(100.0, 100.0, t, 0.0)
+            co_t = expansion_coeffs(mp, t, 0.0)
+            ref = expou_call(one, mp, co_t)
+            for field in dataclasses.fields(pb):
+                assert getattr(pb, field.name)[i] == getattr(ref, field.name)
+            assert put[i] == expou_put(one, mp, co_t)
+            assert dlt[i] == delta(one, mp, co_t)
+
 
 class TestKernelProperties:
     from hypothesis import given, settings

@@ -121,6 +121,28 @@ class TestExpansionCoeffs:
         vals = np.array([expansion_coeffs(fig_mp, t, 0.0).sigma3 for t in ts])
         assert np.max(np.abs(np.diff(vals))) < 1e-6
 
+    @pytest.mark.parametrize("t", [[5.0, 20.0, 5.0, 0.0, 20.0, 60.0],
+                                   [[0.0, 5.0, 5.0], [60.0, 5.0, 0.5]], [7.0]])
+    def test_array_t_equals_scalar_calls(self, fig_mp, t):
+        mp = dataclasses.replace(fig_mp, z0=0.3)
+        co = expansion_coeffs(mp, t, 2e-4)
+        t = np.asarray(t)
+        assert co.maturity.shape == t.shape and (co.maturity == t).all()
+        for idx in np.ndindex(t.shape):
+            ref = expansion_coeffs(mp, float(t[idx]), 2e-4)
+            for field in ("mu", "theta", "sigma3", "kappa"):
+                assert getattr(co, field).shape == t.shape
+                assert getattr(co, field)[idx] == getattr(ref, field)
+
+    def test_scalar_t_gives_floats(self, fig_mp):
+        co = expansion_coeffs(fig_mp, np.float64(20.0), 0.0)
+        assert all(type(getattr(co, f.name)) is float for f in dataclasses.fields(co))
+
+    @pytest.mark.parametrize("t", [-1.0, [5.0, -1.0], [[5.0], [-0.5]]])
+    def test_negative_maturity_rejected(self, fig_mp, t):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            expansion_coeffs(fig_mp, t, 0.0)
+
 
 class TestAveragedCoeffs:
     def test_zero_maturity(self, fig_mp):
@@ -339,3 +361,23 @@ class TestRegimeWarning:
         co = ExpansionCoeffs(mu=0.0, theta=0.9 * (2 * fig_mp.m_bar**2 * 20.0),
                              sigma3=0.0, kappa=0.0, maturity=20.0)
         assert regime_warning(fig_mp, co)
+
+    def test_zero_maturity_is_trusted(self, fig_mp):
+        assert regime_warning(fig_mp, expansion_coeffs(fig_mp, 0.0, 0.0)) is False
+
+    @pytest.mark.parametrize("lam_small", [False, True])
+    def test_array_coeffs_flag_lane_by_lane(self, fig_mp, lam_small):
+        mp = dataclasses.replace(fig_mp, m_bar=0.05) if lam_small else fig_mp
+        big = 0.9 * (2 * mp.m_bar**2 * 20.0)
+        lanes = [(0.0, 0.0), (0.0, 20.0), (big, 20.0), (big, 0.0), (0.0, 5.0)]
+        # sigma3 != 0 makes every weight infinite, not NaN, at maturity 0
+        co = ExpansionCoeffs(mu=np.zeros(5), theta=np.array([th for th, _ in lanes]),
+                             sigma3=np.full(5, 1e-6), kappa=np.zeros(5),
+                             maturity=np.array([t for _, t in lanes]))
+        ref = [regime_warning(mp, ExpansionCoeffs(mu=0.0, theta=th, sigma3=1e-6,
+                                                  kappa=0.0, maturity=t))
+               for th, t in lanes]
+        flags = regime_warning(mp, co)
+        assert flags.dtype == bool
+        assert flags.tolist() == ref
+        assert ref == ([True] * 5 if lam_small else [False, False, True, False, False])
