@@ -247,8 +247,8 @@ def cmd_price(cfg: RunConfig, args) -> int:
 
 
 def cmd_smile(cfg: RunConfig, args) -> int:
-    mp, _ = _expansion(cfg)
-    points = smile_curve(mp, expansion_coeffs, cfg.moneyness, _strike_spec(cfg))
+    mp, coeffs = _expansion(cfg)
+    points = smile_curve(_strike_spec(cfg), mp, coeffs)
     vols = ["" if pt.implied_vol_annual is None else _G % pt.implied_vol_annual
             for pt in points]
     _emit("moneyness,implied_vol_annual", (cfg.moneyness, vols), args.output)

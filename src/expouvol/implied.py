@@ -4,19 +4,19 @@ The solver inverts ``bs_call`` for any price inside the no-arbitrage band
 (max(S - K e^{-rT}, 0), S) with a bracketed Newton iteration: Newton steps
 accelerated by the analytic vega, falling back to bisection whenever a
 step leaves the bracket, in lockstep over every lane of a broadcast
-(price, spec).  Volatilities are in daily units internally; smile points
-report annualized values (x sqrt(252)).
+(price, spec).  ``smile_curve`` takes the pricer's (spec, mp, coeffs) and
+inverts the expansion price on every lane.  Volatilities are in daily
+units internally; smile points report annualized values (x sqrt(252)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .model import _check
 from .pricing import OptionSpec, _call_prices, _terms, bs_call, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
 from .units import annualize_vol
@@ -97,37 +97,37 @@ def implied_vol(price: float, spec: OptionSpec) -> float:
 
     Raises
     ------
+    ValueError
+        If (price, spec) broadcast to more than one option.
     ImpliedVolError
         If the price is not finite, violates a no-arbitrage bound, exceeds
         the price at the solver's volatility cap (10 day^(-1/2)), or the
         iteration does not converge within MAX_ITER steps.
     """
     vol, why = _implied_vols(price, spec)
-    if why:
-        raise ImpliedVolError(_FAILURES[int(why) - 1].format(
-            price=price, intrinsic=_intrinsic(spec), spot=spec.spot, max_iter=MAX_ITER))
+    if why.size != 1:
+        raise ValueError(f"implied_vol takes one lane, got {why.size}; see smile_curve")
+    if why.item():
+        raise ImpliedVolError(_FAILURES[why.item() - 1].format(
+            price=np.ravel(price)[0], intrinsic=np.ravel(_intrinsic(spec))[0],
+            spot=np.ravel(spec.spot)[0], max_iter=MAX_ITER))
     return vol.item()
 
 
-def smile_curve(mp: MartingaleParams,
-                coeffs_fn: Callable[[MartingaleParams, float, float], ExpansionCoeffs],
-                moneyness_grid: Sequence[float],
-                spec_template: OptionSpec) -> list[SmilePoint]:
-    """Implied-volatility smile of the expOU price over a moneyness grid.
+def smile_curve(spec: OptionSpec, mp: MartingaleParams,
+                coeffs: ExpansionCoeffs) -> list[SmilePoint]:
+    """Implied-volatility smile of the expansion call price over the lanes of ``spec``.
 
-    The spot is held at ``spec_template.spot`` and the strike set to
-    spot/moneyness for each grid point (the price is homogeneous, so the
-    smile depends on S/K only).  ``coeffs_fn`` maps (mp, maturity, rate)
-    to expansion coefficients, letting callers pick the fixed-z0 or the
-    stationary-averaged variant.  Points whose inversion fails carry
+    Prices ``spec`` as ``expou_call`` does (``coeffs`` at another maturity
+    raise ValueError) and inverts every lane in one solver call.  One point
+    per lane of the broadcast spec, in C order, with moneyness S/K; a scalar
+    spec gives a one-point list.  A point whose inversion fails carries
     ``implied_vol_annual=None`` instead of aborting the curve.
     """
-    _check("moneyness", moneyness_grid)
-    spot, t, r = spec_template.spot, spec_template.maturity, spec_template.rate
-    spec = OptionSpec(spot, [spot / mon for mon in moneyness_grid], t, r)
-    prices = _call_prices(spec, mp, coeffs_fn(mp, t, r))[4]
-    ivs = annualize_vol(_implied_vols(prices, spec)[0]).tolist()
+    prices = _call_prices(spec, mp, coeffs)[4]
+    ivs = annualize_vol(_implied_vols(prices, spec)[0])
+    lanes = np.broadcast_arrays(spec.spot / spec.strike, ivs, prices)
     return [SmilePoint(moneyness=mon,
                        implied_vol_annual=None if math.isnan(iv) else iv,
                        price=price)
-            for mon, iv, price in zip(moneyness_grid, ivs, prices.tolist())]
+            for mon, iv, price in zip(*(lane.ravel().tolist() for lane in lanes))]

@@ -186,7 +186,7 @@ def _coeffs(mp: MartingaleParams, t: float, r: float) -> tuple:
     return mu, theta, sigma3, kappa
 
 
-def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> ExpansionCoeffs:
+def expansion_coeffs_averaged(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
     """Coefficients after averaging z0 over its stationary N(0, beta_bar^2) law.
 
     theta vanishes and sigma3 keeps only its z0-free term, i.e. the
@@ -196,12 +196,11 @@ def expansion_coeffs_averaged(mp: MartingaleParams, t: float, r: float) -> Expan
 
         kappa_hat = { at - (1-e1) + rho^2 [at - 2(1-e1) + at e1] } / (2 lam^4 nu^3).
 
-    The quartic density/price weight is then kappa_hat alone.
+    The quartic weight is then kappa_hat alone; an array t works as in ``expansion_coeffs``.
     """
-    mu, _, sigma3, kappa = _coeffs(replace(mp, z0=0.0), t, r)
-    a1 = -math.expm1(-mp.alpha_bar * t)
-    return ExpansionCoeffs(mu=mu, theta=0.0, sigma3=sigma3, maturity=t,
-                           kappa=kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3))
+    co = expansion_coeffs(replace(mp, z0=0.0), t, r)
+    a1 = -np.vectorize(math.expm1, otypes=[float])(np.multiply(-mp.alpha_bar, t))
+    return replace(co, kappa=_out(co.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3)))
 
 
 def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,

@@ -19,8 +19,6 @@ from expouvol import (
     OptionSpec,
     RiskAversion,
     SimConfig,
-    expansion_coeffs,
-    smile_curve,
     y0_from_vol_index,
 )
 from expouvol.cli import _KEYS, main
@@ -76,10 +74,15 @@ def test_vol_index_rejects_non_finite(sigma0, m, field):
 
 
 @pytest.mark.parametrize("bad", NON_FINITE + NON_POSITIVE)
-def test_smile_moneyness_grid_rejected(bad):
-    mp = MartingaleParams(m_bar=0.0098653, alpha_bar=8.11e-3, k=0.11, rho=-0.4, z0=0.0)
-    with pytest.raises(ValueError, match="^moneyness must be positive and finite"):
-        smile_curve(mp, expansion_coeffs, [0.9, bad, 1.1], OptionSpec(100.0, 100.0, 20.0, 0.0))
+def test_smile_moneyness_grid_rejected(capsys, monkeypatch, bad):
+    # moneyness enters only through the CLI's grid keys; smile_curve takes strikes
+    monkeypatch.delenv("EXPOUVOL_CONFIG", raising=False)
+    for key in ("moneyness_min", "moneyness_max"):
+        code = main(["--set", f"{key}={bad}", "smile"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key} must be positive and finite, got ")
 
 
 NUMERIC_KEYS = sorted(k for k, (_, kind) in _KEYS.items() if kind != "bool")

@@ -78,6 +78,11 @@ class TestSmile:
         # rho < 0: low strikes (high S/K) carry the higher implied vol
         assert float(rows[0][1]) < float(rows[-1][1])
 
+    def test_golden_default_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "smile")
+        assert code == 0
+        assert out == (GOLDEN / "smile_default.csv").read_text()
+
 
 class TestDensity:
     def test_trapezoid_mass(self, capsys):
