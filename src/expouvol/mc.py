@@ -6,10 +6,13 @@ Scheme: the log-volatility is advanced by its exact OU transition
 same-step correlated Gaussian pair xi2 = rho xi1 + sqrt(1-rho^2) xi_perp.
 The parameter type fixes the measure: ModelParams simulate the physical
 measure (m, alpha, Y), MartingaleParams the martingale measure (m_bar,
-alpha_bar, shifted Z).  The pricer (mc_call_prices) takes only the
-latter and streams terminal states; the return statistics
-(mc_return_stats, both statistics from one streaming pass, no return
-panel) take only the former; simulate_paths takes either and stores
+alpha_bar, shifted Z).  One step generator (_steps) advances a block of
+paths and yields each step's log-price increment and log-vol; each of its
+three readers keeps what it reads.  The pricer (mc_call_prices) takes only
+MartingaleParams and adds up the increments to the terminal log-price; the
+return statistics (mc_return_stats, both statistics from one streaming
+pass) take only ModelParams, start from the stationary law and keep one
+block's simple returns at a time; simulate_paths takes either and stores
 whole paths.
 
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
@@ -82,6 +85,8 @@ class SimConfig:
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
         _check("dt", self.dt)
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic mode requires an even n_paths")
 
@@ -193,48 +198,27 @@ def _map_blocks(fn, cfg: SimConfig, block_samples: int = 0):
                 future.cancel()
 
 
-def _block(params, cfg: SimConfig, y0: float, rate: float, b: int, size: int,
-           stationary_start: bool = False, paths=None, keep_returns: bool = False):
-    """Advance block ``b`` of ``size`` paths; return its terminal/trajectory data.
+def _steps(params, cfg: SimConfig, rng: np.random.Generator, y: np.ndarray, rate: float):
+    """Advance one block's paths from log-vol ``y``, one step of dt at a time.
 
-    Returns a dict with the terminal log-price ``x`` always and per-step
-    simple returns ``rets`` (size, n_steps) when keep_returns.  ``paths``,
-    when given, is the (xs, ys) pair of (size, n_steps+1) arrays to fill
-    with the trajectories.
+    Each step draws two normal vectors from ``rng`` (the block's stream)
+    and yields the log-price increment ``dx`` and the new log-vol ``y``;
+    the caller keeps what it reads.
     """
     vol0, rev, k, rho = _coerce(params)
-    dt, n_steps = cfg.dt, cfg.n_steps
+    dt = cfg.dt
     decay = math.exp(-rev * dt)
     sd_ou = math.sqrt(k * k / (2.0 * rev) * -math.expm1(-2.0 * rev * dt))
-    beta = math.sqrt(k * k / (2.0 * rev))
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
     sdt = math.sqrt(dt)
-
-    rng = _block_rng(cfg.seed, b)
-    if stationary_start:
-        y = beta * _normals(rng, size, cfg.antithetic)
-    else:
-        y = np.full(size, float(y0))
-    x = np.zeros(size)
-    rets = None
-    if paths is not None:
-        xs, ys = paths
-        xs[:, 0], ys[:, 0] = x, y
-    if keep_returns:
-        rets = np.empty((size, n_steps))
-    for step in range(n_steps):
-        g1 = _normals(rng, size, cfg.antithetic)
-        gp = _normals(rng, size, cfg.antithetic)
+    for _ in range(cfg.n_steps):
+        g1 = _normals(rng, y.size, cfg.antithetic)
+        gp = _normals(rng, y.size, cfg.antithetic)
         g2 = rho * g1 + rho_perp * gp
         sig = vol0 * np.exp(y)
         dx = (rate - 0.5 * sig * sig) * dt + sig * sdt * g1
-        x = x + dx
         y = y * decay + sd_ou * g2
-        if paths is not None:
-            xs[:, step + 1], ys[:, step + 1] = x, y
-        if keep_returns:
-            rets[:, step] = np.expm1(dx)
-    return {"x": x, "rets": rets}
+        yield dx, y
 
 
 def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> PathEnsemble:
@@ -245,9 +229,12 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
     the log-price drift's risk-free rate (martingale pricing); physical
     diagnostics demean returns, so their drift convention is immaterial.
 
-    Raises ValueError when n_paths*(n_steps+1) exceeds PATH_BUDGET; the
-    streaming estimators (mc_call_prices etc.) handle large runs instead.
+    Raises ValueError when ``y0`` or ``rate`` is not finite, or when
+    n_paths*(n_steps+1) exceeds PATH_BUDGET; the streaming estimators
+    (mc_call_prices etc.) handle large runs instead.
     """
+    _check("y0", y0, positive=False)
+    _check("rate", rate, positive=False)
     if cfg.n_paths * (cfg.n_steps + 1) > PATH_BUDGET:
         raise ValueError(
             f"ensemble of {cfg.n_paths}x{cfg.n_steps + 1} samples exceeds the "
@@ -257,7 +244,11 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
 
     def fill(b, size):
         rows = slice(b * BLOCK, b * BLOCK + size)
-        _block(params, cfg, y0, rate, b, size, paths=(xs[rows], ys[rows]))
+        xs[rows, 0], ys[rows, 0] = 0.0, y0
+        steps = _steps(params, cfg, _block_rng(cfg.seed, b), np.full(size, float(y0)), rate)
+        for i, (dx, y) in enumerate(steps, 1):
+            xs[rows, i] = xs[rows, i - 1] + dx
+            ys[rows, i] = y
 
     for _ in _map_blocks(fill, cfg):
         pass
@@ -294,7 +285,10 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     n = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
 
     def payoff_sums(b, size):
-        growth = np.exp(_block(mp, cfg, mp.z0, r, b, size)["x"])
+        x = np.zeros(size)
+        for dx, _ in _steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, float(mp.z0)), r):
+            x += dx
+        growth = np.exp(x)
         sums = np.empty((2,) + strikes.shape)
         for i in np.ndindex(strikes.shape):
             pay = disc * np.maximum(spots[i] * growth - strikes[i], 0.0)
@@ -436,9 +430,13 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     n_paths, n_all = cfg.n_paths, cfg.n_steps
 
     def weighted_sums(b, size):
-        # no name holds the returns: they are freed before the bootstrap
-        sums = _block_sums(_block(p, cfg, 0.0, 0.0, b, size, stationary_start=True,
-                                  keep_returns=True)["rets"], lags)
+        rng = _block_rng(cfg.seed, b)
+        rets = np.empty((size, n_all))
+        y = math.sqrt(p.beta2) * _normals(rng, size, cfg.antithetic)   # stationary start
+        for i, (dx, _) in enumerate(_steps(p, cfg, rng, y, 0.0)):
+            rets[:, i] = np.expm1(dx)
+        sums = _block_sums(rets, lags)
+        del rets    # freed before the bootstrap
         return _bootstrap_sums(cfg.seed, b, sums)
 
     totals = 0.0

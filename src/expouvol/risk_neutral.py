@@ -118,6 +118,12 @@ class ExpansionCoeffs:
     kappa: float
     maturity: float
 
+    def __post_init__(self):
+        for name in ("mu", "theta", "sigma3", "kappa", "maturity"):
+            _check(name, getattr(self, name), positive=False)
+        if np.any(np.asarray(self.maturity) < 0):
+            raise ValueError(f"maturity must be nonnegative, got {self.maturity}")
+
     @property
     def quartic_weight(self) -> float:
         """Weight of the fourth Hermite term, kappa + theta^2/2."""
@@ -164,6 +170,8 @@ def expansion_coeffs(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
     averaging identity and Monte Carlo cumulants.  An array t gives fields
     of its shape, each lane bit for bit the scalar call at its maturity.
     """
+    _check("t", t, positive=False)
+    _check("r", r, positive=False)
     ts, lane = np.unique(t, return_inverse=True)
     cols = np.array([_coeffs(mp, float(ti), r) for ti in ts]).reshape(-1, 4).T
     return ExpansionCoeffs(*map(_out, cols[:, lane]), maturity=_out(np.asarray(t, float)))
@@ -243,8 +251,6 @@ def char_fn_expanded(mp: MartingaleParams, coeffs: ExpansionCoeffs, omega: float
     phi(omega) = exp(-[i omega mu + m_bar^2 omega^2 t / 2])
                  * [1 - theta w^2 + i rho sigma3 w^3 + (kappa + theta^2/2) w^4]
     """
-    if coeffs.maturity < 0:
-        raise ValueError("t must be nonnegative")
     w = float(omega)
     gauss = cmath.exp(-(1j * w * coeffs.mu + 0.5 * mp.m_bar**2 * w * w * coeffs.maturity))
     poly = (1.0 - coeffs.theta * w**2

@@ -17,7 +17,8 @@ from scipy.integrate import quad
 from scipy.special import chdtrc
 
 from expouvol import hermite_poly
-from expouvol.mc import BLOCK, McEstimate, _block, _block_sizes, _lag_steps
+from expouvol.mc import (BLOCK, McEstimate, _block_rng, _block_sizes, _lag_steps,
+                         _normals, _steps)
 
 
 def bs_call_quadrature(S, K, T, r, vol):
@@ -101,8 +102,12 @@ def terminal_histogram(mp, cfg, n_bins):
     mu = -0.5 * mp.m_bar**2 * t
     half = 6.0 * mp.m_bar * math.sqrt(t)
     edges = np.linspace(mu - half, mu + half, n_bins + 1)
-    counts = sum(np.histogram(_block(mp, cfg, mp.z0, 0.0, b, size)["x"], bins=edges)[0]
-                 for b, size in enumerate(_block_sizes(cfg.n_paths)))
+    counts = 0
+    for b, size in enumerate(_block_sizes(cfg.n_paths)):
+        x = np.zeros(size)
+        for dx, _ in _steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, mp.z0), 0.0):
+            x = x + dx
+        counts = counts + np.histogram(x, bins=edges)[0]
     return edges, counts, counts / (counts.sum() * np.diff(edges))
 
 
@@ -142,9 +147,12 @@ def chi_square_vs_density(edges, counts, pdf, n_total=None, min_expected=5.0):
 
 def _return_panel(p, cfg):
     """The whole (n_paths, n_steps) panel of one-step returns, demeaned."""
-    panel = np.concatenate([
-        _block(p, cfg, 0.0, 0.0, b, size, stationary_start=True, keep_returns=True)["rets"]
-        for b, size in enumerate(_block_sizes(cfg.n_paths))])
+    blocks = []
+    for b, size in enumerate(_block_sizes(cfg.n_paths)):
+        rng = _block_rng(cfg.seed, b)
+        y = math.sqrt(p.beta2) * _normals(rng, size, cfg.antithetic)   # stationary start
+        blocks.append(np.stack([np.expm1(dx) for dx, _ in _steps(p, cfg, rng, y, 0.0)], axis=1))
+    panel = np.concatenate(blocks)
     return panel - panel.mean()
 
 

@@ -50,6 +50,8 @@ class TestConfig:
         dict(n_paths=0), dict(n_steps=0), dict(dt=0.0),
         dict(dt=math.nan), dict(antithetic=True, n_paths=4001),
         dict(dt=math.inf), dict(n_paths=2.5), dict(n_steps=40.0), dict(seed=1.5),
+        dict(antithetic="false"), dict(antithetic=1), dict(antithetic=None),
+        dict(antithetic=np.array([True])),
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -139,6 +141,31 @@ class TestBlockPool:
         monkeypatch.setattr(mc, "_map_blocks", _reverse_map)
         self.assert_same(self.run_all(fig_params, fig_mp), want)
 
+    def test_pricer_reads_the_stored_paths(self, fig_mp):
+        # one engine feeds both readers: the stored terminal log-prices,
+        # reduced per block in block order, give the pricer's bits
+        mp, r = dataclasses.replace(fig_mp, z0=0.3), 1e-4
+        strikes = np.array([90.0, 100.0, 110.0])
+        for antithetic in (False, True):
+            cfg = small_cfg(n_paths=2 * BLOCK + 18, n_steps=8, antithetic=antithetic)
+            est = mc_call_prices(mp, cfg, OptionSpec(100.0, strikes, cfg.horizon, r))
+            x = simulate_paths(mp, cfg, mp.z0, rate=r).x[:, -1]
+            disc = math.exp(-r * cfg.horizon)
+            n = cfg.n_paths // 2 if antithetic else cfg.n_paths
+            total, total_sq = np.zeros(strikes.size), np.zeros(strikes.size)
+            for lo in range(0, cfg.n_paths, BLOCK):
+                growth = np.exp(x[lo: lo + BLOCK])
+                for j, strike in enumerate(strikes):
+                    pay = disc * np.maximum(100.0 * growth - strike, 0.0)
+                    if antithetic:
+                        pay = 0.5 * (pay[0::2] + pay[1::2])
+                    total[j] += pay.sum()
+                    total_sq[j] += (pay * pay).sum()
+            mean = total / n
+            var = np.maximum(0.0, (total_sq - n * mean * mean) / (n - 1))
+            assert np.array_equal(est.value, mean)
+            assert np.array_equal(est.std_error, np.sqrt(var / n))
+
     def calls(self, fig_params, fig_mp, cfg):
         spec = OptionSpec(100.0, [95.0, 105.0], cfg.horizon, 0.0)
         return {"mc_call_prices": lambda: mc_call_prices(fig_mp, cfg, spec),
@@ -156,16 +183,17 @@ class TestBlockPool:
     def test_failing_block_stops_the_run(self, fig_params, fig_mp, monkeypatch, name):
         monkeypatch.setattr(mc, "_n_workers", lambda: 2)
         started = []
-        block = mc._block
+        block_rng = mc._block_rng
 
-        def failing(params, cfg, y0, rate, b, size, **kw):
-            started.append(b)
-            if b == 1:
-                raise RuntimeError("block 1 failed")
-            time.sleep(0.01)
-            return block(params, cfg, y0, rate, b, size, **kw)
+        def failing(seed, b):
+            if b < 1 << 63:     # a path stream, not a bootstrap weight stream
+                started.append(b)
+                if b == 1:
+                    raise RuntimeError("block 1 failed")
+                time.sleep(0.01)
+            return block_rng(seed, b)
 
-        monkeypatch.setattr(mc, "_block", failing)
+        monkeypatch.setattr(mc, "_block_rng", failing)
         call = self.calls(fig_params, fig_mp, small_cfg(n_paths=40 * BLOCK, n_steps=2))[name]
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block 1 failed"):
@@ -305,6 +333,14 @@ class TestGuards:
         cfg = small_cfg(n_paths=300_000, n_steps=200)
         with pytest.raises(ValueError, match="budget"):
             simulate_paths(fig_mp, cfg, 0.0)
+
+    @pytest.mark.parametrize("y0, rate, name", [
+        (math.nan, 0.0, "y0"), (math.inf, 0.0, "y0"), (0.0, math.inf, "rate"),
+        (0.0, -math.inf, "rate"), (0.0, math.nan, "rate"),
+    ])
+    def test_non_finite_start_or_rate(self, fig_mp, y0, rate, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            simulate_paths(fig_mp, small_cfg(n_paths=8, n_steps=2), y0, rate=rate)
 
     def test_return_panel_budget(self, fig_params, monkeypatch):
         # one block's panel, min(n_paths, BLOCK) x n_steps, must fit; the whole run need not

@@ -143,6 +143,30 @@ class TestExpansionCoeffs:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             expansion_coeffs(fig_mp, t, 0.0)
 
+    @pytest.mark.parametrize("fn", [expansion_coeffs, expansion_coeffs_averaged])
+    @pytest.mark.parametrize("t, r, name", [
+        (math.nan, 0.0, "t"), (math.inf, 0.0, "t"), (-math.inf, 0.0, "t"),
+        ([5.0, math.nan], 0.0, "t"), (5.0, math.nan, "r"), (5.0, -math.inf, "r"),
+    ])
+    def test_non_finite_input_rejected(self, fig_mp, fn, t, r, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fn(fig_mp, t, r)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mu", math.nan, "mu must be finite"),
+        ("theta", math.inf, "theta must be finite"),
+        ("sigma3", np.array([0.0, -math.inf]), "sigma3 must be finite"),
+        ("kappa", math.nan, "kappa must be finite"),
+        ("maturity", math.inf, "maturity must be finite"),
+        ("maturity", -5.0, "maturity must be nonnegative"),
+        ("maturity", np.array([1.0, -1.0]), "maturity must be nonnegative"),
+    ])
+    def test_dataclass_rejects_bad_fields(self, field, value, message):
+        fields = dict(mu=0.0, theta=0.0, sigma3=0.0, kappa=0.0, maturity=5.0)
+        ExpansionCoeffs(**fields)
+        with pytest.raises(ValueError, match=message):
+            ExpansionCoeffs(**{**fields, field: value})
+
 
 class TestAveragedCoeffs:
     def test_zero_maturity(self, fig_mp):
