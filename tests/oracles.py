@@ -104,10 +104,8 @@ def terminal_histogram(mp, cfg, n_bins):
     edges = np.linspace(mu - half, mu + half, n_bins + 1)
     counts = 0
     for b, size in enumerate(_block_sizes(cfg.n_paths)):
-        x = np.zeros(size)
-        for dx, _ in _steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, mp.z0), 0.0):
-            x = x + dx
-        counts = counts + np.histogram(x, bins=edges)[0]
+        steps = _steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, mp.z0), 0.0)
+        counts = counts + np.histogram(sum(dx for dx, _ in steps), bins=edges)[0]
     return edges, counts, counts / (counts.sum() * np.diff(edges))
 
 
