@@ -7,26 +7,30 @@ same-step correlated Gaussian pair xi2 = rho xi1 + sqrt(1-rho^2) xi_perp.
 The parameter type fixes the measure: ModelParams simulate the physical
 measure (m, alpha, Y), MartingaleParams the martingale measure (m_bar,
 alpha_bar, shifted Z).  One step generator (_steps) advances a block of
-paths and yields each step's log-price increment and log-vol; each of its
-three readers keeps what it reads.  The pricer (mc_call_prices) takes only
-MartingaleParams and adds up the increments to the terminal log-price; the
-return statistics (mc_return_stats, both statistics from one streaming
-pass) take only ModelParams, start from the stationary law and keep one
-block's simple returns at a time; simulate_paths takes either and stores
-whole paths.
+paths _STEP_CHUNK steps at a time, one numpy call per operation for the
+whole chunk, and yields the chunk's log-price increments and log-vols, one
+row per step, in buffers it reuses for the next chunk; each of its three
+readers keeps what it reads before it asks for the next chunk.  The
+pricer (mc_call_prices) takes only MartingaleParams and adds up the
+increments to the terminal log-price; the return statistics
+(mc_return_stats, both statistics from one streaming pass) take only
+ModelParams, start from the stationary law and keep one block's simple
+returns at a time; simulate_paths takes either and stores whole paths.
 
 Reproducibility: paths are partitioned into fixed blocks of ``BLOCK``
 paths; block ``b`` consumes an independent Philox substream keyed by
-(seed, b), with one standard-normal vector per noise leg per step
-(numpy's ziggurat standard_normal), so each block's draws and per-block
-sums depend only on (seed, b).  The blocks run concurrently on a thread
-pool with one thread per CPU in the process's affinity mask (numpy
-releases the GIL while it fills normals and does array arithmetic), fewer
-for mc_return_stats when PATH_BUDGET cannot hold one return panel per
-thread; each worker computes one block's sums, and the calling thread adds
-them in block-index order.  Floating-point sums are not associative, so it
-is that fixed order, not the order in which blocks finish or the number of
-threads, which makes estimates bit-exact for identical SimConfig.
+(seed, b), with one standard_normal fill per chunk of steps (numpy's
+ziggurat reads the stream in order, so this is the stream of one vector
+per noise leg per step), so each block's draws and per-block sums depend
+only on (seed, b), not on the chunk length.  The blocks run concurrently
+on a thread pool with one thread per CPU in the process's affinity mask
+(numpy releases the GIL while it fills normals and does array
+arithmetic), fewer for mc_return_stats when PATH_BUDGET cannot hold one
+return panel per thread; each worker computes one block's sums, and the
+calling thread adds them in block-index order.  Floating-point sums are
+not associative, so it is that fixed order, not the order in which blocks
+finish or the number of threads, which makes estimates bit-exact for
+identical SimConfig.
 mc_return_stats draws its bootstrap weights (0 or 2, one random bit per
 path and replicate) from a second stream per block, Philox keyed by
 (seed, 2**63 + b), so they never overlap a path stream; the full-sample
@@ -59,6 +63,9 @@ __all__ = [
 ]
 
 BLOCK = 4096
+#: steps a block advances per pass of _steps: one normal fill and one ufunc
+#: call per operation for the whole chunk, on buffers reused by every chunk
+_STEP_CHUNK = 4
 #: bootstrap replicates behind every mc_return_stats standard error
 _N_BOOT = 200
 #: simulate_paths refuses ensembles, and mc_return_stats per-block return
@@ -199,11 +206,18 @@ def _map_blocks(fn, cfg: SimConfig, block_samples: int = 0):
 
 
 def _steps(params, cfg: SimConfig, rng: np.random.Generator, y: np.ndarray, rate: float):
-    """Advance one block's paths from log-vol ``y``, one step of dt at a time.
+    """Advance one block's paths from log-vol ``y``, _STEP_CHUNK steps at a time.
 
-    Each step draws two normal vectors from ``rng`` (the block's stream)
-    and yields the log-price increment ``dx`` and the new log-vol ``y``;
-    the caller keeps what it reads.
+    Each chunk of c steps makes one normal fill of (c, 2, size) from
+    ``rng`` (the block's stream; antithetic mode fills (c, 2, size/2) and
+    mirrors it into the even and odd lanes), which is the stream of two
+    per-step normal vectors, step after step.  It yields ``(dx, ys)``, the
+    (c, size) log-price increments and new log-vols, one row per step; the
+    last chunk may be shorter.  Every element goes through the same IEEE
+    operations, in the same order, as a one-step-at-a-time loop would take,
+    so the bits do not depend on the chunk length.  The yielded arrays are
+    views of buffers reused by the next chunk: a reader consumes them
+    before it advances the generator.
     """
     vol0, rev, k, rho = _coerce(params)
     dt = cfg.dt
@@ -211,14 +225,42 @@ def _steps(params, cfg: SimConfig, rng: np.random.Generator, y: np.ndarray, rate
     sd_ou = math.sqrt(k * k / (2.0 * rev) * -math.expm1(-2.0 * rev * dt))
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
     sdt = math.sqrt(dt)
-    for _ in range(cfg.n_steps):
-        g1 = _normals(rng, y.size, cfg.antithetic)
-        gp = _normals(rng, y.size, cfg.antithetic)
-        g2 = rho * g1 + rho_perp * gp
-        sig = vol0 * np.exp(y)
-        dx = (rate - 0.5 * sig * sig) * dt + sig * sdt * g1
-        y = y * decay + sd_ou * g2
-        yield dx, y
+    n, c = y.size, min(_STEP_CHUNK, cfg.n_steps)
+    g = np.empty((c, 2, n))             # per step: the price leg g1, then gp
+    ys = np.empty((c + 1, n))           # row 0: the log-vol before the chunk
+    sig = np.empty((c, n))
+    dx = np.empty((c, n))
+    ys[0] = y
+    for lo in range(0, cfg.n_steps, c):
+        m = min(c, cfg.n_steps - lo)
+        g1, gp, s, d = g[:m, 0], g[:m, 1], sig[:m], dx[:m]
+        if cfg.antithetic:
+            half = dx.reshape(c, 2, n // 2)[:m]     # dx's buffer is free until dx
+            rng.standard_normal(out=half)
+            g[:m, :, 0::2] = half
+            np.negative(half, out=g[:m, :, 1::2])
+        else:
+            rng.standard_normal(out=g[:m])
+        # gp becomes sd_ou * g2, g2 = rho g1 + rho_perp gp
+        np.multiply(rho_perp, gp, out=gp)
+        np.multiply(rho, g1, out=s)
+        np.add(s, gp, out=gp)
+        np.multiply(sd_ou, gp, out=gp)
+        for j in range(m):
+            np.multiply(ys[j], decay, out=ys[j + 1])
+            np.add(ys[j + 1], gp[j], out=ys[j + 1])
+        # dx = (rate - 0.5 sig sig) dt + sig sdt g1, sig = vol0 e^y before each step
+        np.exp(ys[:m], out=s)
+        np.multiply(vol0, s, out=s)
+        np.multiply(0.5, s, out=d)
+        np.multiply(d, s, out=d)
+        np.subtract(rate, d, out=d)
+        np.multiply(d, dt, out=d)
+        np.multiply(s, sdt, out=s)
+        np.multiply(s, g1, out=s)
+        np.add(d, s, out=d)
+        yield d, ys[1:m + 1]
+        ys[0] = ys[m]
 
 
 def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> PathEnsemble:
@@ -246,9 +288,12 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
         rows = slice(b * BLOCK, b * BLOCK + size)
         xs[rows, 0], ys[rows, 0] = 0.0, y0
         steps = _steps(params, cfg, _block_rng(cfg.seed, b), np.full(size, float(y0)), rate)
-        for i, (dx, y) in enumerate(steps, 1):
-            xs[rows, i] = xs[rows, i - 1] + dx
-            ys[rows, i] = y
+        i = 1
+        for dx, y in steps:
+            for dx_i, y_i in zip(dx, y):
+                xs[rows, i] = xs[rows, i - 1] + dx_i
+                ys[rows, i] = y_i
+                i += 1
 
     for _ in _map_blocks(fill, cfg):
         pass
@@ -287,7 +332,8 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     def payoff_sums(b, size):
         x = np.zeros(size)
         for dx, _ in _steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, float(mp.z0)), r):
-            x += dx
+            for dx_i in dx:     # row by row: the order of the sum
+                x += dx_i
         growth = np.exp(x)
         sums = np.empty((2,) + strikes.shape)
         for i in np.ndindex(strikes.shape):
@@ -433,8 +479,10 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
         rng = _block_rng(cfg.seed, b)
         rets = np.empty((size, n_all))
         y = math.sqrt(p.beta2) * _normals(rng, size, cfg.antithetic)   # stationary start
-        for i, (dx, _) in enumerate(_steps(p, cfg, rng, y, 0.0)):
-            rets[:, i] = np.expm1(dx)
+        i = 0
+        for dx, _ in _steps(p, cfg, rng, y, 0.0):
+            rets[:, i:i + len(dx)] = np.expm1(dx, out=dx).T
+            i += len(dx)
         sums = _block_sums(rets, lags)
         del rets    # freed before the bootstrap
         return _bootstrap_sums(cfg.seed, b, sums)

@@ -98,6 +98,8 @@ def ou_conditional_moments(p: ModelParams, y0: float, t):
     mean = y0 exp(-alpha t), variance = (k^2/2alpha)(1 - exp(-2 alpha t)).
     The variance grows monotonically from 0 to beta^2.
     """
+    _check("y0", y0, positive=False)
+    _check("t", t, positive=False)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
@@ -121,11 +123,10 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
     sigma0 : float
         Initial volatility, > 0.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
+    _check("sigma", sigma)
     _check("sigma0", sigma0)
     _check("t", t)
+    sigma = np.asarray(sigma, dtype=float)
     decay = math.exp(-p.alpha * t)
     var = p.beta2 * (1.0 - decay * decay)
     z = np.log(sigma / p.m) - decay * math.log(sigma0 / p.m)
@@ -135,9 +136,8 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
 
 def vol_stationary_pdf(p: ModelParams, sigma):
     """Stationary volatility density: lognormal with median m, log-scale beta."""
+    _check("sigma", sigma)
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
     b2 = p.beta2
     z = np.log(sigma / p.m)
     pdf = np.exp(-z * z / (2.0 * b2)) / (sigma * math.sqrt(2.0 * math.pi * b2))
@@ -153,6 +153,7 @@ def squared_return_autocorr(p: ModelParams, tau):
     Decays through a cascade of exponentials exp(-n alpha tau); the lag-0
     value is below 1/3 and the large-lag tail is a single exponential.
     """
+    _check("tau", tau, positive=False)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be nonnegative")
@@ -170,6 +171,7 @@ def leverage(p: ModelParams, tau):
     for tau >= 0.  The sign is the sign of rho; the decay rate is k^2 for
     alpha*tau << 1 and alpha for alpha*tau >> 1.
     """
+    _check("tau", tau, positive=False)
     tau = np.asarray(tau, dtype=float)
     b2 = p.beta2
     amp = 2.0 * p.rho * p.k / p.m

@@ -7,7 +7,9 @@ through its own scalar single-expression formula.  The return statistics
 have the whole-panel estimators that mc_return_stats replaced (with the
 same double-or-nothing bootstrap weights, and with the earlier
 multinomial bootstrap), and the Monte Carlo terminal-return histogram a
-Pearson goodness-of-fit test against a density.
+Pearson goodness-of-fit test against a density.  Both Monte Carlo oracles
+run their own stepper, one step and two normal draws at a time, which
+mc._steps must match bit for bit.
 """
 
 import math
@@ -17,8 +19,7 @@ from scipy.integrate import quad
 from scipy.special import chdtrc
 
 from expouvol import hermite_poly
-from expouvol.mc import (BLOCK, McEstimate, _block_rng, _block_sizes, _lag_steps,
-                         _normals, _steps)
+from expouvol.mc import BLOCK, McEstimate, _block_rng, _block_sizes, _coerce, _lag_steps
 
 
 def bs_call_quadrature(S, K, T, r, vol):
@@ -91,6 +92,39 @@ def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def _normals(rng, size, antithetic):
+    if not antithetic:
+        return rng.standard_normal(size)
+    half = rng.standard_normal(size // 2)
+    g = np.empty(size)
+    g[0::2] = half
+    g[1::2] = -half
+    return g
+
+
+def reference_steps(params, cfg, rng, y, rate):
+    """The Monte Carlo scheme one step at a time: yields (dx, y) per step.
+
+    Each step draws the price leg g1, then gp, from ``rng`` (one vector
+    each, antithetic pairs mirrored), exactly the stream mc._steps reads
+    a chunk at a time.
+    """
+    vol0, rev, k, rho = _coerce(params)
+    dt = cfg.dt
+    decay = math.exp(-rev * dt)
+    sd_ou = math.sqrt(k * k / (2.0 * rev) * -math.expm1(-2.0 * rev * dt))
+    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
+    sdt = math.sqrt(dt)
+    for _ in range(cfg.n_steps):
+        g1 = _normals(rng, y.size, cfg.antithetic)
+        gp = _normals(rng, y.size, cfg.antithetic)
+        g2 = rho * g1 + rho_perp * gp
+        sig = vol0 * np.exp(y)
+        dx = (rate - 0.5 * sig * sig) * dt + sig * sdt * g1
+        y = y * decay + sd_ou * g2
+        yield dx, y
+
+
 def terminal_histogram(mp, cfg, n_bins):
     """Histogram of the martingale-measure terminal log-return X(horizon), from mp.z0.
 
@@ -104,7 +138,7 @@ def terminal_histogram(mp, cfg, n_bins):
     edges = np.linspace(mu - half, mu + half, n_bins + 1)
     counts = 0
     for b, size in enumerate(_block_sizes(cfg.n_paths)):
-        steps = _steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, mp.z0), 0.0)
+        steps = reference_steps(mp, cfg, _block_rng(cfg.seed, b), np.full(size, mp.z0), 0.0)
         counts = counts + np.histogram(sum(dx for dx, _ in steps), bins=edges)[0]
     return edges, counts, counts / (counts.sum() * np.diff(edges))
 
@@ -149,7 +183,8 @@ def _return_panel(p, cfg):
     for b, size in enumerate(_block_sizes(cfg.n_paths)):
         rng = _block_rng(cfg.seed, b)
         y = math.sqrt(p.beta2) * _normals(rng, size, cfg.antithetic)   # stationary start
-        blocks.append(np.stack([np.expm1(dx) for dx, _ in _steps(p, cfg, rng, y, 0.0)], axis=1))
+        steps = reference_steps(p, cfg, rng, y, 0.0)
+        blocks.append(np.stack([np.expm1(dx) for dx, _ in steps], axis=1))
     panel = np.concatenate(blocks)
     return panel - panel.mean()
 

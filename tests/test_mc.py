@@ -33,6 +33,7 @@ from expouvol.mc import BLOCK
 from expouvol.risk_neutral import MartingaleParams
 from oracles import (
     chi_square_vs_density,
+    reference_steps,
     return_stats_full_panel,
     return_stats_multinomial,
     terminal_histogram,
@@ -255,6 +256,83 @@ class TestBlockPool:
         mc_return_stats(fig_params, cfg, [0.25], [0.25])
         mc_call_prices(fig_mp, cfg, OptionSpec(100.0, 100.0, cfg.horizon, 0.0))
         assert pools == [3, 8]
+
+
+class _CountingRng:
+    """A block stream that records each normal fill it makes."""
+
+    def __init__(self, rng, fills):
+        self._rng, self._fills = rng, fills
+
+    def standard_normal(self, *args, **kwargs):
+        self._fills.append(1)
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestStepChunks:
+    """_steps advances _STEP_CHUNK steps per pass with the draws and the
+    bits of the one-step reference stepper."""
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("measure", ["physical", "martingale"])
+    def test_chunks_equal_the_reference_stepper(self, fig_params, fig_mp, n_steps,
+                                                antithetic, measure):
+        params = fig_params if measure == "physical" else fig_mp
+        cfg = small_cfg(n_paths=1002, n_steps=n_steps, antithetic=antithetic)
+        y = np.linspace(-0.8, 0.8, cfg.n_paths)
+        rng = mc._block_rng(cfg.seed, 1)
+        dx, ys = [], []
+        for d, yy in mc._steps(params, cfg, rng, y.copy(), 1e-4):
+            assert 1 <= len(d) <= mc._STEP_CHUNK and d.shape == yy.shape
+            dx.append(d.copy())
+            ys.append(yy.copy())
+        ref_rng = mc._block_rng(cfg.seed, 1)
+        want = list(reference_steps(params, cfg, ref_rng, y.copy(), 1e-4))
+        assert np.array_equal(np.concatenate(dx), np.stack([d for d, _ in want]))
+        assert np.array_equal(np.concatenate(ys), np.stack([yy for _, yy in want]))
+        # the same stream, read to the same point
+        assert rng.bytes(64) == ref_rng.bytes(64)
+
+    @pytest.mark.parametrize("name", ["mc_call_prices", "mc_return_stats", "simulate_paths"])
+    def test_one_normal_fill_per_chunk(self, fig_params, fig_mp, monkeypatch, name):
+        fills = {}
+        block_rng = mc._block_rng
+
+        def counting(seed, b):
+            if b >= 1 << 63:    # a bootstrap weight stream draws no normals
+                return block_rng(seed, b)
+            return _CountingRng(block_rng(seed, b), fills.setdefault(b, []))
+
+        monkeypatch.setattr(mc, "_block_rng", counting)
+        for n_steps in (2, 4, 9):
+            fills.clear()
+            cfg = small_cfg(n_paths=BLOCK + 10, n_steps=n_steps, antithetic=True)
+            TestBlockPool().calls(fig_params, fig_mp, cfg)[name]()
+            start = name == "mc_return_stats"      # the stationary start
+            want = -(-n_steps // mc._STEP_CHUNK) + start
+            assert {b: len(f) for b, f in fills.items()} == {0: want, 1: want}
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_working_set_of_one_block(self, fig_mp, antithetic):
+        # the draws (2 rows a step), sig and dx (1 each) and the log-vols
+        # (1 more than the chunk), allocated once per block: a chunk of 8
+        # cost 5.6% of mc_price's peak RSS on 2 threads, over its 5% bound
+        rows = 5 * mc._STEP_CHUNK + 1
+        assert rows <= 21
+        cfg = small_cfg(n_paths=BLOCK, n_steps=41, antithetic=antithetic)
+        rng = mc._block_rng(cfg.seed, 0)   # numpy's first generator caches its own tables
+        tracemalloc.start()
+        try:
+            for _ in mc._steps(fig_mp, cfg, rng, np.zeros(BLOCK), 0.0):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * rows * BLOCK * 8
 
 
 class TestScheme:

@@ -115,6 +115,29 @@ class TestVolDensities:
             vol_stationary_pdf(fig_params, 0.0)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("call, name", [
+        (lambda p: ou_conditional_moments(p, math.nan, 5.0), "y0"),
+        (lambda p: ou_conditional_moments(p, [0.1, math.inf], 5.0), "y0"),
+        (lambda p: ou_conditional_moments(p, 0.1, math.nan), "t"),
+        (lambda p: ou_conditional_moments(p, 0.1, [1.0, math.inf]), "t"),
+        (lambda p: squared_return_autocorr(p, math.nan), "tau"),
+        (lambda p: squared_return_autocorr(p, [0.0, math.inf]), "tau"),
+        (lambda p: leverage(p, math.nan), "tau"),
+        (lambda p: leverage(p, -math.inf), "tau"),
+        (lambda p: vol_stationary_pdf(p, math.nan), "sigma"),
+        (lambda p: vol_stationary_pdf(p, [0.01, math.inf]), "sigma"),
+        (lambda p: vol_conditional_pdf(p, math.nan, 5.0, 0.01), "sigma"),
+    ])
+    def test_rejected_by_name(self, fig_params, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(fig_params)
+
+    def test_signed_inputs_accepted(self, fig_params):
+        assert ou_conditional_moments(fig_params, -0.7, 0.0) == (-0.7, 0.0)
+        assert leverage(fig_params, -1e300) == 0.0
+
+
 class TestSquaredReturnAutocorr:
     def test_lag_zero(self, fig_params):
         b2 = fig_params.beta2
