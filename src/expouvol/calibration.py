@@ -99,40 +99,48 @@ def load_quotes(path) -> QuoteLoadResult:
 
     Rows with missing or non-numeric fields, or that OptionQuote refuses
     (its message is the reason), are rejected individually with their line
-    numbers; a missing or unusable header raises QuoteError outright.
+    numbers; a missing or unusable header, or bytes that are not UTF-8,
+    raise QuoteError outright.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
-        reader = csv.reader(fh)
         try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise QuoteError(f"{path}: empty file") from None
-        if header[:2] != ["strike", "maturity_days"]:
-            raise QuoteError(f"{path}: header must start with strike,maturity_days")
-        if header[2:] not in (["bid", "ask"], ["mid"]):
-            raise QuoteError(f"{path}: columns after maturity_days must be bid,ask or mid")
-        mid_only = header[2:] == ["mid"]
+            return _read_quotes(path, csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise QuoteError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-        quotes, rejects = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                vals = [float(c) for c in row]
-            except ValueError:
-                rejects.append((line_no, "non-numeric field"))
-                continue
-            if len(vals) != len(header):
-                rejects.append((line_no, f"expected {len(header)} fields, got {len(vals)}"))
-                continue
-            strike, mat, bid = vals[:3]
-            ask = bid if mid_only else vals[3]
-            mid = bid if mid_only else 0.5 * (bid + ask)
-            try:
-                quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid,
-                                          ask=ask, mid=mid))
-            except ValueError as exc:
-                rejects.append((line_no, str(exc)))
+
+def _read_quotes(path, reader) -> QuoteLoadResult:
+    """The rows of load_quotes' reader, checked header first."""
+    try:
+        header = [h.strip().lower() for h in next(reader)]
+    except StopIteration:
+        raise QuoteError(f"{path}: empty file") from None
+    if header[:2] != ["strike", "maturity_days"]:
+        raise QuoteError(f"{path}: header must start with strike,maturity_days")
+    if header[2:] not in (["bid", "ask"], ["mid"]):
+        raise QuoteError(f"{path}: columns after maturity_days must be bid,ask or mid")
+    mid_only = header[2:] == ["mid"]
+
+    quotes, rejects = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            vals = [float(c) for c in row]
+        except ValueError:
+            rejects.append((line_no, "non-numeric field"))
+            continue
+        if len(vals) != len(header):
+            rejects.append((line_no, f"expected {len(header)} fields, got {len(vals)}"))
+            continue
+        strike, mat, bid = vals[:3]
+        ask = bid if mid_only else vals[3]
+        mid = bid if mid_only else 0.5 * (bid + ask)
+        try:
+            quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid,
+                                      ask=ask, mid=mid))
+        except ValueError as exc:
+            rejects.append((line_no, str(exc)))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 

@@ -110,15 +110,19 @@ class RunConfig:
 
 def _parse_kv_file(path: str) -> dict:
     raw = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, val = (part.strip() for part in stripped.split("=", 1))
-            raw[key] = val
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, val = (part.strip() for part in stripped.split("=", 1))
+        raw[key] = val
     return raw
 
 

@@ -71,8 +71,9 @@ _N_BOOT = 200
 #: simulate_paths refuses ensembles, and mc_return_stats per-block return
 #: panels, beyond this many samples; mc_call_prices streams and has no limit.
 PATH_BUDGET = 25_000_000
-#: working-set size of one chunk of the per-block bootstrap reduction
-_CHUNK_BYTES = 1 << 20
+#: bytes of one row chunk in the per-block stats reductions: the r*r
+#: scratch of _block_sums and the bootstrap weights of _bootstrap_sums
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -371,30 +372,61 @@ def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
 #: (p, q) powers of the pair sums sum a^p b^q kept per lag; (0, 0) is the
 #: weighted pair count, which follows from the weight row.
 _PAIR_POWERS = [(p, q) for p in range(3) for q in range(3) if p or q]
+#: at lag 0 a = b, and these pair sums are single-sum rows bit for bit:
+#: a window sum less an empty sum (x - 0.0 = x), the same dot as row 3 (its
+#: arguments swapped) and row 4.  Only sum a b, a dot, needs its own row.
+_LAG0_ROWS = {(0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 2): 3, (2, 0): 2, (2, 1): 3, (2, 2): 4}
 
 
-def _raw_sums(r: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """Per-path raw sums of one block of returns, one row per sum.
+def _sum_rows(lags: Sequence[int]):
+    """The row layout of _raw_sums: (rows, n_sums).
 
-    Row 0 is each path's weight 1, rows 1-4 are sum r^p over every step,
-    then each lag l adds sum a^p b^q for (p, q) in _PAIR_POWERS over the
-    pairs a = r(t), b = r(t+l).  Window sums (a or b alone) are the full
-    sums less the l edge steps the window leaves out.
+    ``rows[i]`` lists the row of sum a^p b^q for each (p, q) in _PAIR_POWERS
+    at ``lags[i]``.  Rows 0-4 are the single sums; a lag l > 0 adds
+    len(_PAIR_POWERS) rows, and lag 0 adds one (_LAG0_ROWS).
+    """
+    rows, n_sums = [], 5
+    for lag in lags:
+        if lag:
+            rows.append(list(range(n_sums, n_sums + len(_PAIR_POWERS))))
+            n_sums += len(_PAIR_POWERS)
+        else:
+            rows.append([_LAG0_ROWS.get(pq, n_sums) for pq in _PAIR_POWERS])
+            n_sums += 1
+    return rows, n_sums
+
+
+def _raw_sums(r: np.ndarray, lag_rows, out: np.ndarray, sq: np.ndarray) -> None:
+    """Write the per-path raw sums of a chunk of returns into ``out``.
+
+    ``out`` is (n_sums, paths), one row per sum, laid out as _sum_rows
+    gives ``lag_rows`` = zip(lags, rows); ``sq`` (the shape of ``r``)
+    receives r*r.  Row 0 is each path's weight 1, rows 1-4 are sum r,
+    sum r^2, sum r^2 r and sum r^2 r^2 over every step, and each lag l
+    has sum a^p b^q for (p, q) in _PAIR_POWERS over the pairs a = r(t),
+    b = r(t+l).  Window sums (a or b alone) are the full sums less the l
+    edge steps the window leaves out.  Every row is written with out=, so
+    the chunk allocates nothing the size of its returns.
     """
     n = r.shape[1]
-    pw = [None, r, r * r]
-    full = [None, pw[1].sum(axis=1), pw[2].sum(axis=1)]
-    rows = [np.ones(r.shape[0]), full[1], full[2],
-            np.vecdot(pw[2], pw[1]), np.vecdot(pw[2], pw[2])]
-    for lag in lags:
-        for p, q in _PAIR_POWERS:
+    pw = [None, r, np.multiply(r, r, out=sq)]
+    out[0] = 1.0
+    np.sum(pw[1], axis=1, out=out[1])
+    np.sum(pw[2], axis=1, out=out[2])
+    np.vecdot(pw[2], pw[1], out=out[3])
+    np.vecdot(pw[2], pw[2], out=out[4])
+    for lag, rows in lag_rows:
+        for (p, q), i in zip(_PAIR_POWERS, rows):
+            if i < 5:           # lag 0 shares a single sum
+                continue
             if p and q:
-                rows.append(np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:]))
+                np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:], out=out[i])
             elif p:
-                rows.append(full[p] - pw[p][:, n - lag:].sum(axis=1))
+                np.sum(pw[p][:, n - lag:], axis=1, out=out[i])
+                np.subtract(out[p], out[i], out=out[i])
             else:
-                rows.append(full[q] - pw[q][:, :lag].sum(axis=1))
-    return np.stack(rows)
+                np.sum(pw[q][:, :lag], axis=1, out=out[i])
+                np.subtract(out[q], out[i], out=out[i])
 
 
 def _chunks(n_rows: int, width: int):
@@ -404,10 +436,19 @@ def _chunks(n_rows: int, width: int):
 
 
 def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """_raw_sums of a block's returns, computed on row chunks: each path's
-    sums use only its own row, so the values are those of one whole call."""
-    return np.concatenate([_raw_sums(rets[rows], lags) for rows in _chunks(*rets.shape)],
-                          axis=1)
+    """_raw_sums of a block's returns, written chunk by chunk into one
+    (n_sums, size) array, with one r*r scratch shared by every chunk.  Each
+    path's sums use only its own row, so the values are those of one
+    whole call."""
+    rows, n_sums = _sum_rows(lags)
+    lag_rows = list(zip(lags, rows))
+    chunks = _chunks(*rets.shape)
+    sums = np.empty((n_sums, rets.shape[0]))
+    sq = np.empty_like(rets[chunks[0]])
+    for c in chunks:
+        r = rets[c]
+        _raw_sums(r, lag_rows, sums[:, c], sq[:len(r)])
+    return sums
 
 
 def _bootstrap_sums(seed: int, block: int, sums: np.ndarray) -> np.ndarray:
@@ -454,10 +495,10 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     One pass, at most one block's return panel per worker, and at most
     PATH_BUDGET returns in the panels of all running blocks together: each
     block's per-path raw sums (powers of r and lagged pair products, see
-    _raw_sums) are reduced at once against the block's
-    bootstrap weights (_bootstrap_sums: row 0 all ones, then _N_BOOT rows of
-    0/2 weights from Philox keyed by (seed, 2**63 + block)), and the block
-    totals are added in block order.  After the last block, mu =
+    _raw_sums, in the rows _sum_rows lays out) are reduced at once against
+    the block's bootstrap weights (_bootstrap_sums: row 0 all ones, then
+    _N_BOOT rows of 0/2 weights from Philox keyed by (seed, 2**63 + block)),
+    and the block totals are added in block order.  After the last block, mu =
     sum r / (n_paths n_steps) is the full-sample mean, and every demeaned sum
     follows exactly from the raw ones by binomial expansion in that fixed mu.
     Each replicate uses its own weight sum in place of n_paths; the standard
@@ -483,6 +524,7 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
         for dx, _ in _steps(p, cfg, rng, y, 0.0):
             rets[:, i:i + len(dx)] = np.expm1(dx, out=dx).T
             i += len(dx)
+        del dx, _   # the last chunk's views hold the engine's buffers
         sums = _block_sums(rets, lags)
         del rets    # freed before the bootstrap
         return _bootstrap_sums(cfg.seed, b, sums)
@@ -498,9 +540,10 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     mean2 = _centered(single, mu, 2, 0) / (n_w * n_all)
     mean4 = _centered(single, mu, 4, 0) / (n_w * n_all)
 
+    rows, _ = _sum_rows(lags)
+
     def pair_sums(lag):
-        lo = 5 + len(_PAIR_POWERS) * lags.index(lag)
-        raw = dict(zip(_PAIR_POWERS, totals[:, lo: lo + len(_PAIR_POWERS)].T))
+        raw = dict(zip(_PAIR_POWERS, totals[:, rows[lags.index(lag)]].T))
         raw[0, 0] = n_w * (n_all - lag)
         return raw
 

@@ -9,7 +9,9 @@ same double-or-nothing bootstrap weights, and with the earlier
 multinomial bootstrap), and the Monte Carlo terminal-return histogram a
 Pearson goodness-of-fit test against a density.  Both Monte Carlo oracles
 run their own stepper, one step and two normal draws at a time, which
-mc._steps must match bit for bit.
+mc._steps must match bit for bit.  The per-path raw sums of one stats
+block have their earlier form, one list of rows per chunk stacked and
+concatenated, which mc._block_sums must match bit for bit.
 """
 
 import math
@@ -19,7 +21,8 @@ from scipy.integrate import quad
 from scipy.special import chdtrc
 
 from expouvol import hermite_poly
-from expouvol.mc import BLOCK, McEstimate, _block_rng, _block_sizes, _coerce, _lag_steps
+from expouvol.mc import (BLOCK, McEstimate, _PAIR_POWERS, _block_rng, _block_sizes, _coerce,
+                         _lag_steps)
 
 
 def bs_call_quadrature(S, K, T, r, vol):
@@ -175,6 +178,39 @@ def chi_square_vs_density(edges, counts, pdf, n_total=None, min_expected=5.0):
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = max(1, obs.size - 1)
     return stat, float(chdtrc(dof, stat)), dof
+
+
+def reference_raw_sums(r, lags):
+    """Per-path raw sums of one block of returns, one row per sum.
+
+    Row 0 is each path's weight 1, rows 1-4 are sum r^p over every step,
+    then each lag l adds sum a^p b^q for (p, q) in _PAIR_POWERS over the
+    pairs a = r(t), b = r(t+l).  Window sums (a or b alone) are the full
+    sums less the l edge steps the window leaves out.
+    """
+    n = r.shape[1]
+    pw = [None, r, r * r]
+    full = [None, pw[1].sum(axis=1), pw[2].sum(axis=1)]
+    rows = [np.ones(r.shape[0]), full[1], full[2],
+            np.vecdot(pw[2], pw[1]), np.vecdot(pw[2], pw[2])]
+    for lag in lags:
+        for p, q in _PAIR_POWERS:
+            if p and q:
+                rows.append(np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:]))
+            elif p:
+                rows.append(full[p] - pw[p][:, n - lag:].sum(axis=1))
+            else:
+                rows.append(full[q] - pw[q][:, :lag].sum(axis=1))
+    return np.stack(rows)
+
+
+def reference_block_sums(rets, lags, chunk_bytes=1 << 20):
+    """reference_raw_sums of a block's returns, computed on row chunks of
+    about ``chunk_bytes``: each path's sums use only its own row, so the
+    values are those of one whole call."""
+    step = max(1, chunk_bytes // (8 * rets.shape[1]))
+    return np.concatenate([reference_raw_sums(rets[lo: lo + step], lags)
+                           for lo in range(0, rets.shape[0], step)], axis=1)
 
 
 def _return_panel(p, cfg):

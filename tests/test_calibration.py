@@ -156,6 +156,14 @@ class TestLoadQuotes:
         assert load_quotes(bom) == load_quotes(plain)
         assert len(load_quotes(bom).quotes) == 2
 
+    @pytest.mark.parametrize("data", [b"strike,maturity_days,mid\n100,10,1.5\xff\n",
+                                      b"\xff\xfes\x00t\x00"])       # UTF-16
+    def test_bytes_not_utf8_raise(self, tmp_path, data):
+        f = tmp_path / "q.csv"
+        f.write_bytes(data)
+        with pytest.raises(QuoteError, match="not UTF-8 text"):
+            load_quotes(f)
+
     def test_bad_header_raises(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text("k,t,b,a\n100,10,1.0,1.2\n")

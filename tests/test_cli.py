@@ -251,6 +251,17 @@ class TestCalibrate:
         assert runs[1][0] == 0 and runs[1][2] == ""
         assert parse_csv(runs[1][1])[1][0][3] == "7"
 
+    def test_quotes_not_utf8_exit_2(self, capsys, tmp_path):
+        chain = self.make_chain(tmp_path)
+        with open(chain, "ab") as fh:
+            fh.write(b"100,10,1.0,1.2\xff\n")
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "calibrate", "--quotes", str(chain))
+        assert code == 2
+        assert out == ""
+        assert f"error: {chain}: not UTF-8 text (invalid start byte)" in err
+        assert "computation failed" not in err
+
     def test_requires_vol_index(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         code, _, err = run_cli(capsys, "calibrate", "--quotes", str(chain))
@@ -286,6 +297,20 @@ class TestConfigHandling:
                                "--set", "moneyness_points=5", "price")
         assert code == 0
         assert len(parse_csv(out)[1]) == 5
+
+    @pytest.mark.parametrize("via", ["--config", "EXPOUVOL_CONFIG"])
+    def test_config_not_utf8_exit_2(self, capsys, tmp_path, monkeypatch, via):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"moneyness_points = 3\n# caf\xe9\n")    # Latin-1
+        if via == "--config":
+            argv = ["--config", str(cfgfile), "price"]
+        else:
+            monkeypatch.setenv(via, str(cfgfile))
+            argv = ["price"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfgfile}: not UTF-8 text (invalid continuation byte)\n"
 
     def test_unknown_key_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "--set", "bogus=1", "price")

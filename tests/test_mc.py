@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -33,6 +35,7 @@ from expouvol.mc import BLOCK
 from expouvol.risk_neutral import MartingaleParams
 from oracles import (
     chi_square_vs_density,
+    reference_block_sums,
     reference_steps,
     return_stats_full_panel,
     return_stats_multinomial,
@@ -606,6 +609,98 @@ class TestReturnStatsStreaming:
             assert s.value == pytest.approx(a.value, rel=1e-12)
             assert s.std_error == pytest.approx(a.std_error, rel=1e-12)
             assert s.n_effective == a.n_effective
+
+
+def _numpy_has_x86_v4() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+class TestBlockSums:
+    """_block_sums writes each block's sums in place into one array, with
+    the bits of the earlier stacked form (reference_block_sums); lag 0
+    reads the single sums it shares through _sum_rows."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Every (returns, lags, sums) that _block_sums sees in a run."""
+        seen = []
+        block_sums = mc._block_sums
+
+        def capture(rets, lags):
+            sums = block_sums(rets, lags)
+            seen.append((rets.copy(), list(lags), sums.copy()))
+            return sums
+
+        monkeypatch.setattr(mc, "_block_sums", capture)
+        return seen
+
+    @pytest.mark.parametrize("lev_taus, aco_taus", [
+        ([-3.0, 0.0, 2.5], [0.0, 9.5]),            # 0 and a negative lag
+        ([1.0, -1.0, 1.0], [1.0, 0.0, 0.0]),       # repeated lags
+        ([-2.0, 4.0], [0.5, 19.5]),                # no lag 0
+        ([], [0.0]),                               # lag 0 alone
+    ])
+    @pytest.mark.parametrize("chunk", ["default", "one row", "over a block"])
+    def test_equals_the_reference(self, fig_params, monkeypatch, blocks, lev_taus,
+                                  aco_taus, chunk):
+        # BLOCK + 1000 paths of 40 steps: neither block is a whole number of
+        # default chunks
+        cfg = SimConfig(n_paths=BLOCK + 1000, n_steps=40, dt=0.5, seed=11)
+        if chunk == "one row":
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * cfg.n_steps)
+        elif chunk == "over a block":
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", 16 * BLOCK * 8 * cfg.n_steps)
+        mc_return_stats(fig_params, cfg, lev_taus, aco_taus)
+        assert sorted(rets.shape[0] for rets, _, _ in blocks) == [1000, BLOCK]
+        for rets, lags, sums in blocks:
+            rows, n_sums = mc._sum_rows(lags)
+            assert sums.shape == (n_sums, rets.shape[0])
+            assert n_sums == 5 + sum(8 if lag else 1 for lag in lags)
+            want = reference_block_sums(rets, lags)
+            got = sums[list(range(5)) + [i for lag_rows in rows for i in lag_rows]]
+            assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Haswell"},
+                                     {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}],
+                             ids=["openblas-haswell", "numpy-no-x86-v4"])
+    def test_equals_the_reference_at_other_kernel_levels(self, env):
+        # lag 0 shares sum r^2 r with sum r r^2, one dot with its arguments
+        # swapped: that holds only if every dot kernel is symmetric.  The
+        # chunk size sets only how many rows a dot call gets, so the default
+        # one covers it.
+        if "NPY_DISABLE_CPU_FEATURES" in env and not _numpy_has_x86_v4():
+            pytest.skip("numpy reports no X86_V4 kernels to turn off")
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        test = f"{__file__}::{type(self).__name__}::test_equals_the_reference"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "default",
+             test],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env={**os.environ, **env, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+        assert proc.stdout.splitlines()[-1].startswith("4 passed")     # one per lag grid
+
+    def test_one_block_holds_its_panel_and_one_sums_array(self, fig_params, monkeypatch):
+        # the mc_stats block at the CLI defaults: 300 steps, lags 0, 10, 50, 200
+        monkeypatch.setattr(mc, "_n_workers", lambda: 1)
+        cfg = SimConfig(n_paths=BLOCK, n_steps=300, dt=0.1, seed=5)
+        taus = [0.0, 1.0, 5.0, 20.0]
+        mc_return_stats(fig_params, small_cfg(n_paths=10), [1.0], [1.0])   # warm-up
+        tracemalloc.start()
+        try:
+            mc_return_stats(fig_params, cfg, taus, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        panel = BLOCK * cfg.n_steps * 8
+        sums = mc._sum_rows([0, 10, 50, 200])[1] * BLOCK * 8
+        assert peak <= panel + sums + 3 * mc._CHUNK_BYTES
 
 
 def _vol_path_functionals(mp, t, n_paths, dt, seed, z0=0.0):
