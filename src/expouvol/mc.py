@@ -382,7 +382,8 @@ def _sum_rows(lags: Sequence[int]):
     """The row layout of _raw_sums: (rows, n_sums).
 
     ``rows[i]`` lists the row of sum a^p b^q for each (p, q) in _PAIR_POWERS
-    at ``lags[i]``.  Rows 0-4 are the single sums; a lag l > 0 adds
+    at ``lags[i]``.  Row 0 is each path's weight 1 and rows 1-4 are the
+    single sums; a lag l > 0 adds
     len(_PAIR_POWERS) rows, and lag 0 adds one (_LAG0_ROWS).
     """
     rows, n_sums = [], 5
@@ -396,37 +397,36 @@ def _sum_rows(lags: Sequence[int]):
     return rows, n_sums
 
 
-def _raw_sums(r: np.ndarray, lag_rows, out: np.ndarray, sq: np.ndarray) -> None:
-    """Write the per-path raw sums of a chunk of returns into ``out``.
+def _raw_sums(pw, lag_rows, out: np.ndarray, top: int) -> None:
+    """Write the per-path raw sums whose largest power is ``top`` into ``out``.
 
-    ``out`` is (n_sums, paths), one row per sum, laid out as _sum_rows
-    gives ``lag_rows`` = zip(lags, rows); ``sq`` (the shape of ``r``)
-    receives r*r.  Row 0 is each path's weight 1, rows 1-4 are sum r,
-    sum r^2, sum r^2 r and sum r^2 r^2 over every step, and each lag l
-    has sum a^p b^q for (p, q) in _PAIR_POWERS over the pairs a = r(t),
-    b = r(t+l).  Window sums (a or b alone) are the full sums less the l
-    edge steps the window leaves out.  Every row is written with out=, so
-    the chunk allocates nothing the size of its returns.
+    ``pw[p]`` holds r^p for a set of paths, one row per path, and ``out``
+    is (n_sums, paths), one row per sum, laid out as _sum_rows gives
+    ``lag_rows`` = zip(lags, rows).  Rows 1-4 are sum r, sum r^2,
+    sum r^2 r and sum r^2 r^2 over every step, and each lag l has
+    sum a^p b^q for (p, q) in _PAIR_POWERS over the pairs a = r(t),
+    b = r(t+l).  A window sum (a or b alone) gets only the sum over the l
+    edge steps the window leaves out; _block_sums subtracts it from the
+    full sum.  Every row is written with out=, so no call allocates
+    anything the size of its returns.
     """
-    n = r.shape[1]
-    pw = [None, r, np.multiply(r, r, out=sq)]
-    out[0] = 1.0
-    np.sum(pw[1], axis=1, out=out[1])
-    np.sum(pw[2], axis=1, out=out[2])
-    np.vecdot(pw[2], pw[1], out=out[3])
-    np.vecdot(pw[2], pw[2], out=out[4])
+    n = pw[1].shape[1]
+    if top == 1:
+        np.add.reduce(pw[1], axis=1, out=out[1])
+    else:
+        np.add.reduce(pw[2], axis=1, out=out[2])
+        np.vecdot(pw[2], pw[1], out=out[3])
+        np.vecdot(pw[2], pw[2], out=out[4])
     for lag, rows in lag_rows:
         for (p, q), i in zip(_PAIR_POWERS, rows):
-            if i < 5:           # lag 0 shares a single sum
+            if i < 5 or max(p, q) != top:   # a shared single sum, or the other pass's
                 continue
             if p and q:
                 np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:], out=out[i])
             elif p:
-                np.sum(pw[p][:, n - lag:], axis=1, out=out[i])
-                np.subtract(out[p], out[i], out=out[i])
+                np.add.reduce(pw[p][:, n - lag:], axis=1, out=out[i])
             else:
-                np.sum(pw[q][:, :lag], axis=1, out=out[i])
-                np.subtract(out[q], out[i], out=out[i])
+                np.add.reduce(pw[q][:, :lag], axis=1, out=out[i])
 
 
 def _chunks(n_rows: int, width: int):
@@ -436,18 +436,29 @@ def _chunks(n_rows: int, width: int):
 
 
 def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """_raw_sums of a block's returns, written chunk by chunk into one
-    (n_sums, size) array, with one r*r scratch shared by every chunk.  Each
-    path's sums use only its own row, so the values are those of one
-    whole call."""
+    """The (n_sums, size) per-path raw sums of a block's returns (_raw_sums).
+
+    They are written in place into one array.  Sums of r alone take the
+    whole block in one call each; sums with an r^2 take a row chunk at a
+    time, with one r*r scratch shared by every chunk; each window sum is
+    then its full sum less its edge.  Each path's sums use only its own
+    row, through the same numpy calls whatever the chunk, so the values
+    do not depend on the chunking.
+    """
     rows, n_sums = _sum_rows(lags)
     lag_rows = list(zip(lags, rows))
     chunks = _chunks(*rets.shape)
     sums = np.empty((n_sums, rets.shape[0]))
     sq = np.empty_like(rets[chunks[0]])
+    sums[0] = 1.0
+    _raw_sums([None, rets], lag_rows, sums, 1)
     for c in chunks:
         r = rets[c]
-        _raw_sums(r, lag_rows, sums[:, c], sq[:len(r)])
+        _raw_sums([None, r, np.multiply(r, r, out=sq[:len(r)])], lag_rows, sums[:, c], 2)
+    for lag, rows in lag_rows:
+        for (p, q), i in zip(_PAIR_POWERS, rows):
+            if i >= 5 and not (p and q):
+                np.subtract(sums[p or q], sums[i], out=sums[i])
     return sums
 
 
@@ -524,7 +535,6 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
         for dx, _ in _steps(p, cfg, rng, y, 0.0):
             rets[:, i:i + len(dx)] = np.expm1(dx, out=dx).T
             i += len(dx)
-        del dx, _   # the last chunk's views hold the engine's buffers
         sums = _block_sums(rets, lags)
         del rets    # freed before the bootstrap
         return _bootstrap_sums(cfg.seed, b, sums)
