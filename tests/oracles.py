@@ -204,11 +204,11 @@ def reference_raw_sums(r, lags):
     return np.stack(rows)
 
 
-def reference_block_sums(rets, lags, chunk_bytes=1 << 20):
+def reference_block_sums(rets, lags):
     """reference_raw_sums of a block's returns, computed on row chunks of
-    about ``chunk_bytes``: each path's sums use only its own row, so the
-    values are those of one whole call."""
-    step = max(1, chunk_bytes // (8 * rets.shape[1]))
+    about 1 MiB: each path's sums use only its own row, so the values are
+    those of one whole call."""
+    step = max(1, (1 << 20) // (8 * rets.shape[1]))
     return np.concatenate([reference_raw_sums(rets[lo: lo + step], lags)
                            for lo in range(0, rets.shape[0], step)], axis=1)
 
