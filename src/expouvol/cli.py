@@ -1,9 +1,10 @@
 """Batch command-line front end emitting plot-ready CSV.
 
 Commands: price, smile, density, greeks, simulate, stats, calibrate.
-Configuration comes from a flat ``key = value`` file (``#`` comments,
-blank lines ignored) named by --config or the EXPOUVOL_CONFIG environment
-variable, with individual --set key=value overrides applied on top.
+Configuration comes from a flat ``key = value`` file (UTF-8, a leading
+byte-order mark skipped; ``#`` comments, blank lines ignored) named by
+--config or the EXPOUVOL_CONFIG environment variable, with individual
+--set key=value overrides applied on top.
 
 Recognized keys and defaults::
 
@@ -31,9 +32,26 @@ Annual quantities are converted once at load: rates divide by 252,
 volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins and
 a warning goes to stderr.  Numeric values must be finite; scales, sizes and
 steps positive; moneyness_points at most 25,000,000; maturity_days and the
-tau_grid lags nonnegative multiples of dt.  Exit codes: 0 success (regime
-warnings on stderr), 2 config/input error, 3 computation failure (running
-out of memory included).
+tau_grid lags nonnegative multiples of dt.  Accepted on purpose:
+
+- A key given twice, in the file or in --set, takes its last value; every
+  value given is still checked, so a bad one is an error even when a later
+  one replaces it.
+- Numbers are read by Python's int() and float(): ``1_000`` and decimal
+  digits of any script (``١٠٠``) are numbers.
+- moneyness_min above moneyness_max gives the same grid in descending order.
+- Keys that each pass their rule but that the computation cannot evaluate
+  together, such as alpha=1e308 (the expansion's sigma3 is not finite), are
+  a computation failure, not an input error.
+
+Each command returns its tables as (destination, header, columns), the
+destination None for stdout; ``main`` writes every file first and stdout
+last, so nothing reaches stdout unless the run exits 0.  Exit codes: 0
+success (regime warnings on stderr); 2 config/input error, an unreadable
+input or an unwritable output; 3 computation failure, with numpy's
+overflow, division by zero and invalid operations raised as errors (in
+the Monte Carlo worker threads too) and running out of memory included.
+Every failure prints one message to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -108,9 +126,9 @@ class RunConfig:
     tau_grid: tuple
 
 
-def _parse_kv_file(path: str) -> dict:
-    raw = {}
-    with open(path, encoding="utf-8") as fh:
+def _parse_kv_file(path: str) -> list:
+    pairs = []
+    with open(path, encoding="utf-8-sig") as fh:  # some editors write a BOM
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
@@ -121,9 +139,8 @@ def _parse_kv_file(path: str) -> dict:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
-        key, val = (part.strip() for part in stripped.split("=", 1))
-        raw[key] = val
-    return raw
+        pairs.append(tuple(part.strip() for part in stripped.split("=", 1)))
+    return pairs
 
 
 def _convert(key: str, val: str):
@@ -144,38 +161,30 @@ def _convert(key: str, val: str):
         raise ConfigError(f"{key}: expected a number, got {val!r}") from None
 
 
-def _number_errors(merged: dict) -> list:
-    """The package's numeric rule on every value: finite, "positive" and "count" also > 0."""
-    errors = []
-    for key, val in merged.items():
-        if val is None or _KEYS[key][1] == "bool":
-            continue
-        try:
-            _check(key, val, positive=_KEYS[key][1] in ("positive", "count"))
-        except ValueError as exc:
-            errors.append(str(exc))
-    return errors
+def build_config(file_values, overrides) -> RunConfig:
+    """Merge defaults, file values and CLI overrides into a RunConfig.
 
-
-def build_config(file_values: dict, overrides: dict) -> RunConfig:
-    """Merge defaults, file values and CLI overrides into a RunConfig."""
+    Both are sequences of (key, value) pairs, applied in order: a key's last
+    value wins, and every value given must pass its kind's rule (finite;
+    "positive" and "count" also > 0).
+    """
     merged = {key: default for key, (default, _) in _KEYS.items()}
     errors = []
-    for source in (file_values, overrides):
-        for key, val in source.items():
-            if key not in _KEYS:
-                errors.append(f"unknown key {key!r}")
-                continue
-            try:
-                merged[key] = _convert(key, val) if isinstance(val, str) else val
-            except (ConfigError, ValueError) as exc:
-                errors.append(str(exc))
-    errors += _number_errors(merged)
+    for key, val in (*file_values, *overrides):
+        if key not in _KEYS:
+            errors.append(f"unknown key {key!r}")
+            continue
+        try:
+            merged[key] = val = _convert(key, val) if isinstance(val, str) else val
+            if _KEYS[key][1] != "bool":
+                _check(key, val, positive=_KEYS[key][1] in ("positive", "count"))
+        except ValueError as exc:  # ConfigError included
+            errors.append(str(exc))
     if errors:
         raise ConfigError("; ".join(errors))
 
     sigma0 = merged["sigma0_annual"]
-    explicit_z0 = "z0" in file_values or "z0" in overrides
+    explicit_z0 = any(key == "z0" for key, _ in (*file_values, *overrides))
     if sigma0 is not None and explicit_z0:
         print("warning: both sigma0_annual and z0 supplied; z0 wins", file=sys.stderr)
     y0 = None
@@ -243,93 +252,83 @@ def _strike_spec(cfg: RunConfig) -> OptionSpec:
                       maturity=cfg.maturity, rate=cfg.rate)
 
 
-def cmd_price(cfg: RunConfig, args) -> int:
+def cmd_price(cfg: RunConfig, args) -> list:
     mp, coeffs = _expansion(cfg)
     bs, *_, total = _call_prices(_strike_spec(cfg), mp, coeffs)
-    _emit("moneyness,call,bs,diff", (cfg.moneyness, total, bs, total - bs), args.output)
-    return 0
+    return [(args.output, "moneyness,call,bs,diff", (cfg.moneyness, total, bs, total - bs))]
 
 
-def cmd_smile(cfg: RunConfig, args) -> int:
+def cmd_smile(cfg: RunConfig, args) -> list:
     mp, coeffs = _expansion(cfg)
     points = smile_curve(_strike_spec(cfg), mp, coeffs)
     vols = ["" if pt.implied_vol_annual is None else _G % pt.implied_vol_annual
             for pt in points]
-    _emit("moneyness,implied_vol_annual", (cfg.moneyness, vols), args.output)
-    return 0
+    return [(args.output, "moneyness,implied_vol_annual", (cfg.moneyness, vols))]
 
 
-def cmd_density(cfg: RunConfig, args) -> int:
+def cmd_density(cfg: RunConfig, args) -> list:
     mp, coeffs = _expansion(cfg)
     sd = mp.m_bar * math.sqrt(cfg.maturity)
     xs = np.linspace(coeffs.mu - 8.0 * sd, coeffs.mu + 8.0 * sd, 401)
-    ps = return_density(mp, coeffs, xs)
-    _emit("x,p", (xs, ps), args.output)
-    return 0
+    return [(args.output, "x,p", (xs, return_density(mp, coeffs, xs)))]
 
 
-def cmd_greeks(cfg: RunConfig, args) -> int:
+def cmd_greeks(cfg: RunConfig, args) -> list:
     mp, coeffs = _expansion(cfg)
-    _emit("moneyness,delta", (cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)),
-          args.output)
-    return 0
+    return [(args.output, "moneyness,delta",
+             (cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)))]
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> list:
     mp, coeffs = _expansion(cfg)
     spec = _strike_spec(cfg)
     est = mc_call_prices(mp, cfg.sim, spec)
     analytic = _call_prices(spec, mp, coeffs)[4]
-    _emit("moneyness,mc_price,std_err,analytic,abs_diff",
-          (cfg.moneyness, est.value, est.std_error, analytic, np.abs(est.value - analytic)),
-          args.output)
+    tables = [(args.output, "moneyness,mc_price,std_err,analytic,abs_diff",
+               (cfg.moneyness, est.value, est.std_error, analytic, np.abs(est.value - analytic)))]
     if args.dump_paths:
         dump_cfg = dataclasses.replace(cfg.sim, n_paths=min(cfg.sim.n_paths, 64))
         ens = simulate_paths(mp, dump_cfg, mp.z0, rate=cfg.rate)
         n_paths, n_times = ens.x.shape
-        _emit("path,step,t_days,x,y",
-              (np.repeat(np.arange(n_paths), n_times), np.tile(np.arange(n_times), n_paths),
-               np.tile(ens.times, n_paths), ens.x.ravel(), ens.y.ravel()),
-              args.dump_paths)
-    return 0
+        tables.append((args.dump_paths, "path,step,t_days,x,y",
+                       (np.repeat(np.arange(n_paths), n_times),
+                        np.tile(np.arange(n_times), n_paths),
+                        np.tile(ens.times, n_paths), ens.x.ravel(), ens.y.ravel())))
+    return tables
 
 
-def cmd_stats(cfg: RunConfig, args) -> int:
+def cmd_stats(cfg: RunConfig, args) -> list:
     n_steps = _day_steps(max(cfg.tau_grid), cfg.sim.dt, "tau_grid lag") + 100
     sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
     lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
-    _emit("tau,leverage_mc,leverage_se,leverage_fml,autocorr_mc,autocorr_se,autocorr_fml",
-          (cfg.tau_grid, [e.value for e in lev], [e.std_error for e in lev],
-           [leverage(cfg.params, tau) for tau in cfg.tau_grid],
-           [e.value for e in aco], [e.std_error for e in aco],
-           [squared_return_autocorr(cfg.params, tau) for tau in cfg.tau_grid]),
-          args.output)
-    return 0
+    return [(args.output,
+             "tau,leverage_mc,leverage_se,leverage_fml,autocorr_mc,autocorr_se,autocorr_fml",
+             (cfg.tau_grid, [e.value for e in lev], [e.std_error for e in lev],
+              [leverage(cfg.params, tau) for tau in cfg.tau_grid],
+              [e.value for e in aco], [e.std_error for e in aco],
+              [squared_return_autocorr(cfg.params, tau) for tau in cfg.tau_grid]))]
 
 
-def cmd_calibrate(cfg: RunConfig, args) -> int:
+def cmd_calibrate(cfg: RunConfig, args) -> list:
     loaded = load_quotes(args.quotes)
     if loaded.rejects:
         print(loaded.summary(), file=sys.stderr)
     if len(loaded.quotes) < 2:
-        print("error: calibrate needs at least 2 usable quotes for its 2 parameters, "
-              f"got {len(loaded.quotes)}", file=sys.stderr)
-        return 2
+        raise QuoteError("calibrate needs at least 2 usable quotes for its 2 parameters, "
+                         f"got {len(loaded.quotes)}")
     if cfg.y0 is None:
-        print("error: calibrate needs sigma0_annual in the config "
-              "(y0 cannot come from z0: the shift depends on the fitted lambdas)",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("calibrate needs sigma0_annual in the config "
+                          "(y0 cannot come from z0: the shift depends on the fitted lambdas)")
     result = calibrate_risk_aversion(list(loaded.quotes), cfg.params,
                                      cfg.spot, cfg.rate, cfg.y0)
-    _emit("lambda0,lambda1,rmse,n_quotes,converged,iterations",
-          [[result.lambda0], [result.lambda1], [result.rmse], [result.n_quotes],
-           [str(result.converged).lower()], [result.iterations]], args.output)
+    tables = [(args.output, "lambda0,lambda1,rmse,n_quotes,converged,iterations",
+               [[result.lambda0], [result.lambda1], [result.rmse], [result.n_quotes],
+                [str(result.converged).lower()], [result.iterations]])]
     if args.repricing:
         table = reprice_quotes(result, list(loaded.quotes), cfg.params,
                                cfg.spot, cfg.rate, cfg.y0)
-        _emit("strike,mid,model,residual", zip(*table), args.repricing)
-    return 0
+        tables.append((args.repricing, "strike,mid,model,residual", zip(*table)))
+    return tables
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -363,25 +362,23 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     config_path = args.config or os.environ.get(ENV_CONFIG)
     try:
-        file_values = _parse_kv_file(config_path) if config_path else {}
-        overrides = {}
+        file_values = _parse_kv_file(config_path) if config_path else []
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, val = item.split("=", 1)
-            overrides[key.strip()] = val.strip()
+        overrides = [tuple(part.strip() for part in item.split("=", 1)) for item in args.set]
         cfg = build_config(file_values, overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(cfg, args)
-    except (QuoteError, OSError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            tables = args.func(cfg, args)
+        for out, header, columns in sorted(tables, key=lambda table: table[0] is None):
+            _emit(header, columns, out)  # files first, so stdout holds only a whole run
+    except (ConfigError, QuoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -187,19 +187,25 @@ def _map_blocks(fn, cfg: SimConfig, block_samples: int = 0):
     are queued ahead of the one being yielded, so the bookkeeping does not
     grow with the block count.  A block that raises cancels every queued
     block, and the exception propagates; the pool is joined before this
-    returns.
+    returns.  Each block runs under the caller's numpy error state.
     """
     sizes = _block_sizes(cfg.n_paths)
     workers = min(len(sizes), _n_workers())
     if block_samples:
         workers = min(workers, max(1, PATH_BUDGET // block_samples))
     todo = iter(enumerate(sizes))
+    errstate = np.geterr()  # numpy's error state is per thread: workers take the caller's
+
+    def run(b, size):
+        with np.errstate(**errstate):
+            return fn(b, size)
+
     with ThreadPoolExecutor(workers) as pool:
-        window = deque(pool.submit(fn, b, size) for b, size in islice(todo, 2 * workers))
+        window = deque(pool.submit(run, b, size) for b, size in islice(todo, 2 * workers))
         try:
             while window:
                 result = window.popleft().result()
-                window.extend(pool.submit(fn, b, size) for b, size in islice(todo, 1))
+                window.extend(pool.submit(run, b, size) for b, size in islice(todo, 1))
                 yield result
         finally:
             for future in window:

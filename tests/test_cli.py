@@ -137,6 +137,14 @@ class TestSimulate:
         assert first[0] == "path,step,t_days,x,y"
         assert len(first) == 1 + 64 * 41
 
+    def test_unwritable_dump_path_exit_2(self, capsys, tmp_path):
+        # every file is written before stdout, so a failed write leaves stdout empty
+        dump = tmp_path / "no-such-dir" / "paths.csv"
+        code, out, err = run_cli(capsys, *self.ARGS, "--dump-paths", str(dump))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(dump) in err
+
     def test_golden_dump_paths_bytes(self, capsys, tmp_path):
         dump = tmp_path / "paths.csv"
         code, _, _ = run_cli(capsys, "--set", "n_paths=3", "--set", "maturity_days=1",
@@ -204,6 +212,16 @@ class TestCalibrate:
         rp_header, rp_rows = parse_csv(reprice.read_text())
         assert rp_header == ["strike", "mid", "model", "residual"]
         assert len(rp_rows) == 7
+
+    def test_unwritable_repricing_path_exit_2(self, capsys, tmp_path):
+        chain = self.make_chain(tmp_path)
+        reprice = tmp_path / "no-such-dir" / "reprice.csv"
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "calibrate", "--quotes", str(chain),
+                                 "--repricing", str(reprice))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(reprice) in err
 
     def test_missing_quote_file(self, capsys, tmp_path):
         missing = tmp_path / "nope.csv"
@@ -311,6 +329,71 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert err == f"error: {cfgfile}: not UTF-8 text (invalid continuation byte)\n"
+
+    @pytest.mark.parametrize("via", ["--config", "EXPOUVOL_CONFIG"])
+    def test_config_with_byte_order_mark(self, capsys, tmp_path, monkeypatch, via):
+        # some editors start a UTF-8 file with a BOM; load_quotes skips it too
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"\xef\xbb\xbfmoneyness_points = 3\n")
+        if via == "--config":
+            argv = ["--config", str(cfgfile), "price"]
+        else:
+            monkeypatch.setenv(via, str(cfgfile))
+            argv = ["price"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "--set", "moneyness_points=3", "price")[1]
+
+    @pytest.mark.parametrize("earlier", ["abc", "-1", "nan"])
+    def test_repeated_key_checks_every_value(self, capsys, tmp_path, earlier):
+        # the last value of a key wins, but one that is never used is still checked
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"spot = {earlier}\nspot = 100\n")
+        for argv in (["--config", str(cfgfile)],
+                     ["--set", f"spot={earlier}", "--set", "spot=100"]):
+            code, out, err = run_cli(capsys, *argv, "--set", "moneyness_points=3", "price")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: spot")
+        cfgfile.write_text("spot = 90\nspot = 100\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfgfile), "--set", "moneyness_points=3",
+                               "price")
+        assert code == 0
+        assert out == run_cli(capsys, "--set", "moneyness_points=3", "price")[1]
+
+    def test_descending_moneyness_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "--set", "moneyness_min=2", "--set", "moneyness_max=1.2",
+                               "--set", "moneyness_points=3", "price")
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)[1]] == ["2", "1.6", "1.2"]
+
+    @pytest.mark.parametrize("points, spot", [("1_0", "1_00"), ("١٠", "١٠٠")])
+    def test_numbers_read_by_python(self, capsys, points, spot):
+        # int() and float() take digit-group underscores and any Unicode decimal digits
+        code, out, _ = run_cli(capsys, "--set", f"moneyness_points={points}",
+                               "--set", f"spot={spot}", "price")
+        assert code == 0
+        assert out == run_cli(capsys, "--set", "moneyness_points=10", "price")[1]
+
+    def test_valid_keys_the_expansion_cannot_evaluate_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "--set", "alpha=1e308", "price")
+        assert code == 3
+        assert out == ""
+        assert err == "computation failed: sigma3 must be finite, got nan\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "spot=1e308", "price"],
+        ["--set", "rate_annual=-1e20", "greeks"],
+        ["--set", "z0=1e308", "density"],
+        # in the MC pool's worker threads too
+        ["--set", "m=1e200", "--set", "n_paths=64", "--set", "tau_grid=0,1", "stats"],
+    ])
+    def test_floating_point_failure_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith("computation failed: ")
+        assert "encountered" in err
 
     def test_unknown_key_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "--set", "bogus=1", "price")
@@ -519,6 +602,41 @@ class TestWorkerThreads:
         names = {name for name, _ in calls}
         assert {"expouvol.mc.mc_call_prices", "expouvol.mc.mc_return_stats"} <= names
         assert {ident for _, ident in calls} == {threading.main_thread().ident}
+
+
+class TestGoldensAtOtherKernelLevels:
+    """Every golden test passes again in a subprocess with numpy's AVX-512
+    kernels off, with its AVX2 kernels off as well, and with OpenBLAS's
+    Haswell kernels: the golden bytes do not depend on the SIMD level."""
+
+    TESTS = ["tests/test_cli.py::TestPrice::test_golden_default_bytes",
+             "tests/test_cli.py::TestSmile::test_golden_default_bytes",
+             "tests/test_cli.py::TestSimulate::test_golden_seeded_bytes",
+             "tests/test_cli.py::TestSimulate::test_golden_dump_paths_bytes",
+             "tests/test_cli.py::TestStats::test_golden_seeded_bytes",
+             "tests/test_implied.py::TestSmile::test_golden_reference_curve"]
+
+    @pytest.mark.parametrize("env, feature", [
+        ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, "AVX512_SKX"),
+        ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3"}, "AVX2"),
+        ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
+    ], ids=["numpy-no-x86-v4", "numpy-no-x86-v3", "openblas-haswell"])
+    def test_goldens_pass(self, env, feature):
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:
+            __cpu_features__ = {}
+        if not __cpu_features__.get(feature):
+            pytest.skip(f"numpy reports no {feature}: nothing to turn off or to run")
+        root = Path(__file__).parent.parent
+        path = os.pathsep.join([str(Path(cli.__file__).parent.parent)]
+                               + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *self.TESTS],
+            cwd=root, env={**os.environ, **env, "PYTHONPATH": path, "EXPOUVOL_CONFIG": ""},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+        assert proc.stdout.splitlines()[-1].startswith(f"{len(self.TESTS)} passed")
 
 
 class TestEmit:

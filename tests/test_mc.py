@@ -244,6 +244,18 @@ class TestBlockPool:
             assert max(started) <= i + 2 * workers
         assert sorted(started) == list(range(500))
 
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch):
+        # numpy's error state is per thread; a worker would otherwise warn
+        # where the caller asked for an overflow to raise
+        monkeypatch.setattr(mc, "_n_workers", lambda: 2)
+        cfg = small_cfg(n_paths=4 * BLOCK, n_steps=1)
+        with np.errstate(over="raise", invalid="ignore"):
+            states = list(mc._map_blocks(lambda b, size: np.geterr(), cfg))
+            with pytest.raises(FloatingPointError, match="overflow"):
+                list(mc._map_blocks(lambda b, size: np.exp(np.full(size, 1e3)), cfg))
+        assert all(s["over"] == "raise" and s["invalid"] == "ignore" for s in states)
+        assert len(states) == 4
+
     def test_return_panels_in_flight_fit_the_budget(self, fig_params, fig_mp, monkeypatch):
         pools = []
 
