@@ -32,7 +32,9 @@ Annual quantities are converted once at load: rates divide by 252,
 volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins and
 a warning goes to stderr.  Numeric values must be finite; scales, sizes and
 steps positive; moneyness_points at most 25,000,000; maturity_days and the
-tau_grid lags nonnegative multiples of dt.  Accepted on purpose:
+tau_grid lags nonnegative multiples of dt, and neither maturity_days nor the
+stats horizon (the longest lag plus 100 steps) more than 25,000,000 steps
+of dt.  Accepted on purpose:
 
 - A key given twice, in the file or in --set, takes its last value; every
   value given is still checked, so a bad one is an error even when a later
@@ -52,6 +54,13 @@ input or an unwritable output; 3 computation failure, with numpy's
 overflow, division by zero and invalid operations raised as errors (in
 the Monte Carlo worker threads too) and running out of memory included.
 Every failure prints one message to stderr, never a traceback.
+
+The CLI runs OpenBLAS on one thread: its BLAS calls are too small to
+share, so an OpenBLAS pool would only spin idle at every start.  Importing
+this module sets OPENBLAS_NUM_THREADS=1 before it loads numpy, unless the
+process loaded numpy first (``import expouvol`` itself loads its
+submodules, numpy included, only on first use).  numpy builds on MKL or
+Accelerate ignore the variable.
 """
 
 from __future__ import annotations
@@ -63,6 +72,15 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
+
+if "numpy" not in sys.modules:
+    # OpenBLAS starts one worker thread per extra CPU when numpy loads, and
+    # each spins for about 0.1 s of CPU.  The CLI never gives them work:
+    # its only BLAS calls, the calibration's residual dots, two-column
+    # normal equations and 2x2 solves, are too small for OpenBLAS to
+    # share out, and the Monte Carlo pool is the package's own.  A process
+    # that loaded numpy first keeps its threads and its environment.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -83,6 +101,12 @@ from .risk_neutral import (MartingaleParams, RiskAversion, expansion_coeffs,
 from .units import daily_rate
 
 ENV_CONFIG = "EXPOUVOL_CONFIG"
+
+#: Steps of dt one simulated path may take, for maturity_days and for the
+#: stats horizon: a limit on run time, where PATH_BUDGET on
+#: moneyness_points limits memory.  Equal in value, kept as two names so
+#: that each can be lowered on its own.
+_MAX_STEPS = PATH_BUDGET
 
 _KEYS = {
     "m": (0.01, "positive"),
@@ -202,6 +226,11 @@ def build_config(file_values, overrides) -> RunConfig:
         n_steps = _day_steps(maturity, dt, "maturity_days")
         for tau in merged["tau_grid"]:
             _day_steps(tau, dt, "tau_grid lag")
+        for key, steps in [("maturity_days", n_steps),
+                           ("tau_grid", _stats_steps(merged["tau_grid"], dt))]:
+            if steps > _MAX_STEPS:  # else simulate or stats would run for ages
+                raise ValueError(f"{key} needs {float(steps):.3g} steps of dt {dt}, "
+                                 f"more than {_MAX_STEPS}")
         sim = SimConfig(n_paths=merged["n_paths"], n_steps=n_steps, dt=dt,
                         seed=merged["seed"], antithetic=merged["antithetic"])
         if merged["moneyness_points"] > PATH_BUDGET:
@@ -297,9 +326,13 @@ def cmd_simulate(cfg: RunConfig, args) -> list:
     return tables
 
 
+def _stats_steps(tau_grid, dt: float) -> int:
+    """The stats horizon: the longest lag plus 100 steps of dt."""
+    return _day_steps(max(tau_grid), dt, "tau_grid lag") + 100
+
+
 def cmd_stats(cfg: RunConfig, args) -> list:
-    n_steps = _day_steps(max(cfg.tau_grid), cfg.sim.dt, "tau_grid lag") + 100
-    sim = dataclasses.replace(cfg.sim, n_steps=n_steps)
+    sim = dataclasses.replace(cfg.sim, n_steps=_stats_steps(cfg.tau_grid, cfg.sim.dt))
     lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
     return [(args.output,
              "tau,leverage_mc,leverage_se,leverage_fml,autocorr_mc,autocorr_se,autocorr_fml",

@@ -25,6 +25,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_pythonpath():
+    """PYTHONPATH for a new interpreter that imports this checkout's package."""
+    return os.pathsep.join([str(Path(cli.__file__).parent.parent)]
+                           + [p for p in [os.environ.get("PYTHONPATH")] if p])
+
+
 def parse_csv(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
@@ -449,6 +455,31 @@ class TestConfigHandling:
         assert out == ""
         assert err.startswith(f"error: {setting.split('=')[0]}")
 
+    @pytest.mark.parametrize("settings, key", [
+        ([("maturity_days", "20"), ("dt", "1e-12")], "maturity_days"),   # 2e13 steps
+        ([("maturity_days", "1e308"), ("dt", "1")], "maturity_days"),   # 309 digits
+        ([("tau_grid", "0,1e300")], "tau_grid"),
+    ])
+    def test_step_count_beyond_budget_rejected(self, settings, key):
+        # simulate and stats would run for practically ever on these
+        with pytest.raises(cli.ConfigError, match=f"^{key} needs "):
+            cli.build_config([], settings)
+
+    @pytest.mark.parametrize("settings, key", [
+        ([("maturity_days", "20"), ("tau_grid", "0")], None),               # 200 steps of 0.1
+        ([("maturity_days", "20.1"), ("tau_grid", "0")], "maturity_days"),  # 201
+        ([("tau_grid", "0,10")], None),                    # 100 + 100 for stats
+        ([("tau_grid", "0,10.1")], "tau_grid"),            # 101 + 100
+    ])
+    def test_step_count_budget_edge(self, monkeypatch, settings, key):
+        monkeypatch.setattr("expouvol.cli._MAX_STEPS", 200)
+        if key is None:
+            assert cli.build_config([], settings).sim.n_steps <= 200
+        else:
+            with pytest.raises(cli.ConfigError, match=f"^{key} needs 201 steps of dt 0.1, "
+                               "more than 200$"):
+                cli.build_config([], settings)
+
     @pytest.mark.parametrize("points, code", [(50, 0), (51, 2), (10**20, 2)])
     def test_moneyness_grid_budget(self, capsys, monkeypatch, points, code):
         monkeypatch.setattr("expouvol.cli.PATH_BUDGET", 50)
@@ -606,8 +637,10 @@ class TestWorkerThreads:
 
 class TestGoldensAtOtherKernelLevels:
     """Every golden test passes again in a subprocess with numpy's AVX-512
-    kernels off, with its AVX2 kernels off as well, and with OpenBLAS's
-    Haswell kernels: the golden bytes do not depend on the SIMD level."""
+    kernels off, with its AVX2 kernels off as well, with OpenBLAS's Haswell
+    kernels, and with OpenBLAS on one thread, as the CLI process runs it:
+    the golden bytes depend neither on the SIMD level nor on the thread
+    count."""
 
     TESTS = ["tests/test_cli.py::TestPrice::test_golden_default_bytes",
              "tests/test_cli.py::TestSmile::test_golden_default_bytes",
@@ -620,20 +653,20 @@ class TestGoldensAtOtherKernelLevels:
         ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, "AVX512_SKX"),
         ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3"}, "AVX2"),
         ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
-    ], ids=["numpy-no-x86-v4", "numpy-no-x86-v3", "openblas-haswell"])
+        ({"OPENBLAS_NUM_THREADS": "1"}, None),
+    ], ids=["numpy-no-x86-v4", "numpy-no-x86-v3", "openblas-haswell", "openblas-one-thread"])
     def test_goldens_pass(self, env, feature):
         try:
             from numpy._core._multiarray_umath import __cpu_features__
         except ImportError:
             __cpu_features__ = {}
-        if not __cpu_features__.get(feature):
+        if feature and not __cpu_features__.get(feature):
             pytest.skip(f"numpy reports no {feature}: nothing to turn off or to run")
         root = Path(__file__).parent.parent
-        path = os.pathsep.join([str(Path(cli.__file__).parent.parent)]
-                               + [p for p in [os.environ.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *self.TESTS],
-            cwd=root, env={**os.environ, **env, "PYTHONPATH": path, "EXPOUVOL_CONFIG": ""},
+            cwd=root, env={**os.environ, **env, "PYTHONPATH": fresh_pythonpath(),
+                           "EXPOUVOL_CONFIG": ""},
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
         assert proc.stdout.splitlines()[-1].startswith(f"{len(self.TESTS)} passed")
@@ -657,6 +690,72 @@ class TestEmit:
 
 
 class TestImport:
+    @staticmethod
+    def run_fresh(script, **env):
+        # OPENBLAS_NUM_THREADS is unset unless given, so the CLI's own
+        # setting shows
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**base, "PYTHONPATH": fresh_pythonpath(), **env},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_package_import_loads_no_numpy(self):
+        # submodules load on first use, so the CLI can set OpenBLAS's thread
+        # count before numpy loads
+        assert self.run_fresh("\n".join([
+            "import os, sys",
+            "env = dict(os.environ)",
+            "import expouvol",
+            "print('numpy' in sys.modules, dict(os.environ) == env)",
+            "expouvol.ModelParams",
+            "print('numpy' in sys.modules)",
+        ])) == ["False True", "True"]
+
+    def test_public_names_unchanged(self):
+        # every name the eager imports bound, submodules included
+        names = ["ExpansionCoeffs", "ImpliedVolError", "MartingaleParams", "ModelParams",
+                 "OptionQuote", "OptionSpec", "PriceBreakdown", "QuoteError", "RiskAversion",
+                 "SimConfig", "SmilePoint", "TRADING_DAYS_PER_YEAR", "annualize_vol",
+                 "bs_call", "calibrate_risk_aversion", "calibration", "call_components",
+                 "char_fn_expanded", "char_fn_full", "daily_rate", "daily_vol", "delta",
+                 "expansion_coeffs", "expansion_coeffs_averaged", "expou_call", "expou_put",
+                 "hermite_poly", "implied", "implied_vol", "leverage", "load_quotes", "mc",
+                 "mc_call_prices", "mc_return_stats", "model", "negative_mass_fraction",
+                 "norm_cdf", "norm_pdf", "ou_conditional_moments", "pricing",
+                 "regime_warning", "reprice_quotes", "return_density", "risk_neutral",
+                 "simulate_paths", "smile_curve", "squared_return_autocorr",
+                 "to_martingale", "units", "vol_conditional_pdf", "vol_stationary_pdf",
+                 "y0_from_vol_index"]
+        assert self.run_fresh("\n".join([
+            "import expouvol",
+            "print([n for n in dir(expouvol) if not n.startswith('_')])",
+            "print(expouvol.__all__)",
+        ])) == [repr(names)] * 2
+        import expouvol
+        assert expouvol.mc_call_prices is expouvol.mc.mc_call_prices
+        with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+            expouvol.bogus
+
+    def test_cli_import_leaves_one_thread(self):
+        # OpenBLAS would start one spinning worker per extra CPU; the CLI
+        # process runs it on one thread, whatever the environment asked
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count this process's threads")
+        assert self.run_fresh("\n".join([
+            "import os, expouvol.cli",
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])",
+        ]), OPENBLAS_NUM_THREADS="2") == ["1 1"]
+
+    def test_cli_import_after_numpy_leaves_environment(self):
+        assert self.run_fresh("\n".join([
+            "import os, numpy",
+            "env = dict(os.environ)",
+            "import expouvol.cli",
+            "print(dict(os.environ) == env, 'OPENBLAS_NUM_THREADS' in os.environ)",
+        ])) == ["True False"]
+
     def test_import_skips_scipy_stats(self):
         # scipy.stats and scipy.optimize would each cost more than the
         # package's whole import; neither the import nor a calibration fit
