@@ -15,9 +15,10 @@ __version__ = "0.1.0"
 
 #: Each public name, and the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(["ModelParams", "leverage", "ou_conditional_moments",
-                     "squared_return_autocorr", "vol_conditional_pdf",
-                     "vol_stationary_pdf"], "model"),
+    **dict.fromkeys(["ModelParams", "QuoteError", "SimConfig", "leverage",
+                     "ou_conditional_moments", "squared_return_autocorr",
+                     "vol_conditional_pdf", "vol_stationary_pdf", "y0_from_vol_index"],
+                    "model"),
     **dict.fromkeys(["ExpansionCoeffs", "MartingaleParams", "RiskAversion",
                      "char_fn_expanded", "char_fn_full", "expansion_coeffs",
                      "expansion_coeffs_averaged", "hermite_poly",
@@ -28,11 +29,9 @@ _EXPORTS = {
                     "pricing"),
     **dict.fromkeys(["ImpliedVolError", "SmilePoint", "implied_vol", "smile_curve"],
                     "implied"),
-    **dict.fromkeys(["SimConfig", "mc_call_prices", "mc_return_stats",
-                     "simulate_paths"], "mc"),
-    **dict.fromkeys(["OptionQuote", "QuoteError", "calibrate_risk_aversion",
-                     "load_quotes", "reprice_quotes", "y0_from_vol_index"],
-                    "calibration"),
+    **dict.fromkeys(["mc_call_prices", "mc_return_stats", "simulate_paths"], "mc"),
+    **dict.fromkeys(["OptionQuote", "calibrate_risk_aversion", "load_quotes",
+                     "reprice_quotes"], "calibration"),
     **dict.fromkeys(["TRADING_DAYS_PER_YEAR", "annualize_vol", "daily_rate",
                      "daily_vol"], "units"),
 }

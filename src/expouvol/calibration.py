@@ -18,24 +18,20 @@ reads (the package writes none) has the header ``strike,maturity_days,bid,ask``
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, _check
+from .model import ModelParams, QuoteError, _check, y0_from_vol_index
 from .pricing import OptionSpec, _call_prices
 from .risk_neutral import RiskAversion, expansion_coeffs, to_martingale
-from .units import daily_vol
 
 __all__ = [
     "OptionQuote",
     "CalibResult",
-    "QuoteError",
     "QuoteLoadResult",
     "load_quotes",
-    "y0_from_vol_index",
     "calibrate_risk_aversion",
     "reprice_quotes",
 ]
@@ -75,10 +71,6 @@ class CalibResult:
     n_quotes: int
     converged: bool
     iterations: int
-
-
-class QuoteError(ValueError):
-    """Quote file cannot be used at all: empty, or without a usable header."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +134,6 @@ def _read_quotes(path, reader) -> QuoteLoadResult:
         except ValueError as exc:
             rejects.append((line_no, str(exc)))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
-
-
-def y0_from_vol_index(sigma0_annual: float, m: float) -> float:
-    """Initial log-volatility from an annualized vol index: ln(sigma0_daily/m)."""
-    _check("sigma0", sigma0_annual)
-    _check("m", m)
-    return math.log(daily_vol(sigma0_annual) / m)
 
 
 def _chain_spec(quotes, spot: float, r: float) -> OptionSpec:

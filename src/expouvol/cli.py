@@ -60,7 +60,9 @@ share, so an OpenBLAS pool would only spin idle at every start.  Importing
 this module sets OPENBLAS_NUM_THREADS=1 before it loads numpy, unless the
 process loaded numpy first (``import expouvol`` itself loads its
 submodules, numpy included, only on first use).  numpy builds on MKL or
-Accelerate ignore the variable.
+Accelerate ignore the variable.  Each command loads only what it runs:
+build_config needs ``model`` alone, and smile, simulate/stats and calibrate
+import ``implied``, ``mc`` and ``calibration`` inside the command.
 """
 
 from __future__ import annotations
@@ -84,17 +86,8 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .calibration import (
-    QuoteError,
-    calibrate_risk_aversion,
-    load_quotes,
-    reprice_quotes,
-    y0_from_vol_index,
-)
-from .implied import smile_curve
-from .mc import (PATH_BUDGET, SimConfig, _day_steps, mc_call_prices, mc_return_stats,
-                 simulate_paths)
-from .model import ModelParams, _check, leverage, squared_return_autocorr
+from .model import (PATH_BUDGET, ModelParams, QuoteError, SimConfig, _check, _day_steps,
+                    leverage, squared_return_autocorr, y0_from_vol_index)
 from .pricing import OptionSpec, _call_prices, delta
 from .risk_neutral import (MartingaleParams, RiskAversion, expansion_coeffs,
                            regime_warning, return_density, to_martingale)
@@ -288,6 +281,7 @@ def cmd_price(cfg: RunConfig, args) -> list:
 
 
 def cmd_smile(cfg: RunConfig, args) -> list:
+    from .implied import smile_curve
     mp, coeffs = _expansion(cfg)
     points = smile_curve(_strike_spec(cfg), mp, coeffs)
     vols = ["" if pt.implied_vol_annual is None else _G % pt.implied_vol_annual
@@ -309,6 +303,7 @@ def cmd_greeks(cfg: RunConfig, args) -> list:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> list:
+    from .mc import mc_call_prices, simulate_paths
     mp, coeffs = _expansion(cfg)
     spec = _strike_spec(cfg)
     est = mc_call_prices(mp, cfg.sim, spec)
@@ -332,6 +327,7 @@ def _stats_steps(tau_grid, dt: float) -> int:
 
 
 def cmd_stats(cfg: RunConfig, args) -> list:
+    from .mc import mc_return_stats
     sim = dataclasses.replace(cfg.sim, n_steps=_stats_steps(cfg.tau_grid, cfg.sim.dt))
     lev, aco = mc_return_stats(cfg.params, sim, cfg.tau_grid, cfg.tau_grid)
     return [(args.output,
@@ -343,6 +339,7 @@ def cmd_stats(cfg: RunConfig, args) -> list:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> list:
+    from .calibration import calibrate_risk_aversion, load_quotes, reprice_quotes
     loaded = load_quotes(args.quotes)
     if loaded.rejects:
         print(loaded.summary(), file=sys.stderr)

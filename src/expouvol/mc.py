@@ -49,12 +49,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, _check, _out
+from .model import PATH_BUDGET, ModelParams, SimConfig, _check, _day_steps, _out
 from .risk_neutral import MartingaleParams
 from .pricing import OptionSpec
 
 __all__ = [
-    "SimConfig",
     "McEstimate",
     "PathEnsemble",
     "simulate_paths",
@@ -68,40 +67,9 @@ BLOCK = 4096
 _STEP_CHUNK = 4
 #: bootstrap replicates behind every mc_return_stats standard error
 _N_BOOT = 200
-#: simulate_paths refuses ensembles, and mc_return_stats per-block return
-#: panels, beyond this many samples; mc_call_prices streams and has no limit.
-PATH_BUDGET = 25_000_000
 #: bytes of one row chunk in the per-block stats reductions: the r*r
 #: scratch of _block_sums and the bootstrap weights of _bootstrap_sums
 _CHUNK_BYTES = 1 << 18
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation layout: n_paths x n_steps at step dt (days), fixed seed."""
-
-    n_paths: int
-    n_steps: int
-    dt: float
-    seed: int
-    antithetic: bool = False
-
-    def __post_init__(self):
-        ints = (self.n_paths, self.n_steps, self.seed)
-        if not all(isinstance(v, (int, np.integer)) for v in ints):
-            raise ValueError(f"n_paths, n_steps and seed must be integers, got {ints}")
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be >= 1")
-        _check("dt", self.dt)
-        if not isinstance(self.antithetic, (bool, np.bool_)):
-            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic mode requires an even n_paths")
-
-    @property
-    def horizon(self) -> float:
-        """Total simulated time in days, n_steps * dt."""
-        return self.n_steps * self.dt
 
 
 @dataclass(frozen=True)
@@ -358,14 +326,6 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     mean = total / n
     var = np.maximum(0.0, (total_sq - n * mean * mean) / max(n - 1, 1))
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
-
-
-def _day_steps(days: float, dt: float, name: str) -> int:
-    """Steps of dt in ``days``: a nonnegative multiple to 1e-9 relative, else ValueError."""
-    n = round(days / dt, 0)  # a float: an infinite or NaN count fails the test below
-    if days < 0 or not abs(n * dt - days) <= 1e-9 * days:
-        raise ValueError(f"{name} must be a nonnegative multiple of dt {dt}, got {days}")
-    return int(n)
 
 
 def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):

@@ -8,7 +8,8 @@ log-volatility Y(t) is an Ornstein-Uhlenbeck process
 
 with Wiener correlation <dW1 dW2> = rho dt.  This module provides the OU
 moments, the volatility densities and the two return-correlation
-diagnostics (squared-return autocorrelation and leverage).
+diagnostics (squared-return autocorrelation and leverage), and the input
+types and rules that every CLI command checks, SimConfig among them.
 
 All quantities are in daily units: times in days, alpha in 1/day, m and k
 in day^(-1/2).  Annualization happens only at the CLI boundary.
@@ -21,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .units import daily_vol
+
 __all__ = [
     "ModelParams",
+    "SimConfig",
+    "QuoteError",
+    "y0_from_vol_index",
     "ou_conditional_moments",
     "vol_conditional_pdf",
     "vol_stationary_pdf",
@@ -41,12 +47,15 @@ def _check(name: str, value, positive: bool = True) -> None:
     """The package's numeric-input rule: ``value`` finite, and > 0 if ``positive``.
 
     Scalars and arrays alike, element by element; raises ValueError naming
-    the field.  A plain float skips numpy, so the dataclasses rebuilt on
-    every calibration objective evaluation stay cheap.
+    the field; a bool is not a number here.  A plain float skips numpy, so
+    the dataclasses rebuilt on every calibration objective evaluation stay
+    cheap.
     """
     lo = 0.0 if positive else -math.inf
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         ok = lo < value < math.inf
+    elif np.asarray(value).dtype == bool:
+        ok = False
     else:
         v = np.asarray(value, dtype=float)
         ok = np.all((v > lo) & (v < math.inf))
@@ -81,7 +90,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("m", "alpha", "k"):
             _check(name, getattr(self, name))
-        if not (-1.0 <= self.rho <= 1.0):
+        if isinstance(self.rho, (bool, np.bool_)) or not (-1.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
         if not math.isfinite(self.beta2):
             raise ValueError("k^2/(2 alpha) is not finite")
@@ -179,3 +188,55 @@ def leverage(p: ModelParams, tau):
     val = amp * np.exp(-p.alpha * tpos + 2.0 * b2 * (np.exp(-p.alpha * tpos) - 0.75))
     out = np.where(tau < 0, 0.0, val)
     return _out(out)
+
+
+#: simulate_paths refuses ensembles, and mc_return_stats per-block return
+#: panels, beyond this many samples; mc_call_prices streams and has no limit.
+PATH_BUDGET = 25_000_000
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Simulation layout: n_paths x n_steps at step dt (days), fixed seed."""
+
+    n_paths: int
+    n_steps: int
+    dt: float
+    seed: int
+    antithetic: bool = False
+
+    def __post_init__(self):
+        ints = (self.n_paths, self.n_steps, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in ints):
+            raise ValueError(f"n_paths, n_steps and seed must be integers, got {ints}")
+        if self.n_paths < 1 or self.n_steps < 1:
+            raise ValueError("n_paths and n_steps must be >= 1")
+        _check("dt", self.dt)
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
+        if self.antithetic and self.n_paths % 2:
+            raise ValueError("antithetic mode requires an even n_paths")
+
+    @property
+    def horizon(self) -> float:
+        """Total simulated time in days, n_steps * dt."""
+        return self.n_steps * self.dt
+
+
+def _day_steps(days: float, dt: float, name: str) -> int:
+    """Steps of dt in ``days``: a nonnegative multiple to 1e-9 relative, else ValueError."""
+    n = round(days / dt, 0)  # a float: an infinite or NaN count fails the test below
+    if days < 0 or not abs(n * dt - days) <= 1e-9 * days:
+        raise ValueError(f"{name} must be a nonnegative multiple of dt {dt}, got {days}")
+    return int(n)
+
+
+class QuoteError(ValueError):
+    """Quote file cannot be used at all: empty, or without a usable header."""
+
+
+def y0_from_vol_index(sigma0_annual: float, m: float) -> float:
+    """Initial log-volatility from an annualized vol index: ln(sigma0_daily/m)."""
+    _check("sigma0", sigma0_annual)
+    _check("m", m)
+    return math.log(daily_vol(sigma0_annual) / m)

@@ -83,7 +83,7 @@ class MartingaleParams:
         for name in ("m_bar", "alpha_bar", "k"):
             _check(name, getattr(self, name))
         _check("z0", self.z0, positive=False)
-        if not (-1.0 <= self.rho <= 1.0):
+        if isinstance(self.rho, (bool, np.bool_)) or not (-1.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 
     @property

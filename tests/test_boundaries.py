@@ -10,6 +10,7 @@ to_martingale an infinite m_bar.
 
 import math
 
+import numpy as np
 import pytest
 
 from expouvol import (
@@ -98,3 +99,38 @@ def test_every_numeric_config_key_rejected(capsys, monkeypatch, key, value):
     assert out == ""
     assert key in err
     assert "Traceback" not in err
+
+
+FIELDS = sorted({(kind, field, rule) for kind, field, _, rule in CASES})
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["true", "false", "numpy-true"])
+@pytest.mark.parametrize("kind, field, rule", FIELDS, ids=[f"{k}-{f}" for k, f, _ in FIELDS])
+def test_bool_is_not_a_number(kind, field, rule, flag):
+    cls, valid, _, _ = BOUNDARIES[kind]
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {flag}$"):
+        cls(**{**valid, field: flag})
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["true", "false", "numpy-true"])
+@pytest.mark.parametrize("field", ["n_paths", "n_steps", "seed"])
+def test_bool_is_not_an_integer(field, flag):
+    valid = BOUNDARIES["SimConfig"][1]
+    with pytest.raises(ValueError, match=r"^n_paths, n_steps and seed must be integers, got "):
+        SimConfig(**{**valid, field: flag})
+
+
+@pytest.mark.parametrize("kind", ["ModelParams", "MartingaleParams"])
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["true", "numpy-true"])
+def test_bool_is_not_a_correlation(kind, flag):
+    cls, valid, _, _ = BOUNDARIES[kind]
+    with pytest.raises(ValueError, match=r"^rho must lie in \[-1, 1\], got True$"):
+        cls(**{**valid, "rho": flag})
+
+
+@pytest.mark.parametrize("field", ["spot", "strike", "maturity", "rate"])
+def test_bool_array_is_not_numbers(field):
+    # element by element, as for any array field
+    cls, valid, _, _ = BOUNDARIES["OptionSpec"]
+    with pytest.raises(ValueError, match=rf"^{field} must be (positive and )?finite, got "):
+        cls(**{**valid, field: np.array([True, True])})

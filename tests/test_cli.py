@@ -1,6 +1,7 @@
 """Command-line front end: schemas, determinism, exit codes, round trips."""
 
 import functools
+import importlib
 import inspect
 import json
 import math
@@ -17,6 +18,7 @@ from expouvol import cli
 from expouvol.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = ("price", "smile", "greeks", "density", "simulate", "stats", "calibrate")
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +53,7 @@ class TestPrice:
         assert np.all(diffs[(mons >= 0.9) & (mons <= 1.0)] < 0)
         assert np.all(diffs[(mons >= 1.03) & (mons <= 1.1)] > 0)
 
+    @pytest.mark.byte_exact
     def test_golden_default_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "price")
         assert code == 0
@@ -84,6 +87,7 @@ class TestSmile:
         # rho < 0: low strikes (high S/K) carry the higher implied vol
         assert float(rows[0][1]) < float(rows[-1][1])
 
+    @pytest.mark.byte_exact
     def test_golden_default_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "smile")
         assert code == 0
@@ -123,6 +127,7 @@ class TestSimulate:
         assert header == ["moneyness", "mc_price", "std_err", "analytic", "abs_diff"]
         assert len(rows) == 3
 
+    @pytest.mark.byte_exact
     def test_golden_seeded_bytes(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS)
         assert code == 0
@@ -151,6 +156,7 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: ") and str(dump) in err
 
+    @pytest.mark.byte_exact
     def test_golden_dump_paths_bytes(self, capsys, tmp_path):
         dump = tmp_path / "paths.csv"
         code, _, _ = run_cli(capsys, "--set", "n_paths=3", "--set", "maturity_days=1",
@@ -162,6 +168,7 @@ class TestSimulate:
 
 
 class TestStats:
+    @pytest.mark.byte_exact
     def test_golden_seeded_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "--set", "n_paths=2000", "--set", "dt=1",
                                "--set", "tau_grid=0,1,5", "stats")
@@ -448,6 +455,21 @@ class TestConfigHandling:
         assert out == ""
         assert "tau_grid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("settings, message", [
+        (["antithetic=true", "n_paths=2001"], "antithetic mode requires an even n_paths"),
+        (["tau_grid=0,0.05"], "tau_grid lag must be a nonnegative multiple of dt 0.1, got 0.05"),
+        (["dt=1e-12"], "maturity_days needs 2e+13 steps of dt 1e-12, more than 25000000"),
+    ], ids=["odd-antithetic-paths", "lag-off-the-dt-grid", "horizon-beyond-step-cap"])
+    def test_mc_config_errors_fail_every_command_alike(self, capsys, tmp_path, settings,
+                                                       message):
+        # the Monte Carlo keys are checked before any command runs, also by
+        # the commands that never load the Monte Carlo engine
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        for command in COMMANDS:
+            quotes = ["--quotes", str(tmp_path / "absent.csv")] if command == "calibrate" else []
+            got = run_cli(capsys, *sets, command, *quotes)
+            assert got == (2, "", f"error: {message}\n"), command
+
     @pytest.mark.parametrize("setting", ["maturity_days=1e308", "tau_grid=1e300"])
     def test_step_count_overflow_exit_2(self, capsys, setting):
         code, out, err = run_cli(capsys, "--set", setting, "--set", "dt=1e-10", "price")
@@ -615,6 +637,8 @@ class TestWorkerThreads:
                 return fn(*args, **kwargs)
             return wrapped
 
+        # the commands load mc on first use; the tracer imports every layer first
+        importlib.import_module("expouvol.mc")
         modules = [m for name, m in list(sys.modules.items())
                    if name.startswith("expouvol.") and m is not None]
         wrappers = {fn: record(f"{mod.__name__}.{attr}", fn)
@@ -633,43 +657,6 @@ class TestWorkerThreads:
         names = {name for name, _ in calls}
         assert {"expouvol.mc.mc_call_prices", "expouvol.mc.mc_return_stats"} <= names
         assert {ident for _, ident in calls} == {threading.main_thread().ident}
-
-
-class TestGoldensAtOtherKernelLevels:
-    """Every golden test passes again in a subprocess with numpy's AVX-512
-    kernels off, with its AVX2 kernels off as well, with OpenBLAS's Haswell
-    kernels, and with OpenBLAS on one thread, as the CLI process runs it:
-    the golden bytes depend neither on the SIMD level nor on the thread
-    count."""
-
-    TESTS = ["tests/test_cli.py::TestPrice::test_golden_default_bytes",
-             "tests/test_cli.py::TestSmile::test_golden_default_bytes",
-             "tests/test_cli.py::TestSimulate::test_golden_seeded_bytes",
-             "tests/test_cli.py::TestSimulate::test_golden_dump_paths_bytes",
-             "tests/test_cli.py::TestStats::test_golden_seeded_bytes",
-             "tests/test_implied.py::TestSmile::test_golden_reference_curve"]
-
-    @pytest.mark.parametrize("env, feature", [
-        ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, "AVX512_SKX"),
-        ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3"}, "AVX2"),
-        ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
-        ({"OPENBLAS_NUM_THREADS": "1"}, None),
-    ], ids=["numpy-no-x86-v4", "numpy-no-x86-v3", "openblas-haswell", "openblas-one-thread"])
-    def test_goldens_pass(self, env, feature):
-        try:
-            from numpy._core._multiarray_umath import __cpu_features__
-        except ImportError:
-            __cpu_features__ = {}
-        if feature and not __cpu_features__.get(feature):
-            pytest.skip(f"numpy reports no {feature}: nothing to turn off or to run")
-        root = Path(__file__).parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *self.TESTS],
-            cwd=root, env={**os.environ, **env, "PYTHONPATH": fresh_pythonpath(),
-                           "EXPOUVOL_CONFIG": ""},
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-        assert proc.stdout.splitlines()[-1].startswith(f"{len(self.TESTS)} passed")
 
 
 class TestEmit:
@@ -737,6 +724,52 @@ class TestImport:
         assert expouvol.mc_call_prices is expouvol.mc.mc_call_prices
         with pytest.raises(AttributeError, match="no attribute 'bogus'"):
             expouvol.bogus
+
+    # what no closed-form command runs, standard-library imports included
+    HEAVY = {"expouvol.mc", "expouvol.calibration", "expouvol.implied",
+             "concurrent.futures", "queue", "logging", "csv"}
+
+    @pytest.mark.parametrize("command, loads, skips", [
+        ("price", set(), HEAVY),
+        ("greeks", set(), HEAVY),
+        ("density", set(), HEAVY),
+        ("smile", {"expouvol.implied"}, {"expouvol.mc", "expouvol.calibration"}),
+        ("simulate", {"expouvol.mc"}, {"expouvol.calibration", "csv"}),
+        ("stats", {"expouvol.mc"}, {"expouvol.calibration", "csv"}),
+        ("calibrate", {"expouvol.calibration"}, {"expouvol.mc", "concurrent.futures"}),
+    ], ids=["price", "greeks", "density", "smile", "simulate", "stats", "calibrate"])
+    def test_each_command_loads_what_it_runs(self, tmp_path, command, loads, skips):
+        argv = {"simulate": ["--set", "n_paths=64", "--set", "dt=1"],
+                "stats": ["--set", "n_paths=64", "--set", "dt=1", "--set", "tau_grid=0,1"],
+                "calibrate": ["--set", "sigma0_annual=0.1655", "--set", "maturity_days=10"],
+                }.get(command, []) + [command, "--output", str(tmp_path / "out.csv")]
+        if command == "calibrate":
+            argv += ["--quotes", str(TestCalibrate().make_chain(tmp_path))]
+        code, *loaded = self.run_fresh("\n".join([
+            "import sys, expouvol.cli",
+            f"print(expouvol.cli.main({argv!r}))",
+            "print(*sys.modules, sep='\\n')",
+        ]), EXPOUVOL_CONFIG="")
+        assert code == "0"
+        assert loads <= set(loaded) and not skips & set(loaded)
+
+    def test_moved_names_are_one_object(self):
+        # the names build_config needs moved to model: the old paths still
+        # reach them, and the package's names load neither mc nor calibration
+        moved = {"SimConfig": "mc", "PATH_BUDGET": "mc", "_day_steps": "mc",
+                 "QuoteError": "calibration", "y0_from_vol_index": "calibration"}
+        assert self.run_fresh("\n".join([
+            "import sys, expouvol",
+            "[expouvol.SimConfig, expouvol.QuoteError, expouvol.y0_from_vol_index]",
+            "print(sorted(m for m in sys.modules if m.startswith('expouvol.')))",
+        ])) == [repr(["expouvol.model", "expouvol.units"])]
+        import expouvol
+        from expouvol import model
+        for name, old in moved.items():
+            obj = getattr(model, name)
+            assert getattr(importlib.import_module(f"expouvol.{old}"), name) is obj, name
+            if name in expouvol.__all__:
+                assert getattr(expouvol, name) is obj, name
 
     def test_cli_import_leaves_one_thread(self):
         # OpenBLAS would start one spinning worker per extra CPU; the CLI

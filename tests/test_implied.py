@@ -162,6 +162,7 @@ class TestSmile:
         assert [pt.moneyness for pt in pts] == (100.0 / (100.0 / np.tile(mons, 2))).tolist()
         assert None not in [pt.implied_vol_annual for pt in pts]
 
+    @pytest.mark.byte_exact
     def test_golden_reference_curve(self, fig_mp):
         # frozen after verifying the pricing chain against quadrature and MC
         from pathlib import Path

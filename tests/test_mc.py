@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import os
-import subprocess
 import sys
 import threading
 import time
@@ -287,6 +285,7 @@ class _CountingRng:
         return getattr(self._rng, name)
 
 
+@pytest.mark.byte_exact
 class TestStepChunks:
     """_steps advances _STEP_CHUNK steps per pass with the draws and the
     bits of the one-step reference stepper."""
@@ -623,14 +622,6 @@ class TestReturnStatsStreaming:
             assert s.n_effective == a.n_effective
 
 
-def _numpy_has_x86_v4() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get("X86_V4"))
-
-
 class TestBlockSums:
     """_block_sums writes each block's sums in place into one array, with
     the bits of the earlier stacked form (reference_block_sums); lag 0
@@ -656,7 +647,12 @@ class TestBlockSums:
         ([-2.0, 4.0], [0.5, 19.5]),                # no lag 0
         ([], [0.0]),                               # lag 0 alone
     ])
-    @pytest.mark.parametrize("chunk", ["default", "one row", "over a block"])
+    # lag 0 shares sum r^2 r with sum r r^2, one dot with its arguments
+    # swapped: that holds only if every dot kernel is symmetric, so the test
+    # runs again at other kernel levels.  The chunk size sets only how many
+    # rows a dot call gets, so the default one covers it there.
+    @pytest.mark.parametrize("chunk", [pytest.param("default", marks=pytest.mark.byte_exact),
+                                       "one row", "over a block"])
     def test_equals_the_reference(self, fig_params, monkeypatch, blocks, lev_taus,
                                   aco_taus, chunk):
         # BLOCK + 1000 paths of 40 steps: neither block is a whole number of
@@ -675,28 +671,6 @@ class TestBlockSums:
             want = reference_block_sums(rets, lags)
             got = sums[list(range(5)) + [i for lag_rows in rows for i in lag_rows]]
             assert got.shape == want.shape and (got == want).all()
-
-    @pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Haswell"},
-                                     {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}],
-                             ids=["openblas-haswell", "numpy-no-x86-v4"])
-    def test_equals_the_reference_at_other_kernel_levels(self, env):
-        # lag 0 shares sum r^2 r with sum r r^2, one dot with its arguments
-        # swapped: that holds only if every dot kernel is symmetric.  The
-        # chunk size sets only how many rows a dot call gets, so the default
-        # one covers it.
-        if "NPY_DISABLE_CPU_FEATURES" in env and not _numpy_has_x86_v4():
-            pytest.skip("numpy reports no X86_V4 kernels to turn off")
-        src = os.path.dirname(os.path.dirname(mc.__file__))
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        test = f"{__file__}::{type(self).__name__}::test_equals_the_reference"
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "default",
-             test],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            env={**os.environ, **env, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-        assert proc.stdout.splitlines()[-1].startswith("4 passed")     # one per lag grid
 
     def test_one_block_holds_its_panel_and_one_sums_array(self, fig_params, monkeypatch):
         # the mc_stats block at the CLI defaults: 300 steps, lags 0, 10, 50, 200

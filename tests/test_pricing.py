@@ -67,6 +67,7 @@ class TestNormal:
         assert norm_cdf(np.empty((0, 3))).shape == (0, 3)
 
 
+@pytest.mark.byte_exact
 class TestErfcPort:
     """``pricing._erfc`` is scipy.special.erfc bit for bit; scipy is the oracle here only."""
 
