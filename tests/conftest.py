@@ -1,10 +1,20 @@
-"""Shared fixtures: the reference parameter set used across the suite."""
+"""Shared fixtures: the reference parameter set used across the suite, and the
+byte-exact tests' runs at other kernel levels."""
 
 import dataclasses
 
 import pytest
 
 from expouvol import ModelParams, RiskAversion, to_martingale
+from kernel_levels import Runs
+
+
+@pytest.fixture(scope="session")
+def kernel_level_runs():
+    """One pytest subprocess per kernel setting, all started at once."""
+    runs = Runs()
+    yield runs
+    runs.close()
 
 
 @pytest.fixture

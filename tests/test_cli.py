@@ -16,6 +16,7 @@ import pytest
 
 from expouvol import cli
 from expouvol.cli import main
+from kernel_levels import SETTINGS
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = ("price", "smile", "greeks", "density", "simulate", "stats", "calibrate")
@@ -657,6 +658,28 @@ class TestWorkerThreads:
         names = {name for name, _ in calls}
         assert {"expouvol.mc.mc_call_prices", "expouvol.mc.mc_return_stats"} <= names
         assert {ident for _, ident in calls} == {threading.main_thread().ident}
+
+
+class TestGoldensAtOtherKernelLevels:
+    """Every golden test passes again with numpy's AVX-512 kernels off, with
+    its AVX2 kernels off as well, with OpenBLAS's Haswell kernels, and with
+    OpenBLAS on one thread, as the CLI process runs it: the golden bytes
+    depend neither on the SIMD level nor on the thread count.  The goldens
+    run in the byte-exact subprocess of each setting (tests/kernel_levels.py)."""
+
+    TESTS = ["tests/test_cli.py::TestPrice::test_golden_default_bytes",
+             "tests/test_cli.py::TestSmile::test_golden_default_bytes",
+             "tests/test_cli.py::TestSimulate::test_golden_seeded_bytes",
+             "tests/test_cli.py::TestSimulate::test_golden_dump_paths_bytes",
+             "tests/test_cli.py::TestStats::test_golden_seeded_bytes",
+             "tests/test_implied.py::TestSmile::test_golden_reference_curve"]
+
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    def test_goldens_pass(self, kernel_level_runs, setting):
+        if setting not in kernel_level_runs:
+            pytest.skip(f"numpy reports no {SETTINGS[setting][1]}: nothing to turn off or to run")
+        run = kernel_level_runs[setting]
+        assert set(self.TESTS) <= run.passed, run.tail()
 
 
 class TestEmit:

@@ -1,71 +1,23 @@
-"""The byte-exact tests again at other kernel levels.
+"""Every byte-exact test passes again at each other kernel level.
 
-Tests marked ``byte_exact`` assert bits: the golden CSVs, the stats block
-sums and the step chunks against their reference forms, and the erfc port
-against scipy.  Each setting below runs every one of them in one pytest
-subprocess: numpy's AVX-512 kernels off, its AVX2 kernels off as well,
-OpenBLAS's Haswell kernels, and OpenBLAS on one thread, as the CLI process
-runs it.  Those bits then depend neither on the SIMD level nor on the
-thread count.  The subprocesses start together, so the settings share the
-host's CPUs.
+The runs and their settings are in ``tests/kernel_levels.py``.  A whole run
+passing means the marked tests' bits depend neither on the SIMD level nor on
+the thread count.
 """
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).parent.parent
-
-#: setting -> (environment, the numpy CPU feature it turns off or needs)
-SETTINGS = {
-    "numpy-no-x86-v4": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, "AVX512_SKX"),
-    "numpy-no-x86-v3": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3"}, "AVX2"),
-    "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
-    "openblas-one-thread": ({"OPENBLAS_NUM_THREADS": "1"}, None),
-}
-
-
-def _numpy_has(feature: str) -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get(feature))
-
-
-@pytest.fixture(scope="module")
-def runs():
-    """The pytest subprocess of each setting this host can run, all started at once."""
-    files = [str(f) for f in sorted((ROOT / "tests").glob("test_*.py"))
-             if "mark.byte_exact" in f.read_text()]    # collect no other module
-    path = os.pathsep.join([str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    # no plugin autoload: the marked tests need none, and loading the
-    # installed ones costs each subprocess about 0.8 s of CPU
-    base = {**os.environ, "PYTHONPATH": path, "EXPOUVOL_CONFIG": "",
-            "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
-    procs = {
-        name: subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "-m", "byte_exact", *files],
-            cwd=ROOT, env={**base, **env},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for name, (env, feature) in SETTINGS.items() if feature is None or _numpy_has(feature)}
-    yield procs
-    for proc in procs.values():     # a no-op unless a test stopped early
-        proc.kill()
-        proc.communicate()
+from kernel_levels import SETTINGS
 
 
 @pytest.mark.parametrize("setting", list(SETTINGS))
-def test_byte_exact_tests_pass(runs, setting):
-    if setting not in runs:
+def test_byte_exact_tests_pass(kernel_level_runs, setting):
+    if setting not in kernel_level_runs:
         pytest.skip(f"numpy reports no {SETTINGS[setting][1]}: nothing to turn off or to run")
-    out, err = runs[setting].communicate(timeout=300)
-    assert runs[setting].returncode == 0, out[-3000:] + err[-3000:]
+    run = kernel_level_runs[setting]
+    assert run.returncode == 0, run.tail()
     # every marked test ran and passed: none skipped, xfailed or errored
-    summary = out.splitlines()[-1]
-    assert re.fullmatch(r"\d+ passed, \d+ deselected(, \d+ warnings?)? in .*", summary), summary
+    assert re.fullmatch(r"\d+ passed, \d+ deselected(, \d+ warnings?)? in .*", run.summary), \
+        run.summary

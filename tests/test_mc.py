@@ -31,6 +31,7 @@ from expouvol import (
 from expouvol import mc
 from expouvol.mc import BLOCK
 from expouvol.risk_neutral import MartingaleParams
+from kernel_levels import SETTINGS
 from oracles import (
     chi_square_vs_density,
     reference_block_sums,
@@ -671,6 +672,17 @@ class TestBlockSums:
             want = reference_block_sums(rets, lags)
             got = sums[list(range(5)) + [i for lag_rows in rows for i in lag_rows]]
             assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("setting", ["openblas-haswell", "numpy-no-x86-v4"])
+    def test_equals_the_reference_at_other_kernel_levels(self, kernel_level_runs, setting):
+        # the default-chunk cases run in the byte-exact subprocess of each
+        # setting (tests/kernel_levels.py)
+        if setting not in kernel_level_runs:
+            pytest.skip(f"numpy reports no {SETTINGS[setting][1]}: nothing to turn off or to run")
+        run = kernel_level_runs[setting]
+        test = f"tests/test_mc.py::{type(self).__name__}::test_equals_the_reference["
+        passed = [t for t in run.passed if t.startswith(test) and "default" in t]
+        assert len(passed) == 4, run.tail()     # one per lag grid
 
     def test_one_block_holds_its_panel_and_one_sums_array(self, fig_params, monkeypatch):
         # the mc_stats block at the CLI defaults: 300 steps, lags 0, 10, 50, 200
