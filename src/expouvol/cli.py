@@ -181,9 +181,9 @@ def _convert(key: str, val: str):
 def build_config(file_values, overrides) -> RunConfig:
     """Merge defaults, file values and CLI overrides into a RunConfig.
 
-    Both are sequences of (key, value) pairs, applied in order: a key's last
-    value wins, and every value given must pass its kind's rule (finite;
-    "positive" and "count" also > 0).
+    Both are sequences of (key, value string) pairs, applied in order: a
+    key's last value wins, and every value given must pass its kind's rule
+    (finite; "positive" and "count" also > 0).
     """
     merged = {key: default for key, (default, _) in _KEYS.items()}
     errors = []
@@ -192,7 +192,7 @@ def build_config(file_values, overrides) -> RunConfig:
             errors.append(f"unknown key {key!r}")
             continue
         try:
-            merged[key] = val = _convert(key, val) if isinstance(val, str) else val
+            merged[key] = val = _convert(key, val)
             if _KEYS[key][1] != "bool":
                 _check(key, val, positive=_KEYS[key][1] in ("positive", "count"))
         except ValueError as exc:  # ConfigError included

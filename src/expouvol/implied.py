@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pricing import OptionSpec, _call_prices, _terms, bs_call, norm_pdf
+from .pricing import OptionSpec, _bs, _call_prices, bs_call, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
 from .units import annualize_vol
 
@@ -73,12 +73,13 @@ def _implied_vols(price, spec: OptionSpec):
     tol = PRICE_TOL * np.maximum(spec.spot, 1.0)
     live = why == 0
     for _ in range(MAX_ITER):
-        f = bs_call(spec, vol) - price
+        call, _, (d1, *_) = _bs(spec, vol)
+        f = call - price
         live &= ~(np.abs(f) <= tol)
         if not live.any():
             break
         lo, hi = np.where(f > 0, lo, vol), np.where(f > 0, vol, hi)
-        v = spec.spot * norm_pdf(_terms(spec, vol)[0]) * np.sqrt(spec.maturity)
+        v = spec.spot * norm_pdf(d1) * np.sqrt(spec.maturity)
         with np.errstate(all="ignore"):
             nxt = np.where((v > 0) & np.isfinite(v), vol - f / v, math.nan)
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))

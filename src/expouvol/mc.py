@@ -126,14 +126,15 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normals(rng, size, antithetic):
+def _normals(rng, out: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Fill ``out`` with normals, paths on its last axis; antithetic mode draws
+    half as many and puts them in the even lanes, their negations in the odd."""
     if not antithetic:
-        return rng.standard_normal(size)
-    half = rng.standard_normal(size // 2)
-    g = np.empty(size)
-    g[0::2] = half
-    g[1::2] = -half
-    return g
+        return rng.standard_normal(out=out)
+    half = rng.standard_normal(out.shape[:-1] + (out.shape[-1] // 2,))
+    out[..., 0::2] = half
+    np.negative(half, out=out[..., 1::2])
+    return out
 
 
 def _n_workers() -> int:
@@ -183,10 +184,10 @@ def _map_blocks(fn, cfg: SimConfig, block_samples: int = 0):
 def _steps(params, cfg: SimConfig, rng: np.random.Generator, y: np.ndarray, rate: float):
     """Advance one block's paths from log-vol ``y``, _STEP_CHUNK steps at a time.
 
-    Each chunk of c steps makes one normal fill of (c, 2, size) from
-    ``rng`` (the block's stream; antithetic mode fills (c, 2, size/2) and
-    mirrors it into the even and odd lanes), which is the stream of two
-    per-step normal vectors, step after step.  It yields ``(dx, ys)``, the
+    Each chunk of c steps makes one _normals fill of (c, 2, size) from
+    ``rng`` (the block's stream; antithetic mode draws a transient of
+    c x size doubles and mirrors it), the stream of two per-step normal
+    vectors, step after step.  It yields ``(dx, ys)``, the
     (c, size) log-price increments and new log-vols, one row per step; the
     last chunk may be shorter.  Every element goes through the same IEEE
     operations, in the same order, as a one-step-at-a-time loop would take,
@@ -209,13 +210,7 @@ def _steps(params, cfg: SimConfig, rng: np.random.Generator, y: np.ndarray, rate
     for lo in range(0, cfg.n_steps, c):
         m = min(c, cfg.n_steps - lo)
         g1, gp, s, d = g[:m, 0], g[:m, 1], sig[:m], dx[:m]
-        if cfg.antithetic:
-            half = dx.reshape(c, 2, n // 2)[:m]     # dx's buffer is free until dx
-            rng.standard_normal(out=half)
-            g[:m, :, 0::2] = half
-            np.negative(half, out=g[:m, :, 1::2])
-        else:
-            rng.standard_normal(out=g[:m])
+        _normals(rng, g[:m], cfg.antithetic)
         # gp becomes sd_ou * g2, g2 = rho g1 + rho_perp gp
         np.multiply(rho_perp, gp, out=gp)
         np.multiply(rho, g1, out=s)
@@ -318,11 +313,8 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
             sums[(1,) + i] = (pay * pay).sum()
         return sums
 
-    total = np.zeros(strikes.shape)
-    total_sq = np.zeros(strikes.shape)
-    for s, s_sq in _map_blocks(payoff_sums, cfg):
-        total += s
-        total_sq += s_sq
+    # sum() is a left fold: the block sums are added in block order
+    total, total_sq = sum(_map_blocks(payoff_sums, cfg))
     mean = total / n
     var = np.maximum(0.0, (total_sq - n * mean * mean) / max(n - 1, 1))
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
@@ -496,7 +488,7 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     def weighted_sums(b, size):
         rng = _block_rng(cfg.seed, b)
         rets = np.empty((size, n_all))
-        y = math.sqrt(p.beta2) * _normals(rng, size, cfg.antithetic)   # stationary start
+        y = math.sqrt(p.beta2) * _normals(rng, np.empty(size), cfg.antithetic)  # stationary start
         i = 0
         for dx, _ in _steps(p, cfg, rng, y, 0.0):
             rets[:, i:i + len(dx)] = np.expm1(dx, out=dx).T
@@ -505,9 +497,8 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
         del rets    # freed before the bootstrap
         return _bootstrap_sums(cfg.seed, b, sums)
 
-    totals = 0.0
-    for block_totals in _map_blocks(weighted_sums, cfg, block_samples=panel):
-        totals = totals + block_totals
+    # sum() is a left fold: the block totals are added in block order
+    totals = sum(_map_blocks(weighted_sums, cfg, block_samples=panel))
     totals = totals[totals[:, 0] > 0]       # a replicate that drew no path
     n_w = totals[:, 0]
     mu = totals[0, 1] / (n_paths * n_all)

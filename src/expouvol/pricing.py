@@ -8,10 +8,12 @@ expansion coefficients:
 
 Every term is evaluated by one broadcasting code path over spot, strike
 and maturity: each public function returns floats for scalar inputs and
-NumPy arrays for array inputs.  The directly assembled single-expression
-form of the price is a test oracle (``tests/oracles.py``), asserted
-against this component form on a dense grid.  The put follows from
-put-call parity, which the expansion satisfies exactly.
+NumPy arrays for array inputs.  The components, ``bs_call``, ``delta`` and
+the implied-vol solver take the Black-Scholes leg from one place, ``_bs``.
+The directly assembled single-expression form of the price is a test
+oracle (``tests/oracles.py``), asserted against this component form on a
+dense grid, and a 50-digit form measures its rounding error.  The put
+follows from put-call parity, which the expansion satisfies exactly.
 
 A known property of the truncation: the discounted forward it implies is
 S*(1 + theta + rho*sigma3 + kappa + theta^2/2) rather than S, a relative
@@ -201,25 +203,27 @@ def _terms(spec: OptionSpec, vol: float):
     return d1, d2, w, disc_k, d2 / _SQRT2
 
 
-def _cdf_pair(d1, d2):
-    """N(d1) and N(d2), same shape, from one erfc call.
+def _bs(spec: OptionSpec, vol):
+    """The Black-Scholes leg: (S N(d1) - K e^{-rT} N(d2), N(d1), _terms), broadcast.
 
-    ``_erfc`` runs some fifty numpy operations per call whatever the size,
-    which outweighs its per-element cost on option-chain-sized arrays.
+    N(d1) and N(d2) come from one erfc call: ``_erfc`` runs some fifty
+    numpy operations per call whatever the size, which outweighs its
+    per-element cost on option-chain-sized arrays.
     """
-    return norm_cdf(np.stack((d1, d2)))
+    d1, d2, _, disc_k, _ = terms = _terms(spec, vol)
+    n1, n2 = norm_cdf(np.stack((d1, d2)))
+    return spec.spot * n1 - disc_k * n2, n1, terms
 
 
 def _call_terms(spec: OptionSpec, vol: float):
     """Black-Scholes price and the correction components (C0, C1, C2)."""
-    d1, d2, w, disc_k, h = _terms(spec, vol)
+    bs, n1, (_, d2, w, disc_k, h) = _bs(spec, vol)
     c2t = 2.0 * vol * vol * spec.maturity   # 2 m_bar^2 T
     q = disc_k / w * norm_pdf(d2)
-    n1, n2 = _cdf_pair(d1, d2)
     sn1 = spec.spot * n1
     h1 = hermite_poly(1, h)
     h2 = hermite_poly(2, h)
-    return (sn1 - disc_k * n2,
+    return (bs,
             sn1 + q,
             sn1 - q * (h1 / np.sqrt(c2t) - 1.0),
             sn1 + q * (h2 / c2t - h1 / np.sqrt(c2t) + 1.0))
@@ -238,9 +242,7 @@ def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs
 def bs_call(spec: OptionSpec, vol: float):
     """Black-Scholes call price; ``vol`` (day^(-1/2)) broadcasts against the spec."""
     _check("vol", vol)
-    d1, d2, _, disc_k, _ = _terms(spec, vol)
-    n1, n2 = _cdf_pair(d1, d2)
-    return _out(spec.spot * n1 - disc_k * n2)
+    return _out(_bs(spec, vol)[0])
 
 
 def call_components(spec: OptionSpec, m_bar: float):
@@ -289,7 +291,7 @@ def delta(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """
     if np.any(coeffs.maturity != spec.maturity):
         raise ValueError(f"coeffs are for maturity {coeffs.maturity}, not {spec.maturity}")
-    d1, d2, w, disc_k, h = _terms(spec, mp.m_bar)
+    _, n1, (_, d2, w, disc_k, h) = _bs(spec, mp.m_bar)
     c2t = 2.0 * mp.m_bar * mp.m_bar * spec.maturity
     rs = mp.rho * coeffs.sigma3
     qw = coeffs.quartic_weight
@@ -299,5 +301,5 @@ def delta(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
                + r_all * hermite_poly(2, h) / c2t
                - p_all * hermite_poly(1, h) / np.sqrt(c2t)
                + p_all)
-    return _out((1.0 + p_all) * norm_cdf(d1)
+    return _out((1.0 + p_all) * n1
                 + disc_k / (spec.spot * w) * norm_pdf(d2) * bracket)

@@ -211,6 +211,13 @@ def expansion_coeffs_averaged(mp: MartingaleParams, t, r: float) -> ExpansionCoe
     return replace(co, kappa=_out(co.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3)))
 
 
+def _one_maturity(name: str, coeffs: ExpansionCoeffs) -> None:
+    """Reject array coefficients in a function that handles one maturity."""
+    if np.ndim(coeffs.maturity):
+        raise ValueError(f"{name} takes coefficients at one scalar maturity, "
+                         f"got {np.size(coeffs.maturity)} lanes")
+
+
 def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
                  rate: float = 0.0) -> complex:
     """Resummed characteristic function exp(-C) in scaled variables.
@@ -225,8 +232,10 @@ def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
     The effective shifted rates are gamma = nu + i rho omega1 in the
     initial-volatility term and nu + i rho omega1 / 2 in the skew and
     quartic terms (the half compensates the quadratic embedding of the
-    skew term in the quartic one).
+    skew term in the quartic one).  Every argument must be finite.
     """
+    for name, val in (("omega1", omega1), ("t_prime", t_prime), ("v0", v0), ("rate", rate)):
+        _check(name, val, positive=False)
     if t_prime < 0:
         raise ValueError("t_prime must be nonnegative")
     lam, nu, rho = mp.lam, mp.nu, mp.rho
@@ -250,7 +259,11 @@ def char_fn_expanded(mp: MartingaleParams, coeffs: ExpansionCoeffs, omega: float
 
     phi(omega) = exp(-[i omega mu + m_bar^2 omega^2 t / 2])
                  * [1 - theta w^2 + i rho sigma3 w^3 + (kappa + theta^2/2) w^4]
+
+    ``omega`` must be finite and ``coeffs`` at one scalar maturity.
     """
+    _check("omega", omega, positive=False)
+    _one_maturity("char_fn_expanded", coeffs)
     w = float(omega)
     gauss = cmath.exp(-(1j * w * coeffs.mu + 0.5 * mp.m_bar**2 * w * w * coeffs.maturity))
     poly = (1.0 - coeffs.theta * w**2
@@ -294,8 +307,10 @@ def return_density(mp: MartingaleParams, coeffs: ExpansionCoeffs, x):
 
     u = (x - mu)/sqrt(2 m_bar^2 t).  The corrections integrate to zero, so
     total mass is one, but the density can go negative in far tails; values
-    are returned as computed, never clamped.
+    are returned as computed, never clamped.  ``coeffs`` must be at one
+    scalar maturity.
     """
+    _one_maturity("return_density", coeffs)
     if coeffs.maturity <= 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
@@ -312,8 +327,10 @@ def negative_mass_fraction(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> flo
     The Hermite corrections can push the far tails below zero; pricing never
     integrates the density numerically, so the value is a diagnostic of how
     far outside its domain the expansion is being used.  Trapezoid estimate
-    on 4,001 points over mu +- 10 standard deviations.
+    on 4,001 points over mu +- 10 standard deviations, at one scalar
+    maturity.
     """
+    _one_maturity("negative_mass_fraction", coeffs)
     sd = mp.m_bar * math.sqrt(coeffs.maturity)
     xs = np.linspace(coeffs.mu - 10.0 * sd, coeffs.mu + 10.0 * sd, 4001)
     p = return_density(mp, coeffs, xs)

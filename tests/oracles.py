@@ -11,11 +11,15 @@ Pearson goodness-of-fit test against a density.  Both Monte Carlo oracles
 run their own stepper, one step and two normal draws at a time, which
 mc._steps must match bit for bit.  The per-path raw sums of one stats
 block have their earlier form, one list of rows per chunk stacked and
-concatenated, which mc._block_sums must match bit for bit.
+concatenated, which mc._block_sums must match bit for bit.  The
+Black-Scholes leg, the expansion coefficients and the component price
+have 50-digit mpmath forms, evaluated from the same binary floats the
+package gets, so a test can measure the package's rounding error.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import chdtrc
@@ -321,3 +325,89 @@ def return_stats_full_panel(p, cfg, leverage_taus, autocorr_taus):
             value=float(_stat(kind, [a.sum() for a in per_path], n_paths, n_pairs, n_all)),
             std_error=float(boot.std(ddof=1)), n_effective=n_paths * n_pairs))
     return out["lev"], out["aco"]
+
+
+#: digits of the mpmath oracles below: far past double's 16
+DIGITS = 50
+
+
+def _mpf(*xs):
+    """Each float as the mpf of exactly its binary value."""
+    return [mpmath.mpf(float(x)) for x in xs]
+
+
+def _ncdf(d):
+    return mpmath.erfc(-d / mpmath.sqrt(2)) / 2
+
+
+def _npdf(d):
+    return mpmath.exp(-d * d / 2) / mpmath.sqrt(2 * mpmath.pi)
+
+
+def bs_50(S, K, T, r, vol):
+    """pricing._bs at 50 digits: (price, N(d1), d1, d2) as mpf."""
+    with mpmath.workdps(DIGITS):
+        S, K, T, r, vol = _mpf(S, K, T, r, vol)
+        w = vol * mpmath.sqrt(T)
+        d1 = (mpmath.log(S / K) + (r + vol * vol / 2) * T) / w
+        d2 = d1 - w
+        n1 = _ncdf(d1)
+        return S * n1 - K * mpmath.exp(-r * T) * _ncdf(d2), n1, d1, d2
+
+
+def coeffs_50(mp, t, r):
+    """risk_neutral._coeffs at 50 digits: (mu, theta, sigma3, kappa) as mpf.
+
+    lam and nu are formed at 50 digits too, from m_bar, alpha_bar and k.
+    """
+    with mpmath.workdps(DIGITS):
+        m_bar, alpha_bar, k, rho, z0, t, r = _mpf(mp.m_bar, mp.alpha_bar, mp.k, mp.rho,
+                                                  mp.z0, t, r)
+        lam, nu = k / m_bar, alpha_bar / (k * k)
+        at = alpha_bar * t
+        e1 = mpmath.exp(-at)
+        a1, a2 = -mpmath.expm1(-at), -mpmath.expm1(-2 * at)
+        mu = r * t - m_bar * m_bar * t / 2
+        theta = z0 * a1 / (lam ** 2 * nu)
+        sigma3 = ((at - a1) - z0 * (at * e1 - a1)) / (lam ** 3 * nu ** 2)
+        kappa = ((at + a2 / 2 - 2 * a1)
+                 + rho * rho * (at - 2 * a1 + at * e1)) / (2 * lam ** 4 * nu ** 3)
+        return mu, theta, sigma3, kappa
+
+
+def expou_call_50(S, K, T, r, mp):
+    """pricing._call_prices at 50 digits: (bs, c0, c1, c2, total) as mpf.
+
+    The coefficients come from coeffs_50, so the whole chain from the
+    martingale parameters to the price is at 50 digits.
+    """
+    with mpmath.workdps(DIGITS):
+        _, theta, sigma3, kappa = coeffs_50(mp, T, r)
+        bs, n1, _, d2 = bs_50(S, K, T, r, mp.m_bar)
+        S, K, T, r, vol, rho = _mpf(S, K, T, r, mp.m_bar, mp.rho)
+        w = vol * mpmath.sqrt(T)
+        c2t = 2 * vol * vol * T
+        q = K * mpmath.exp(-r * T) / w * _npdf(d2)
+        h = d2 / mpmath.sqrt(2)
+        h1, h2 = 2 * h, 4 * h * h - 2
+        sn1 = S * n1
+        c0 = sn1 + q
+        c1 = sn1 - q * (h1 / mpmath.sqrt(c2t) - 1)
+        c2 = sn1 + q * (h2 / c2t - h1 / mpmath.sqrt(c2t) + 1)
+        total = bs + theta * c0 + rho * sigma3 * c1 + (kappa + theta * theta / 2) * c2
+        return bs, c0, c1, c2, total
+
+
+def call_condition(S, K, T, r, vol, price):
+    """Condition number of a call price made from the Black-Scholes leg.
+
+    The cancellation ratio S N(d1)/price, by which the leg's difference
+    magnifies the relative errors of its two terms, times the |d|
+    amplification 1 + max |d| N'(d)/N(d) over d1 and d2, by which N
+    magnifies a relative error in its argument.  ``price`` is the value
+    whose error is judged (the leg itself, or the expansion total).
+    """
+    with mpmath.workdps(DIGITS):
+        _, n1, d1, d2 = bs_50(S, K, T, r, vol)
+        amp = 1 + max(abs(d) * _npdf(d) / _ncdf(d) for d in (d1, d2))
+        return float(mpmath.mpf(float(S)) * n1 / abs(price) * amp)

@@ -105,6 +105,12 @@ class TestDensity:
         ps = np.array([float(r[1]) for r in rows])
         assert np.trapezoid(ps, xs) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.byte_exact
+    def test_golden_default_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "density")
+        assert code == 0
+        assert out == (GOLDEN / "density_default.csv").read_text()
+
 
 class TestGreeks:
     def test_schema_and_range(self, capsys):
@@ -114,6 +120,12 @@ class TestGreeks:
         assert header == ["moneyness", "delta"]
         deltas = [float(r[1]) for r in rows]
         assert all(b > a for a, b in zip(deltas, deltas[1:]))
+
+    @pytest.mark.byte_exact
+    def test_golden_default_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "greeks")
+        assert code == 0
+        assert out == (GOLDEN / "greeks_default.csv").read_text()
 
 
 class TestSimulate:
@@ -133,6 +145,12 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, *self.ARGS)
         assert code == 0
         assert out == (GOLDEN / "simulate_seeded.csv").read_text()
+
+    @pytest.mark.byte_exact
+    def test_golden_antithetic_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "--set", "antithetic=true", *self.ARGS)
+        assert code == 0
+        assert out == (GOLDEN / "simulate_antithetic.csv").read_text()
 
     def test_seed_matters(self, capsys):
         _, out1, _ = run_cli(capsys, *self.ARGS)
@@ -169,12 +187,19 @@ class TestSimulate:
 
 
 class TestStats:
+    ARGS = ("--set", "n_paths=2000", "--set", "dt=1", "--set", "tau_grid=0,1,5", "stats")
+
     @pytest.mark.byte_exact
     def test_golden_seeded_bytes(self, capsys):
-        code, out, _ = run_cli(capsys, "--set", "n_paths=2000", "--set", "dt=1",
-                               "--set", "tau_grid=0,1,5", "stats")
+        code, out, _ = run_cli(capsys, *self.ARGS)
         assert code == 0
         assert out == (GOLDEN / "stats_seeded.csv").read_text()
+
+    @pytest.mark.byte_exact
+    def test_golden_antithetic_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "--set", "antithetic=true", *self.ARGS)
+        assert code == 0
+        assert out == (GOLDEN / "stats_antithetic.csv").read_text()
 
     def test_schema_and_formula_columns(self, capsys):
         code, out, _ = run_cli(capsys, "--set", "n_paths=20000",
@@ -669,9 +694,13 @@ class TestGoldensAtOtherKernelLevels:
 
     TESTS = ["tests/test_cli.py::TestPrice::test_golden_default_bytes",
              "tests/test_cli.py::TestSmile::test_golden_default_bytes",
+             "tests/test_cli.py::TestDensity::test_golden_default_bytes",
+             "tests/test_cli.py::TestGreeks::test_golden_default_bytes",
              "tests/test_cli.py::TestSimulate::test_golden_seeded_bytes",
+             "tests/test_cli.py::TestSimulate::test_golden_antithetic_bytes",
              "tests/test_cli.py::TestSimulate::test_golden_dump_paths_bytes",
              "tests/test_cli.py::TestStats::test_golden_seeded_bytes",
+             "tests/test_cli.py::TestStats::test_golden_antithetic_bytes",
              "tests/test_implied.py::TestSmile::test_golden_reference_curve"]
 
     @pytest.mark.parametrize("setting", list(SETTINGS))

@@ -17,6 +17,7 @@ from expouvol import (
     expansion_coeffs,
     expansion_coeffs_averaged,
     hermite_poly,
+    negative_mass_fraction,
     regime_warning,
     return_density,
     to_martingale,
@@ -368,6 +369,44 @@ class TestNegativeMassDiagnostic:
                              maturity=20.0)
         frac = negative_mass_fraction(fig_mp, co)
         assert frac > 1e-3
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, name", [
+        (lambda mp, co: char_fn_full(mp, math.nan, 0.242, 0.0), "omega1"),
+        (lambda mp, co: char_fn_full(mp, 1.0, math.nan, 0.0), "t_prime"),
+        (lambda mp, co: char_fn_full(mp, 1.0, math.inf, 0.0), "t_prime"),
+        (lambda mp, co: char_fn_full(mp, 1.0, 0.242, math.inf), "v0"),
+        (lambda mp, co: char_fn_full(mp, 1.0, 0.242, 0.0, rate=math.nan), "rate"),
+        (lambda mp, co: char_fn_expanded(mp, co, math.nan), "omega"),
+        (lambda mp, co: char_fn_expanded(mp, co, -math.inf), "omega"),
+    ])
+    def test_non_finite_rejected_by_name(self, fig_mp, call, name):
+        # each returned (nan+nanj) before it was checked
+        co = expansion_coeffs(fig_mp, 20.0, 0.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(fig_mp, co)
+
+    def test_negative_t_prime_rejected(self, fig_mp):
+        with pytest.raises(ValueError, match="^t_prime must be nonnegative$"):
+            char_fn_full(fig_mp, 1.0, -0.1, 0.0)
+
+    def test_non_finite_beta2_rejected(self):
+        with pytest.raises(ValueError, match=r"^k\^2/\(2 alpha\) is not finite$"):
+            ModelParams(m=0.01, alpha=1e-300, k=1e10, rho=0.0)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda mp, co: return_density(mp, co, 0.0), "return_density"),
+        (lambda mp, co: negative_mass_fraction(mp, co), "negative_mass_fraction"),
+        (lambda mp, co: char_fn_expanded(mp, co, 1.0), "char_fn_expanded"),
+    ])
+    @pytest.mark.parametrize("maturities", [[5.0, 20.0], [5.0]])
+    def test_array_maturity_rejected(self, fig_mp, call, name, maturities):
+        # these handle one maturity; an array one crashed inside numpy or math
+        co = expansion_coeffs(fig_mp, maturities, 0.0)
+        with pytest.raises(ValueError, match=f"^{name} takes coefficients at one scalar "
+                           f"maturity, got {len(maturities)} lanes$"):
+            call(fig_mp, co)
 
 
 class TestRegimeWarning:
