@@ -29,12 +29,14 @@ Recognized keys and defaults::
     tau_grid = 0,1,5,20  # days, for the stats command
 
 Annual quantities are converted once at load: rates divide by 252,
-volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins and
-a warning goes to stderr.  Numeric values must be finite; scales, sizes and
-steps positive; moneyness_points at most 25,000,000; maturity_days and the
-tau_grid lags nonnegative multiples of dt, and neither maturity_days nor the
-stats horizon (the longest lag plus 100 steps) more than 25,000,000 steps
-of dt.  Accepted on purpose:
+volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins
+as the martingale start of price, smile, greeks, density and simulate,
+sigma0_annual still gives calibrate its y0, and a warning goes to stderr.
+Numeric values must be finite; scales, sizes and steps positive;
+moneyness_points at most 25,000,000; maturity_days and the tau_grid lags
+nonnegative multiples of dt, and neither maturity_days nor the stats
+horizon (the longest lag plus 100 steps) more than 25,000,000 steps of dt.
+Accepted on purpose:
 
 - A key given twice, in the file or in --set, takes its last value; every
   value given is still checked, so a bad one is an error even when a later
@@ -133,7 +135,7 @@ class RunConfig:
     """Validated run configuration, already converted to daily units."""
 
     params: ModelParams
-    martingale: MartingaleParams   # z0: the z0 key's, or y0 shifted when y0 is set
+    martingale: MartingaleParams   # z0: the z0 key's if given, else y0 shifted
     spot: float
     rate: float            # day^(-1)
     y0: Optional[float]    # physical initial log-vol (from sigma0_annual)
@@ -208,11 +210,11 @@ def build_config(file_values, overrides) -> RunConfig:
     try:
         params = ModelParams(m=merged["m"], alpha=merged["alpha"],
                              k=merged["k"], rho=merged["rho"])
-        if sigma0 is not None and not explicit_z0:
+        if sigma0 is not None:
             y0 = y0_from_vol_index(sigma0, params.m)
         risk = RiskAversion(merged["lambda0"], merged["lambda1"])
         martingale = to_martingale(params, risk, 0.0 if y0 is None else y0)
-        if y0 is None:
+        if y0 is None or explicit_z0:
             martingale = dataclasses.replace(martingale, z0=merged["z0"])
         maturity = float(merged["maturity_days"])
         dt = float(merged["dt"])

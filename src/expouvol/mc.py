@@ -68,8 +68,9 @@ _STEP_CHUNK = 4
 #: bootstrap replicates behind every mc_return_stats standard error
 _N_BOOT = 200
 #: bytes of one row chunk in the per-block stats reductions: the r*r
-#: scratch of _block_sums and the bootstrap weights of _bootstrap_sums
-_CHUNK_BYTES = 1 << 18
+#: scratch of _block_sums and the bootstrap weights of _bootstrap_sums.
+#: It trades memory for calls: _block_sums makes 5 + 12 per lag a chunk.
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -260,10 +261,10 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
         steps = _steps(params, cfg, _block_rng(cfg.seed, b), np.full(size, float(y0)), rate)
         i = 1
         for dx, y in steps:
-            for dx_i, y_i in zip(dx, y):
-                xs[rows, i] = xs[rows, i - 1] + dx_i
-                ys[rows, i] = y_i
-                i += 1
+            xs[rows, i:i + len(dx)] = dx.T
+            ys[rows, i:i + len(dx)] = y.T
+            i += len(dx)
+        np.cumsum(xs[rows], axis=1, out=xs[rows])   # x adds up dx step by step
 
     for _ in _map_blocks(fill, cfg):
         pass
@@ -330,61 +331,6 @@ def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
 #: (p, q) powers of the pair sums sum a^p b^q kept per lag; (0, 0) is the
 #: weighted pair count, which follows from the weight row.
 _PAIR_POWERS = [(p, q) for p in range(3) for q in range(3) if p or q]
-#: at lag 0 a = b, and these pair sums are single-sum rows bit for bit:
-#: a window sum less an empty sum (x - 0.0 = x), the same dot as row 3 (its
-#: arguments swapped) and row 4.  Only sum a b, a dot, needs its own row.
-_LAG0_ROWS = {(0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 2): 3, (2, 0): 2, (2, 1): 3, (2, 2): 4}
-
-
-def _sum_rows(lags: Sequence[int]):
-    """The row layout of _raw_sums: (rows, n_sums).
-
-    ``rows[i]`` lists the row of sum a^p b^q for each (p, q) in _PAIR_POWERS
-    at ``lags[i]``.  Row 0 is each path's weight 1 and rows 1-4 are the
-    single sums; a lag l > 0 adds
-    len(_PAIR_POWERS) rows, and lag 0 adds one (_LAG0_ROWS).
-    """
-    rows, n_sums = [], 5
-    for lag in lags:
-        if lag:
-            rows.append(list(range(n_sums, n_sums + len(_PAIR_POWERS))))
-            n_sums += len(_PAIR_POWERS)
-        else:
-            rows.append([_LAG0_ROWS.get(pq, n_sums) for pq in _PAIR_POWERS])
-            n_sums += 1
-    return rows, n_sums
-
-
-def _raw_sums(pw, lag_rows, out: np.ndarray, top: int) -> None:
-    """Write the per-path raw sums whose largest power is ``top`` into ``out``.
-
-    ``pw[p]`` holds r^p for a set of paths, one row per path, and ``out``
-    is (n_sums, paths), one row per sum, laid out as _sum_rows gives
-    ``lag_rows`` = zip(lags, rows).  Rows 1-4 are sum r, sum r^2,
-    sum r^2 r and sum r^2 r^2 over every step, and each lag l has
-    sum a^p b^q for (p, q) in _PAIR_POWERS over the pairs a = r(t),
-    b = r(t+l).  A window sum (a or b alone) gets only the sum over the l
-    edge steps the window leaves out; _block_sums subtracts it from the
-    full sum.  Every row is written with out=, so no call allocates
-    anything the size of its returns.
-    """
-    n = pw[1].shape[1]
-    if top == 1:
-        np.add.reduce(pw[1], axis=1, out=out[1])
-    else:
-        np.add.reduce(pw[2], axis=1, out=out[2])
-        np.vecdot(pw[2], pw[1], out=out[3])
-        np.vecdot(pw[2], pw[2], out=out[4])
-    for lag, rows in lag_rows:
-        for (p, q), i in zip(_PAIR_POWERS, rows):
-            if i < 5 or max(p, q) != top:   # a shared single sum, or the other pass's
-                continue
-            if p and q:
-                np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:], out=out[i])
-            elif p:
-                np.add.reduce(pw[p][:, n - lag:], axis=1, out=out[i])
-            else:
-                np.add.reduce(pw[q][:, :lag], axis=1, out=out[i])
 
 
 def _chunks(n_rows: int, width: int):
@@ -394,29 +340,38 @@ def _chunks(n_rows: int, width: int):
 
 
 def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """The (n_sums, size) per-path raw sums of a block's returns (_raw_sums).
+    """The (5 + 8 len(lags), size) per-path raw sums of a block's returns.
 
-    They are written in place into one array.  Sums of r alone take the
-    whole block in one call each; sums with an r^2 take a row chunk at a
-    time, with one r*r scratch shared by every chunk; each window sum is
-    then its full sum less its edge.  Each path's sums use only its own
-    row, through the same numpy calls whatever the chunk, so the values
-    do not depend on the chunking.
+    Row 0 is each path's weight 1 and rows 1-4 are sum r, sum r^2,
+    sum r^2 r and sum r^2 r^2 over every step; lag ``lags[k]`` then has
+    rows 5+8k to 12+8k, sum a^p b^q for (p, q) in _PAIR_POWERS over the
+    pairs a = r(t), b = r(t+lag).  A window sum (a or b alone) is its full
+    sum less the sum over the edge steps the window leaves out.  One pass
+    writes every row in place, a row chunk at a time, with one r*r scratch
+    shared by every chunk.  Each path's sums use only its own row, through
+    the same numpy calls whatever the chunk, so the values do not depend
+    on the chunking.
     """
-    rows, n_sums = _sum_rows(lags)
-    lag_rows = list(zip(lags, rows))
+    n = rets.shape[1]
     chunks = _chunks(*rets.shape)
-    sums = np.empty((n_sums, rets.shape[0]))
+    sums = np.empty((5 + len(_PAIR_POWERS) * len(lags), rets.shape[0]))
     sq = np.empty_like(rets[chunks[0]])
     sums[0] = 1.0
-    _raw_sums([None, rets], lag_rows, sums, 1)
     for c in chunks:
-        r = rets[c]
-        _raw_sums([None, r, np.multiply(r, r, out=sq[:len(r)])], lag_rows, sums[:, c], 2)
-    for lag, rows in lag_rows:
-        for (p, q), i in zip(_PAIR_POWERS, rows):
-            if i >= 5 and not (p and q):
-                np.subtract(sums[p or q], sums[i], out=sums[i])
+        r, out = rets[c], sums[:, c]
+        pw = [None, r, np.multiply(r, r, out=sq[:len(r)])]
+        np.add.reduce(r, axis=1, out=out[1])
+        np.add.reduce(pw[2], axis=1, out=out[2])
+        np.vecdot(pw[2], r, out=out[3])
+        np.vecdot(pw[2], pw[2], out=out[4])
+        for k, lag in enumerate(lags):
+            for i, (p, q) in enumerate(_PAIR_POWERS, 5 + len(_PAIR_POWERS) * k):
+                if p and q:
+                    np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:], out=out[i])
+                else:
+                    edge = pw[p][:, n - lag:] if p else pw[q][:, :lag]
+                    np.add.reduce(edge, axis=1, out=out[i])
+                    np.subtract(out[p or q], out[i], out=out[i])
     return sums
 
 
@@ -463,8 +418,8 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
 
     One pass, at most one block's return panel per worker, and at most
     PATH_BUDGET returns in the panels of all running blocks together: each
-    block's per-path raw sums (powers of r and lagged pair products, see
-    _raw_sums, in the rows _sum_rows lays out) are reduced at once against
+    block's per-path raw sums (powers of r, then eight lagged pair sums per
+    lag in ``lags`` order, see _block_sums) are reduced at once against
     the block's bootstrap weights (_bootstrap_sums: row 0 all ones, then
     _N_BOOT rows of 0/2 weights from Philox keyed by (seed, 2**63 + block)),
     and the block totals are added in block order.  After the last block, mu =
@@ -507,10 +462,9 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     mean2 = _centered(single, mu, 2, 0) / (n_w * n_all)
     mean4 = _centered(single, mu, 4, 0) / (n_w * n_all)
 
-    rows, _ = _sum_rows(lags)
-
     def pair_sums(lag):
-        raw = dict(zip(_PAIR_POWERS, totals[:, rows[lags.index(lag)]].T))
+        lo = 5 + len(_PAIR_POWERS) * lags.index(lag)
+        raw = dict(zip(_PAIR_POWERS, totals[:, lo:lo + len(_PAIR_POWERS)].T))
         raw[0, 0] = n_w * (n_all - lag)
         return raw
 

@@ -252,6 +252,18 @@ class TestCalibrate:
         assert rp_header == ["strike", "mid", "model", "residual"]
         assert len(rp_rows) == 7
 
+    def test_z0_keeps_sigma0_for_calibrate(self, capsys, tmp_path):
+        # z0 sets the martingale start; calibrate still takes y0 from sigma0_annual
+        chain = self.make_chain(tmp_path)
+        args = ["--set", "sigma0_annual=0.1655", "--set", "maturity_days=10"]
+        code, out, err = run_cli(capsys, *args, "calibrate", "--quotes", str(chain))
+        assert code == 0 and "z0" not in err
+        code, out_z0, err = run_cli(capsys, *args, "--set", "z0=0.1",
+                                    "calibrate", "--quotes", str(chain))
+        assert code == 0
+        assert out_z0 == out
+        assert "z0 wins" in err
+
     def test_unwritable_repricing_path_exit_2(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         reprice = tmp_path / "no-such-dir" / "reprice.csv"

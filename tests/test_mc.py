@@ -622,11 +622,14 @@ class TestReturnStatsStreaming:
             assert s.std_error == pytest.approx(a.std_error, rel=1e-12)
             assert s.n_effective == a.n_effective
 
+    def test_empty_grids(self, fig_params):
+        # the sums keep only the weight and the single sums: no lag at all
+        assert mc_return_stats(fig_params, small_cfg(n_paths=100), [], []) == ([], [])
+
 
 class TestBlockSums:
-    """_block_sums writes each block's sums in place into one array, with
-    the bits of the earlier stacked form (reference_block_sums); lag 0
-    reads the single sums it shares through _sum_rows."""
+    """_block_sums writes each block's sums in place into one array, in the
+    rows and with the bits of the stacked form (reference_block_sums)."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
@@ -648,10 +651,10 @@ class TestBlockSums:
         ([-2.0, 4.0], [0.5, 19.5]),                # no lag 0
         ([], [0.0]),                               # lag 0 alone
     ])
-    # lag 0 shares sum r^2 r with sum r r^2, one dot with its arguments
-    # swapped: that holds only if every dot kernel is symmetric, so the test
-    # runs again at other kernel levels.  The chunk size sets only how many
-    # rows a dot call gets, so the default one covers it there.
+    # Both sides make the same numpy calls, on row chunks of other heights:
+    # the test runs again at other kernel levels, whose dot and sum kernels
+    # might tell the heights apart.  The chunk size sets only how many rows
+    # a call gets, so the default one covers it there.
     @pytest.mark.parametrize("chunk", [pytest.param("default", marks=pytest.mark.byte_exact),
                                        "one row", "over a block"])
     def test_equals_the_reference(self, fig_params, monkeypatch, blocks, lev_taus,
@@ -666,12 +669,9 @@ class TestBlockSums:
         mc_return_stats(fig_params, cfg, lev_taus, aco_taus)
         assert sorted(rets.shape[0] for rets, _, _ in blocks) == [1000, BLOCK]
         for rets, lags, sums in blocks:
-            rows, n_sums = mc._sum_rows(lags)
-            assert sums.shape == (n_sums, rets.shape[0])
-            assert n_sums == 5 + sum(8 if lag else 1 for lag in lags)
             want = reference_block_sums(rets, lags)
-            got = sums[list(range(5)) + [i for lag_rows in rows for i in lag_rows]]
-            assert got.shape == want.shape and (got == want).all()
+            assert sums.shape == want.shape == (5 + 8 * len(lags), rets.shape[0])
+            assert (sums == want).all()
 
     @pytest.mark.parametrize("setting", ["openblas-haswell", "numpy-no-x86-v4"])
     def test_equals_the_reference_at_other_kernel_levels(self, kernel_level_runs, setting):
@@ -697,7 +697,7 @@ class TestBlockSums:
         finally:
             tracemalloc.stop()
         panel = BLOCK * cfg.n_steps * 8
-        sums = mc._sum_rows([0, 10, 50, 200])[1] * BLOCK * 8
+        sums = (5 + 8 * 4) * BLOCK * 8    # the weight, 4 single sums, 8 per lag
         assert peak <= panel + sums + 3 * mc._CHUNK_BYTES
 
 
