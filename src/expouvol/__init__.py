@@ -19,11 +19,10 @@ _EXPORTS = {
                      "ou_conditional_moments", "squared_return_autocorr",
                      "vol_conditional_pdf", "vol_stationary_pdf", "y0_from_vol_index"],
                     "model"),
-    **dict.fromkeys(["ExpansionCoeffs", "MartingaleParams", "RiskAversion",
-                     "char_fn_expanded", "char_fn_full", "expansion_coeffs",
-                     "expansion_coeffs_averaged", "hermite_poly",
-                     "negative_mass_fraction", "regime_warning", "return_density",
-                     "to_martingale"], "risk_neutral"),
+    **dict.fromkeys(["ExpansionCoeffs", "MartingaleParams", "char_fn_expanded",
+                     "char_fn_full", "expansion_coeffs", "expansion_coeffs_averaged",
+                     "hermite_poly", "negative_mass_fraction", "regime_warning",
+                     "return_density", "to_martingale"], "risk_neutral"),
     **dict.fromkeys(["OptionSpec", "PriceBreakdown", "bs_call", "call_components",
                      "delta", "expou_call", "expou_put", "norm_cdf", "norm_pdf"],
                     "pricing"),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import ModelParams, QuoteError, _check, y0_from_vol_index
 from .pricing import OptionSpec, _call_prices
-from .risk_neutral import RiskAversion, expansion_coeffs, to_martingale
+from .risk_neutral import expansion_coeffs, to_martingale
 
 __all__ = [
     "OptionQuote",
@@ -145,7 +145,7 @@ def _chain_spec(quotes, spot: float, r: float) -> OptionSpec:
 def _chain_price(lambda0: float, lambda1: float, spec: OptionSpec, p: ModelParams,
                  y0: float) -> np.ndarray:
     """Model prices of a ``_chain_spec`` chain, in quote order, from one kernel call."""
-    mp = to_martingale(p, RiskAversion(lambda0, lambda1), y0)
+    mp = to_martingale(p, lambda0, lambda1, y0)
     return _call_prices(spec, mp, expansion_coeffs(mp, spec.maturity, spec.rate))[4]
 
 

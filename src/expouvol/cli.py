@@ -63,8 +63,10 @@ this module sets OPENBLAS_NUM_THREADS=1 before it loads numpy, unless the
 process loaded numpy first (``import expouvol`` itself loads its
 submodules, numpy included, only on first use).  numpy builds on MKL or
 Accelerate ignore the variable.  Each command loads only what it runs:
-build_config needs ``model`` alone, and smile, simulate/stats and calibrate
-import ``implied``, ``mc`` and ``calibration`` inside the command.
+build_config needs ``model`` and ``risk_neutral`` alone; price, greeks,
+smile and simulate import ``pricing`` inside the command, and smile,
+simulate/stats and calibrate import ``implied``, ``mc`` and
+``calibration`` there, so density and stats never load the pricer.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 if "numpy" not in sys.modules:
     # OpenBLAS starts one worker thread per extra CPU when numpy loads, and
@@ -90,10 +92,12 @@ import numpy as np
 
 from .model import (PATH_BUDGET, ModelParams, QuoteError, SimConfig, _check, _day_steps,
                     leverage, squared_return_autocorr, y0_from_vol_index)
-from .pricing import OptionSpec, _call_prices, delta
-from .risk_neutral import (MartingaleParams, RiskAversion, expansion_coeffs,
-                           regime_warning, return_density, to_martingale)
+from .risk_neutral import (MartingaleParams, expansion_coeffs, regime_warning,
+                           return_density, to_martingale)
 from .units import daily_rate
+
+if TYPE_CHECKING:  # the commands that price import pricing themselves
+    from .pricing import OptionSpec
 
 ENV_CONFIG = "EXPOUVOL_CONFIG"
 
@@ -212,8 +216,8 @@ def build_config(file_values, overrides) -> RunConfig:
                              k=merged["k"], rho=merged["rho"])
         if sigma0 is not None:
             y0 = y0_from_vol_index(sigma0, params.m)
-        risk = RiskAversion(merged["lambda0"], merged["lambda1"])
-        martingale = to_martingale(params, risk, 0.0 if y0 is None else y0)
+        martingale = to_martingale(params, merged["lambda0"], merged["lambda1"],
+                                   0.0 if y0 is None else y0)
         if y0 is None or explicit_z0:
             martingale = dataclasses.replace(martingale, z0=merged["z0"])
         maturity = float(merged["maturity_days"])
@@ -272,11 +276,13 @@ def _expansion(cfg: RunConfig):
 
 def _strike_spec(cfg: RunConfig) -> OptionSpec:
     """The option at every moneyness point of the run, as one array spec."""
+    from .pricing import OptionSpec
     return OptionSpec(spot=cfg.spot, strike=cfg.spot / cfg.moneyness,
                       maturity=cfg.maturity, rate=cfg.rate)
 
 
 def cmd_price(cfg: RunConfig, args) -> list:
+    from .pricing import _call_prices
     mp, coeffs = _expansion(cfg)
     bs, *_, total = _call_prices(_strike_spec(cfg), mp, coeffs)
     return [(args.output, "moneyness,call,bs,diff", (cfg.moneyness, total, bs, total - bs))]
@@ -299,6 +305,7 @@ def cmd_density(cfg: RunConfig, args) -> list:
 
 
 def cmd_greeks(cfg: RunConfig, args) -> list:
+    from .pricing import delta
     mp, coeffs = _expansion(cfg)
     return [(args.output, "moneyness,delta",
              (cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)))]
@@ -306,6 +313,7 @@ def cmd_greeks(cfg: RunConfig, args) -> list:
 
 def cmd_simulate(cfg: RunConfig, args) -> list:
     from .mc import mc_call_prices, simulate_paths
+    from .pricing import _call_prices
     mp, coeffs = _expansion(cfg)
     spec = _strike_spec(cfg)
     est = mc_call_prices(mp, cfg.sim, spec)

@@ -45,13 +45,15 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .model import PATH_BUDGET, ModelParams, SimConfig, _check, _day_steps, _out
 from .risk_neutral import MartingaleParams
-from .pricing import OptionSpec
+
+if TYPE_CHECKING:  # annotations only: mc never runs pricing, so stats never loads it
+    from .pricing import OptionSpec
 
 __all__ = [
     "McEstimate",

@@ -26,13 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .model import ModelParams, _check, _out
 
 __all__ = [
-    "RiskAversion",
     "MartingaleParams",
     "ExpansionCoeffs",
     "to_martingale",
@@ -51,17 +51,15 @@ __all__ = [
 REGIME_MIN_LAMBDA = 5.0
 REGIME_MAX_CORRECTION = 0.5
 
-
-@dataclass(frozen=True)
-class RiskAversion:
-    """Linear market price of volatility risk, Lambda(Y) = lambda0 + lambda1 Y."""
-
-    lambda0: float
-    lambda1: float
-
-    def __post_init__(self):
-        _check("lambda0", self.lambda0, positive=False)
-        _check("lambda1", self.lambda1, positive=False)
+#: Below this u = alpha_bar*t the four brackets of sigma3 and kappa, each an
+#: O(u^2) or O(u^3) difference of O(u) terms, are summed from their Taylor
+#: series instead: (n0, coefficients c_n/n! for n = n0+12 down to n0).
+_SERIES_MAX_U = 0.02
+_SERIES = [(n0, [c(n) / math.factorial(n) for n in range(n0 + 12, n0 - 1, -1)])
+           for n0, c in [(2, lambda n: (-1) ** n),                            # u - a1
+                         (2, lambda n: (-1) ** (n + 1) * (n - 1)),            # u e1 - a1
+                         (3, lambda n: (-1) ** (n + 1) * (2 ** (n - 1) - 2)),  # u + a2/2 - 2 a1
+                         (3, lambda n: (-1) ** (n + 1) * (n - 2))]]           # u - 2 a1 + u e1
 
 
 @dataclass(frozen=True)
@@ -130,26 +128,32 @@ class ExpansionCoeffs:
         return self.kappa + 0.5 * self.theta * self.theta
 
 
-def to_martingale(p: ModelParams, ra: RiskAversion, y0: float) -> MartingaleParams:
+def to_martingale(p: ModelParams, lambda0: float, lambda1: float, y0: float) -> MartingaleParams:
     """Rescale physical parameters to the equivalent-martingale measure.
+
+    The market price of volatility risk is Lambda(Y) = lambda0 + lambda1 Y,
+    and y0 is the physical initial log-volatility.
 
     Raises
     ------
     ValueError
-        If alpha + k*lambda1 <= 0 (risk aversion destabilizes reversion) or
-        m_bar = m*exp(-k*lambda0/alpha_bar) is not positive and finite.
+        If lambda0 or lambda1 is not finite, if alpha + k*lambda1 <= 0 (risk
+        aversion destabilizes reversion) or if m_bar = m*exp(-k*lambda0/alpha_bar)
+        is not positive and finite.
     """
-    alpha_bar = p.alpha + p.k * ra.lambda1
+    _check("lambda0", lambda0, positive=False)
+    _check("lambda1", lambda1, positive=False)
+    alpha_bar = p.alpha + p.k * lambda1
     if alpha_bar <= 0:
         raise ValueError(
-            f"lambda1 must be above -alpha/k = {-p.alpha / p.k:g}, got {ra.lambda1:g}: "
+            f"lambda1 must be above -alpha/k = {-p.alpha / p.k:g}, got {lambda1:g}: "
             f"risk aversion destabilizes reversion (alpha + k*lambda1 = {alpha_bar:g})")
-    shift = p.k * ra.lambda0 / alpha_bar
+    shift = p.k * lambda0 / alpha_bar
     m_bar = p.m * math.exp(-shift) if shift > -709.0 else math.inf  # math.exp overflow
     if not 0.0 < m_bar < math.inf:
         raise ValueError(
             "lambda0 must be small enough in magnitude for m_bar = "
-            f"m*exp(-k*lambda0/alpha_bar) to be positive and finite, got {ra.lambda0:g}")
+            f"m*exp(-k*lambda0/alpha_bar) to be positive and finite, got {lambda0:g}")
     return MartingaleParams(m_bar=m_bar, alpha_bar=alpha_bar, k=p.k, rho=p.rho,
                             z0=y0 + shift)
 
@@ -167,8 +171,17 @@ def expansion_coeffs(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
 
     kappa uses the "+" sign on the (1-e2)/2 term: that sign keeps kappa
     nonnegative and is the variant consistent with both the stationary
-    averaging identity and Monte Carlo cumulants.  An array t gives fields
-    of its shape, each lane bit for bit the scalar call at its maturity.
+    averaging identity and Monte Carlo cumulants.  Below at = 0.02 the four
+    brackets come from their exact series, 13 terms each, since their
+    leading terms cancel:
+
+        at - (1-e1)              = sum_{n>=2} (-1)^n at^n / n!
+        at e1 - (1-e1)           = sum_{n>=2} (-1)^(n+1) (n-1) at^n / n!
+        at + (1-e2)/2 - 2(1-e1)  = sum_{n>=3} (-1)^(n+1) (2^(n-1)-2) at^n / n!
+        at - 2(1-e1) + at e1     = sum_{n>=3} (-1)^(n+1) (n-2) at^n / n!
+
+    An array t gives fields of its shape, each lane bit for bit the scalar
+    call at its maturity.
     """
     _check("t", t, positive=False)
     _check("r", r, positive=False)
@@ -186,11 +199,15 @@ def _coeffs(mp: MartingaleParams, t: float, r: float) -> tuple:
     e1 = math.exp(-at)
     a1 = -math.expm1(-at)       # 1 - e^{-at}
     a2 = -math.expm1(-2.0 * at)  # 1 - e^{-2at}
+    if at < _SERIES_MAX_U:  # the brackets' leading terms cancel
+        s1, s2, k1, k2 = (reduce(lambda acc, c: acc * at + c, cs, 0.0) * at**n0
+                          for n0, cs in _SERIES)
+    else:
+        s1, s2, k1, k2 = at - a1, at * e1 - a1, at + 0.5 * a2 - 2.0 * a1, at - 2.0 * a1 + at * e1
     mu = r * t - 0.5 * mp.m_bar * mp.m_bar * t
     theta = z0 * a1 / (lam * lam * nu)
-    sigma3 = ((at - a1) - z0 * (at * e1 - a1)) / (lam**3 * nu**2)
-    kappa = ((at + 0.5 * a2 - 2.0 * a1)
-             + rho * rho * (at - 2.0 * a1 + at * e1)) / (2.0 * lam**4 * nu**3)
+    sigma3 = (s1 - z0 * s2) / (lam**3 * nu**2)
+    kappa = (k1 + rho * rho * k2) / (2.0 * lam**4 * nu**3)
     return mu, theta, sigma3, kappa
 
 

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from expouvol import ModelParams, RiskAversion, to_martingale
+from expouvol import ModelParams, to_martingale
 from kernel_levels import Runs
 
 
@@ -25,11 +25,12 @@ def fig_params():
 
 @pytest.fixture
 def fig_risk():
-    return RiskAversion(lambda0=1e-3, lambda1=1e-3)
+    """Reference risk aversion (lambda0, lambda1)."""
+    return 1e-3, 1e-3
 
 
 @pytest.fixture
 def fig_mp(fig_params, fig_risk):
     """Reference martingale parameters with the shifted log-vol at zero."""
-    mp = to_martingale(fig_params, fig_risk, y0=0.0)
+    mp = to_martingale(fig_params, *fig_risk, y0=0.0)
     return dataclasses.replace(mp, z0=0.0)

@@ -21,7 +21,6 @@ from expouvol import (
     ModelParams,
     OptionQuote,
     OptionSpec,
-    RiskAversion,
     bs_call,
     calibrate_risk_aversion,
     call_components,
@@ -44,11 +43,11 @@ from expouvol.risk_neutral import MartingaleParams
 from oracles import component_integral
 
 FIG_PHYSICAL = ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=-0.4)
-FIG_RISK = RiskAversion(1e-3, 1e-3)
+FIG_RISK = (1e-3, 1e-3)
 
 
 def fig_martingale():
-    return dataclasses.replace(to_martingale(FIG_PHYSICAL, FIG_RISK, 0.0), z0=0.0)
+    return dataclasses.replace(to_martingale(FIG_PHYSICAL, *FIG_RISK, 0.0), z0=0.0)
 
 
 def report(num, ok, detail, elapsed=None, budget=None):
@@ -106,7 +105,7 @@ def test_criterion_02a_black_scholes_exact_reduction():
 def test_criterion_02b_black_scholes_tiny_vol_of_vol():
     t0 = time.time()
     tiny_k = ModelParams(m=0.01, alpha=8e-3, k=1e-6, rho=-0.4)
-    mp_tiny = to_martingale(tiny_k, RiskAversion(0.0, 0.0), 0.0)
+    mp_tiny = to_martingale(tiny_k, 0.0, 0.0, 0.0)
     co = expansion_coeffs(mp_tiny, 20.0, 0.0)
     worst = 0.0
     for mon in np.linspace(0.8, 1.2, 401):
@@ -334,7 +333,7 @@ def test_criterion_10b_squared_return_autocorrelation():
 def test_criterion_11_calibration_round_trip():
     t0 = time.time()
     r, t, spot, y0 = 0.02 / 252.0, 10.0, 100.0, 0.0417
-    mp = to_martingale(FIG_PHYSICAL, RiskAversion(1e-3, 1e-3), y0)
+    mp = to_martingale(FIG_PHYSICAL, 1e-3, 1e-3, y0)
     co = expansion_coeffs(mp, t, r)
     strikes = np.linspace(94, 106, 7)
     clean = [expou_call(OptionSpec(spot, k, t, r), mp, co).total for k in strikes]

@@ -18,14 +18,21 @@ from expouvol import (
     ModelParams,
     OptionQuote,
     OptionSpec,
-    RiskAversion,
     SimConfig,
+    to_martingale,
     y0_from_vol_index,
 )
 from expouvol.cli import _KEYS, main
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 NON_POSITIVE = (0.0, -1.0)
+
+
+def _risk_aversion(lambda0, lambda1):
+    """to_martingale at the reference parameters: the risk-aversion pair's one boundary."""
+    return to_martingale(ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=-0.4),
+                         lambda0, lambda1, 0.0)
+
 
 # (constructor, valid keyword arguments, positive fields, signed fields)
 BOUNDARIES = {
@@ -34,7 +41,8 @@ BOUNDARIES = {
     "MartingaleParams": (MartingaleParams,
                          dict(m_bar=0.0098653, alpha_bar=8.11e-3, k=0.11, rho=-0.4, z0=0.1),
                          ("m_bar", "alpha_bar", "k"), ("z0",)),
-    "RiskAversion": (RiskAversion, dict(lambda0=1e-3, lambda1=1e-3),
+    # the pair (lambda0, lambda1) has no class of its own; to_martingale checks it
+    "RiskAversion": (_risk_aversion, dict(lambda0=1e-3, lambda1=1e-3),
                      (), ("lambda0", "lambda1")),
     "OptionSpec": (OptionSpec, dict(spot=100.0, strike=100.0, maturity=20.0, rate=1e-4),
                    ("spot", "strike", "maturity"), ("rate",)),

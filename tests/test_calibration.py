@@ -10,7 +10,6 @@ from expouvol import (
     ModelParams,
     OptionQuote,
     OptionSpec,
-    RiskAversion,
     calibrate_risk_aversion,
     expansion_coeffs,
     expou_call,
@@ -27,7 +26,7 @@ from expouvol.pricing import _call_prices
 def synthetic_chain(p, lambda0, lambda1, spot, r, y0, strikes, maturity,
                     noise=0.0, seed=0):
     """Quotes generated by the pricer itself at known risk aversion."""
-    mp = to_martingale(p, RiskAversion(lambda0, lambda1), y0)
+    mp = to_martingale(p, lambda0, lambda1, y0)
     coeffs = expansion_coeffs(mp, maturity, r)
     rng = np.random.default_rng(seed)
     quotes = []
@@ -309,7 +308,7 @@ class TestCalibration:
 def six_maturity_chain(p, y0, seed):
     """Seeded chain over six maturities: mids within +-0.01 of the model price,
     bid/ask at mid +-0.01, quotes with a non-positive bid dropped."""
-    mp = to_martingale(p, RiskAversion(1e-3, 1e-3), y0)
+    mp = to_martingale(p, 1e-3, 1e-3, y0)
     rng = np.random.default_rng(seed)
     quotes = []
     for t in (5.0, 10.0, 20.0, 30.0, 40.0, 60.0):
@@ -332,7 +331,7 @@ class TestIndependentMinimiser:
         mids = np.array([q.mid for q in quotes])
 
         def residuals(x):
-            mp = to_martingale(p, RiskAversion(*x), y0)
+            mp = to_martingale(p, *x, y0)
             return np.array([
                 expou_call(OptionSpec(100.0, q.strike, q.maturity, r), mp,
                            expansion_coeffs(mp, q.maturity, r)).total
@@ -344,7 +343,7 @@ class TestIndependentMinimiser:
 
     def test_criterion_11_noisy_chain(self, fig_params):
         r, y0 = 0.02 / 252.0, 0.0417
-        mp = to_martingale(fig_params, RiskAversion(1e-3, 1e-3), y0)
+        mp = to_martingale(fig_params, 1e-3, 1e-3, y0)
         co = expansion_coeffs(mp, 10.0, r)
         rng = np.random.default_rng(77)
         quotes = []
@@ -380,7 +379,7 @@ class TestOneKernelCall:
         assert len(np.unique(maturities)) == 6
         spec = calibration._chain_spec(quotes, 100.0, 2e-4)
         for lambdas in [(1e-3, 1e-3), (-2e-3, 4e-3), (0.0, 0.0)]:
-            mp = to_martingale(fig_params, RiskAversion(*lambdas), y0)
+            mp = to_martingale(fig_params, *lambdas, y0)
             ref = np.empty(len(quotes))
             for t in np.unique(maturities):
                 idx = np.flatnonzero(maturities == t)

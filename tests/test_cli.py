@@ -217,12 +217,12 @@ class TestStats:
 class TestCalibrate:
     def make_chain(self, tmp_path):
         # synthetic chain generated through the CLI's own pricing stack
-        from expouvol import (ModelParams, RiskAversion, OptionSpec, expansion_coeffs,
+        from expouvol import (ModelParams, OptionSpec, expansion_coeffs,
                               expou_call, to_martingale, y0_from_vol_index)
         p = ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=-0.4)
         r = 0.02 / 252.0
         y0 = y0_from_vol_index(0.1655, p.m)
-        mp = to_martingale(p, RiskAversion(1e-3, 1e-3), y0)
+        mp = to_martingale(p, 1e-3, 1e-3, y0)
         co = expansion_coeffs(mp, 10.0, r)
         rows = ["strike,maturity_days,bid,ask"]
         for k in np.linspace(95, 105, 7):
@@ -565,7 +565,7 @@ class TestConfigHandling:
         def exhausted(*args):
             raise MemoryError("Unable to allocate 191. MiB")
 
-        monkeypatch.setattr(cli, "_call_prices", exhausted)
+        monkeypatch.setattr("expouvol.pricing._call_prices", exhausted)  # price imports it per run
         code, out, err = run_cli(capsys, "price")
         assert code == 3
         assert out == ""
@@ -767,9 +767,9 @@ class TestImport:
     def test_public_names_unchanged(self):
         # every name the eager imports bound, submodules included
         names = ["ExpansionCoeffs", "ImpliedVolError", "MartingaleParams", "ModelParams",
-                 "OptionQuote", "OptionSpec", "PriceBreakdown", "QuoteError", "RiskAversion",
-                 "SimConfig", "SmilePoint", "TRADING_DAYS_PER_YEAR", "annualize_vol",
-                 "bs_call", "calibrate_risk_aversion", "calibration", "call_components",
+                 "OptionQuote", "OptionSpec", "PriceBreakdown", "QuoteError", "SimConfig",
+                 "SmilePoint", "TRADING_DAYS_PER_YEAR", "annualize_vol", "bs_call",
+                 "calibrate_risk_aversion", "calibration", "call_components",
                  "char_fn_expanded", "char_fn_full", "daily_rate", "daily_vol", "delta",
                  "expansion_coeffs", "expansion_coeffs_averaged", "expou_call", "expou_put",
                  "hermite_poly", "implied", "implied_vol", "leverage", "load_quotes", "mc",
@@ -796,10 +796,10 @@ class TestImport:
     @pytest.mark.parametrize("command, loads, skips", [
         ("price", set(), HEAVY),
         ("greeks", set(), HEAVY),
-        ("density", set(), HEAVY),
+        ("density", set(), HEAVY | {"expouvol.pricing"}),
         ("smile", {"expouvol.implied"}, {"expouvol.mc", "expouvol.calibration"}),
         ("simulate", {"expouvol.mc"}, {"expouvol.calibration", "csv"}),
-        ("stats", {"expouvol.mc"}, {"expouvol.calibration", "csv"}),
+        ("stats", {"expouvol.mc"}, {"expouvol.calibration", "expouvol.pricing", "csv"}),
         ("calibrate", {"expouvol.calibration"}, {"expouvol.mc", "concurrent.futures"}),
     ], ids=["price", "greeks", "density", "smile", "simulate", "stats", "calibrate"])
     def test_each_command_loads_what_it_runs(self, tmp_path, command, loads, skips):

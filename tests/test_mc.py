@@ -14,7 +14,6 @@ import pytest
 from expouvol import (
     ModelParams,
     OptionSpec,
-    RiskAversion,
     SimConfig,
     bs_call,
     expansion_coeffs,
@@ -488,7 +487,7 @@ class TestDensity:
         # small vol-of-vol time k^2*T: the expansion density is accurate and
         # the goodness-of-fit test passes at 2e5 paths
         p = ModelParams(m=0.005, alpha=8e-3, k=0.05, rho=-0.4)
-        mp = dataclasses.replace(to_martingale(p, RiskAversion(1e-3, 1e-3), 0.0), z0=0.0)
+        mp = dataclasses.replace(to_martingale(p, 1e-3, 1e-3, 0.0), z0=0.0)
         t = 3.0
         co = expansion_coeffs(mp, t, 0.0)
         cfg = SimConfig(n_paths=200_000, n_steps=30, dt=0.1, seed=31)

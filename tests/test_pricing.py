@@ -426,9 +426,9 @@ class TestQualitativeBehavior:
         t = 20.0
 
         def price(l0, l1):
-            from expouvol import RiskAversion, to_martingale
+            from expouvol import to_martingale
             mp = dataclasses.replace(
-                to_martingale(fig_params, RiskAversion(l0, l1), 0.0), z0=0.0)
+                to_martingale(fig_params, l0, l1, 0.0), z0=0.0)
             co = expansion_coeffs(mp, t, 0.0)
             return expou_call(OptionSpec(100.0, 100.0, t, 0.0), mp, co).total
 

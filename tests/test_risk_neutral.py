@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +12,6 @@ from scipy.integrate import quad
 from expouvol import (
     ExpansionCoeffs,
     ModelParams,
-    RiskAversion,
     char_fn_expanded,
     char_fn_full,
     expansion_coeffs,
@@ -21,8 +21,10 @@ from expouvol import (
     regime_warning,
     return_density,
     to_martingale,
+    y0_from_vol_index,
 )
 from expouvol.risk_neutral import MartingaleParams
+from oracles import DIGITS, coeffs_50
 
 
 def nth_derivative(f, a, n, half_width=0.6, degree=16):
@@ -34,14 +36,14 @@ def nth_derivative(f, a, n, half_width=0.6, degree=16):
 
 class TestToMartingale:
     def test_zero_risk_aversion_is_identity(self, fig_params):
-        mp = to_martingale(fig_params, RiskAversion(0.0, 0.0), y0=0.0)
+        mp = to_martingale(fig_params, 0.0, 0.0, y0=0.0)
         assert mp.m_bar == fig_params.m
         assert mp.alpha_bar == fig_params.alpha
         assert mp.z0 == 0.0
         assert mp.rho == fig_params.rho
 
     def test_reference_values(self, fig_params, fig_risk):
-        mp = to_martingale(fig_params, fig_risk, y0=0.0)
+        mp = to_martingale(fig_params, *fig_risk, y0=0.0)
         assert mp.alpha_bar == pytest.approx(8.11e-3, rel=1e-14)
         assert mp.m_bar == pytest.approx(0.01 * math.exp(-0.11e-3 / 8.11e-3), rel=1e-14)
         assert mp.m_bar == pytest.approx(9.8652807e-3, abs=1e-9)
@@ -53,18 +55,18 @@ class TestToMartingale:
         assert mp.beta2_bar == pytest.approx(1.0 / (2 * mp.nu), rel=1e-14)
 
     def test_positive_lambda0_lowers_level(self, fig_params):
-        mp = to_martingale(fig_params, RiskAversion(0.05, 0.0), y0=0.0)
+        mp = to_martingale(fig_params, 0.05, 0.0, y0=0.0)
         assert mp.m_bar < fig_params.m
 
     def test_destabilizing_lambda1_rejected(self, fig_params):
         with pytest.raises(ValueError, match="destabilizes"):
-            to_martingale(fig_params, RiskAversion(0.0, -1.0), y0=0.0)
+            to_martingale(fig_params, 0.0, -1.0, y0=0.0)
 
     @pytest.mark.parametrize("lambda0", [-1e6, -1e3, 1e3, 1e6])
     def test_out_of_range_m_bar_names_lambda0(self, fig_params, lambda0):
         # m_bar = m exp(-k lambda0 / alpha_bar) overflows (lambda0 < 0) or underflows
         with pytest.raises(ValueError, match="lambda0 must be small enough"):
-            to_martingale(fig_params, RiskAversion(lambda0, 0.0), y0=0.0)
+            to_martingale(fig_params, lambda0, 0.0, y0=0.0)
 
     def test_invalid_direct_construction(self):
         with pytest.raises(ValueError):
@@ -98,6 +100,17 @@ class TestExpansionCoeffs:
         kap = ((at + 0.5 * (1 - e2) - 2 * (1 - e1))
                + mp.rho**2 * (at - 2 * (1 - e1) + at * e1)) / (2 * mp.lam**4 * mp.nu**3)
         assert co.kappa == pytest.approx(kap, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+    def test_short_maturity_matches_50_digits(self, fig_params, t):
+        # alpha_bar t < 0.02: sigma3's and kappa's brackets cancel their leading
+        # terms, and summed as written kappa lost up to 8e-8 of itself at t = 0.01
+        mp = to_martingale(fig_params, 1e-3, 1e-3, y0_from_vol_index(0.1655, fig_params.m))
+        r = 0.02 / 252.0
+        co = expansion_coeffs(mp, t, r)
+        with mpmath.workdps(DIGITS):
+            for name, want in zip(("mu", "theta", "sigma3", "kappa"), coeffs_50(mp, t, r)):
+                assert abs(getattr(co, name) - want) <= 1e-15 * abs(want), name
 
     @pytest.mark.parametrize("z0", [-0.8, 0.0, 0.5])
     @pytest.mark.parametrize("t", [0.0, 0.5, 5.0, 20.0, 120.0, 2000.0])
@@ -259,7 +272,7 @@ class TestCharFnExpanded:
 
     def test_zero_rho_phase_is_pure_drift(self, fig_params):
         p = ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=0.0)
-        mp = dataclasses.replace(to_martingale(p, RiskAversion(1e-3, 1e-3), 0.0), z0=0.0)
+        mp = dataclasses.replace(to_martingale(p, 1e-3, 1e-3, 0.0), z0=0.0)
         t, r = 20.0, 3e-4
         co = expansion_coeffs(mp, t, r)
         for w in (0.3, 1.0, 1.7):
