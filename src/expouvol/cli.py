@@ -50,7 +50,13 @@ Accepted on purpose:
 
 Each command returns its tables as (destination, header, columns), the
 destination None for stdout; ``main`` writes every file first and stdout
-last, so nothing reaches stdout unless the run exits 0.  Exit codes: 0
+last, so nothing reaches stdout unless the run exits 0.  price, greeks and
+smile run the moneyness grid through their kernels 1,024 points at a time
+(``_CHUNK``), filling whole output columns at 8 B per cell (smile's cells
+are its formatted strings), and ``_emit`` formats and writes 1,024 rows
+per write: no grid-sized temporary and no whole CSV text is built.  Every
+chunk is computed before any table is written, so that stdout contract is
+unchanged, and the bytes do not depend on the chunk size.  Exit codes: 0
 success (regime warnings on stderr); 2 config/input error, an unreadable
 input or an unwritable output; 3 computation failure, with numpy's
 overflow, division by zero and invalid operations raised as errors (in
@@ -72,6 +78,7 @@ simulate/stats and calibrate import ``implied``, ``mc`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -246,22 +253,34 @@ def build_config(file_values, overrides) -> RunConfig:
 
 _G = "%.12g"   # every number in every CSV
 
+#: Grid points per chunk: price, greeks and smile evaluate the moneyness
+#: grid this many points at a time, and _emit formats and writes this many
+#: rows per write.  Element-wise kernels and a solver that freezes each
+#: lane once it converges give the same bits at any chunk size.  A chunk's
+#: temporaries set the small grids' peak: a 5,001-point smile peaks about
+#: 0.2 MB higher at 2,048 points per chunk than at 1,024.
+_CHUNK = 1024
+
 
 def _emit(header: str, columns, out: Optional[str]) -> None:
-    """Write a CSV given one column per header field.
+    """Write a CSV given one column per header field, _CHUNK rows per write.
 
     A column of str cells prints as is; any other prints every cell as
-    %.12g.  Array columns go through ``.tolist()`` and each row through one
-    format string, so cells are formatted as Python floats and ints.
+    %.12g.  Each chunk of an array column goes through ``.tolist()`` and
+    each row through one format string, so cells are formatted as Python
+    floats and ints.  Only one chunk's text is held at a time; the
+    columns are still held whole, 8 B per array cell.  The stdout
+    contract is unchanged: ``main`` calls this only once every table is
+    computed, and for stdout only once every file is written.
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    fmt = ",".join("%s" if c and isinstance(c[0], str) else _G for c in cols)
-    text = "\n".join([header] + [fmt % row for row in zip(*cols)]) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    line = ",".join("%s" if len(c) and isinstance(c[0], str) else _G for c in cols) + "\n"
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for start in range(0, min(map(len, cols)), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            cells = [c[part].tolist() if isinstance(c, np.ndarray) else c[part] for c in cols]
+            fh.write("".join([line % row for row in zip(*cells)]))
 
 
 def _expansion(cfg: RunConfig):
@@ -274,26 +293,47 @@ def _expansion(cfg: RunConfig):
     return mp, coeffs
 
 
-def _strike_spec(cfg: RunConfig) -> OptionSpec:
-    """The option at every moneyness point of the run, as one array spec."""
+def _strike_spec(cfg: RunConfig, part: slice = slice(None)) -> OptionSpec:
+    """The option at the run's moneyness points ``part`` (all by default), as one array spec."""
     from .pricing import OptionSpec
-    return OptionSpec(spot=cfg.spot, strike=cfg.spot / cfg.moneyness,
+    return OptionSpec(spot=cfg.spot, strike=cfg.spot / cfg.moneyness[part],
                       maturity=cfg.maturity, rate=cfg.rate)
+
+
+def _over_grid(cfg: RunConfig, kernel, *columns):
+    """Fill ``columns`` from ``kernel(spec, mp, coeffs)`` over the grid, _CHUNK points at a time.
+
+    The kernel returns one sequence per column for the chunk's spec; each
+    lands in its column's slice, so a grid-sized column is the only
+    grid-sized memory.  Returns the columns.
+    """
+    mp, coeffs = _expansion(cfg)
+    for start in range(0, cfg.moneyness.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        for column, values in zip(columns, kernel(_strike_spec(cfg, part), mp, coeffs)):
+            column[part] = values
+    return columns
 
 
 def cmd_price(cfg: RunConfig, args) -> list:
     from .pricing import _call_prices
-    mp, coeffs = _expansion(cfg)
-    bs, *_, total = _call_prices(_strike_spec(cfg), mp, coeffs)
-    return [(args.output, "moneyness,call,bs,diff", (cfg.moneyness, total, bs, total - bs))]
+
+    def kernel(spec, mp, coeffs):
+        bs, *_, total = _call_prices(spec, mp, coeffs)
+        return total, bs
+
+    call, bs = _over_grid(cfg, kernel, *np.empty((2, cfg.moneyness.size)))
+    return [(args.output, "moneyness,call,bs,diff", (cfg.moneyness, call, bs, call - bs))]
 
 
 def cmd_smile(cfg: RunConfig, args) -> list:
     from .implied import smile_curve
-    mp, coeffs = _expansion(cfg)
-    points = smile_curve(_strike_spec(cfg), mp, coeffs)
-    vols = ["" if pt.implied_vol_annual is None else _G % pt.implied_vol_annual
-            for pt in points]
+
+    def kernel(spec, mp, coeffs):
+        return (["" if pt.implied_vol_annual is None else _G % pt.implied_vol_annual
+                 for pt in smile_curve(spec, mp, coeffs)],)
+
+    vols, = _over_grid(cfg, kernel, [""] * cfg.moneyness.size)
     return [(args.output, "moneyness,implied_vol_annual", (cfg.moneyness, vols))]
 
 
@@ -306,9 +346,8 @@ def cmd_density(cfg: RunConfig, args) -> list:
 
 def cmd_greeks(cfg: RunConfig, args) -> list:
     from .pricing import delta
-    mp, coeffs = _expansion(cfg)
-    return [(args.output, "moneyness,delta",
-             (cfg.moneyness, delta(_strike_spec(cfg), mp, coeffs)))]
+    deltas, = _over_grid(cfg, lambda *run: (delta(*run),), np.empty(cfg.moneyness.size))
+    return [(args.output, "moneyness,delta", (cfg.moneyness, deltas))]
 
 
 def cmd_simulate(cfg: RunConfig, args) -> list:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -723,6 +724,56 @@ class TestGoldensAtOtherKernelLevels:
         assert set(self.TESTS) <= run.passed, run.tail()
 
 
+class TestGridChunks:
+    """price, greeks and smile run the moneyness grid and write their rows
+    cli._CHUNK points at a time: the bytes do not depend on the chunk size,
+    and memory grows by the output columns alone."""
+
+    # (moneyness_min, moneyness_max, points); both reach moneyness 1.25, so
+    # the smile's blank cells (sub-intrinsic prices, from 1.187 up) run
+    # inside chunks and across chunk edges
+    GRIDS = {"ascending": ("0.75", "1.25", 2001), "descending": ("1.25", "0.75", 1001)}
+
+    @pytest.mark.byte_exact
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("command", ["price", "greeks", "smile"])
+    def test_same_bytes_at_any_chunk_size(self, capsys, monkeypatch, command, grid):
+        lo, hi, points = self.GRIDS[grid]
+        argv = ["--set", f"moneyness_min={lo}", "--set", f"moneyness_max={hi}",
+                "--set", f"moneyness_points={points}", command]
+        outs = {}
+        for chunk in (points, 1024, 7, 1):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            code, outs[chunk], err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert outs[chunk] == outs[points], chunk
+        assert len(parse_csv(outs[1])[1]) == points
+        if command == "smile":
+            assert ",\n" in outs[1]     # blank cells were written
+
+    @pytest.mark.parametrize("command, max_bytes", [("price", 64), ("greeks", 64),
+                                                    ("smile", 128)])
+    def test_traced_memory_per_grid_point(self, tmp_path, command, max_bytes):
+        # besides the grid, built before the trace, price holds three 8-byte
+        # columns and greeks one; smile holds its formatted cells, about
+        # 72 B each with the list's pointer.  Building every temporary, or
+        # the whole CSV text, at once costs 200-320 B per point.
+        args = cli._parser().parse_args([command, "--output", str(tmp_path / "out.csv")])
+        args.func(cli.build_config([], []), args)   # imports outside the trace
+        peaks = {}
+        for points in (2_001, 20_001):
+            cfg = cli.build_config([], [("moneyness_points", str(points))])
+            tracemalloc.start()
+            try:
+                for out, header, columns in args.func(cfg, args):
+                    cli._emit(header, columns, out)
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_point = (peaks[20_001] - peaks[2_001]) / 18_000
+        assert per_point < max_bytes, f"{per_point:.0f} B per grid point"
+
+
 class TestEmit:
     def test_row_format_matches_per_cell_format(self, capsys):
         # one %.12g row format over .tolist() cells prints what formatting
@@ -738,6 +789,26 @@ class TestEmit:
     def test_no_rows_prints_header(self, capsys):
         cli._emit("a,b", ([], np.empty(0)), None)
         assert capsys.readouterr().out == "a,b\n"
+
+    TABLE = ("x,n,flag,t", (np.linspace(-1.0, 1.0, 23), np.arange(23) * 10**11,
+                            ["true", "", "nan"] * 7 + ["", "x"], tuple(range(23))))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 23])
+    def test_same_text_at_any_chunk_size(self, capsys, monkeypatch, chunk):
+        header, columns = self.TABLE
+        cli._emit(header, columns, None)
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        cli._emit(header, columns, None)
+        assert capsys.readouterr().out == whole
+        assert whole.count("\n") == 24 and whole.endswith(",x,22\n")
+
+    def test_file_and_stdout_bytes_agree(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        header, columns = self.TABLE
+        cli._emit(header, columns, None)
+        cli._emit(header, columns, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == capsys.readouterr().out.encode()
 
 
 class TestImport:
