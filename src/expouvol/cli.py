@@ -33,9 +33,9 @@ volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins
 as the martingale start of price, smile, greeks, density and simulate,
 sigma0_annual still gives calibrate its y0, and a warning goes to stderr.
 Numeric values must be finite; scales, sizes and steps positive;
-moneyness_points at most 25,000,000; maturity_days and the tau_grid lags
-nonnegative multiples of dt, and neither maturity_days nor the stats
-horizon (the longest lag plus 100 steps) more than 25,000,000 steps of dt.
+maturity_days and the tau_grid lags nonnegative multiples of dt.  One cap,
+PATH_BUDGET = 25,000,000, bounds moneyness_points and the steps of dt in
+maturity_days and in the stats horizon (the longest lag plus 100 steps).
 Accepted on purpose:
 
 - A key given twice, in the file or in --set, takes its last value; every
@@ -50,13 +50,13 @@ Accepted on purpose:
 
 Each command returns its tables as (destination, header, columns), the
 destination None for stdout; ``main`` writes every file first and stdout
-last, so nothing reaches stdout unless the run exits 0.  price, greeks and
-smile run the moneyness grid through their kernels 1,024 points at a time
-(``_CHUNK``), filling whole output columns at 8 B per cell (smile's cells
-are its formatted strings), and ``_emit`` formats and writes 1,024 rows
-per write: no grid-sized temporary and no whole CSV text is built.  Every
-chunk is computed before any table is written, so that stdout contract is
-unchanged, and the bytes do not depend on the chunk size.  Exit codes: 0
+last, so nothing reaches stdout unless the run exits 0.  Every closed form
+over the grid (price, greeks, smile, simulate's analytic column) runs on
+one path, ``_over_grid``, 1,024 points at a time (``_CHUNK``), filling
+whole output columns at 8 B per cell (smile's are formatted strings), and
+``_emit`` writes 1,024 rows per write: no closed-form grid-sized temporary
+and no whole CSV text is built.  Every chunk is computed before any table
+is written, and the bytes do not depend on the chunk size.  Exit codes: 0
 success (regime warnings on stderr); 2 config/input error, an unreadable
 input or an unwritable output; 3 computation failure, with numpy's
 overflow, division by zero and invalid operations raised as errors (in
@@ -107,12 +107,6 @@ if TYPE_CHECKING:  # the commands that price import pricing themselves
     from .pricing import OptionSpec
 
 ENV_CONFIG = "EXPOUVOL_CONFIG"
-
-#: Steps of dt one simulated path may take, for maturity_days and for the
-#: stats horizon: a limit on run time, where PATH_BUDGET on
-#: moneyness_points limits memory.  Equal in value, kept as two names so
-#: that each can be lowered on its own.
-_MAX_STEPS = PATH_BUDGET
 
 _KEYS = {
     "m": (0.01, "positive"),
@@ -234,9 +228,9 @@ def build_config(file_values, overrides) -> RunConfig:
             _day_steps(tau, dt, "tau_grid lag")
         for key, steps in [("maturity_days", n_steps),
                            ("tau_grid", _stats_steps(merged["tau_grid"], dt))]:
-            if steps > _MAX_STEPS:  # else simulate or stats would run for ages
+            if steps > PATH_BUDGET:  # else simulate or stats would run for ages
                 raise ValueError(f"{key} needs {float(steps):.3g} steps of dt {dt}, "
-                                 f"more than {_MAX_STEPS}")
+                                 f"more than {PATH_BUDGET}")
         sim = SimConfig(n_paths=merged["n_paths"], n_steps=n_steps, dt=dt,
                         seed=merged["seed"], antithetic=merged["antithetic"])
         if merged["moneyness_points"] > PATH_BUDGET:
@@ -253,8 +247,8 @@ def build_config(file_values, overrides) -> RunConfig:
 
 _G = "%.12g"   # every number in every CSV
 
-#: Grid points per chunk: price, greeks and smile evaluate the moneyness
-#: grid this many points at a time, and _emit formats and writes this many
+#: Grid points per chunk: _over_grid evaluates the closed form over the
+#: moneyness grid this many points at a time, and _emit writes this many
 #: rows per write.  Element-wise kernels and a solver that freezes each
 #: lane once it converges give the same bits at any chunk size.  A chunk's
 #: temporaries set the small grids' peak: a 5,001-point smile peaks about
@@ -353,10 +347,10 @@ def cmd_greeks(cfg: RunConfig, args) -> list:
 def cmd_simulate(cfg: RunConfig, args) -> list:
     from .mc import mc_call_prices, simulate_paths
     from .pricing import _call_prices
-    mp, coeffs = _expansion(cfg)
-    spec = _strike_spec(cfg)
-    est = mc_call_prices(mp, cfg.sim, spec)
-    analytic = _call_prices(spec, mp, coeffs)[4]
+    analytic, = _over_grid(cfg, lambda *run: (_call_prices(*run)[4],),
+                           np.empty(cfg.moneyness.size))
+    mp = cfg.martingale
+    est = mc_call_prices(mp, cfg.sim, _strike_spec(cfg))
     tables = [(args.output, "moneyness,mc_price,std_err,analytic,abs_diff",
                (cfg.moneyness, est.value, est.std_error, analytic, np.abs(est.value - analytic)))]
     if args.dump_paths:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pricing import OptionSpec, _bs, _call_prices, bs_call, norm_pdf
+from .pricing import OptionSpec, _bs, _call_prices, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
 from .units import annualize_vol
 
@@ -67,8 +67,8 @@ def _implied_vols(price, spec: OptionSpec):
     why = np.select([~np.isfinite(price),
                      price <= _intrinsic(spec),
                      price >= spec.spot,
-                     bs_call(spec, VOL_LO) > price,
-                     bs_call(spec, VOL_HI) < price], range(1, len(_FAILURES)), 0)
+                     _bs(spec, VOL_LO)[0] > price,
+                     _bs(spec, VOL_HI)[0] < price], range(1, len(_FAILURES)), 0)
     lo, hi, vol = VOL_LO, VOL_HI, 0.01  # 0.01: cheap initial guess
     tol = PRICE_TOL * np.maximum(spec.spot, 1.0)
     live = why == 0

@@ -136,9 +136,8 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
     _check("sigma0", sigma0)
     _check("t", t)
     sigma = np.asarray(sigma, dtype=float)
-    decay = math.exp(-p.alpha * t)
-    var = p.beta2 * (1.0 - decay * decay)
-    z = np.log(sigma / p.m) - decay * math.log(sigma0 / p.m)
+    mean, var = ou_conditional_moments(p, math.log(sigma0 / p.m), t)
+    z = np.log(sigma / p.m) - mean
     pdf = np.exp(-z * z / (2.0 * var)) / (sigma * math.sqrt(2.0 * math.pi * var))
     return _out(pdf)
 
@@ -190,8 +189,9 @@ def leverage(p: ModelParams, tau):
     return _out(out)
 
 
-#: simulate_paths refuses ensembles, and mc_return_stats per-block return
-#: panels, beyond this many samples; mc_call_prices streams and has no limit.
+#: The one size cap: on stored ensembles (simulate_paths) and per-block
+#: return panels (mc_return_stats), in samples, and on the CLI's grid
+#: points and step counts; mc_call_prices streams and has no limit.
 PATH_BUDGET = 25_000_000
 
 

@@ -309,7 +309,7 @@ def hermite_poly(n: int, x):
 
 def _hermite_weights(mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """c2 = 2 m_bar^2 t and the density's H2, H3 and H4 weights at t = coeffs.maturity."""
-    c2 = 2.0 * mp.m_bar * mp.m_bar * coeffs.maturity
+    c2 = 2.0 * mp.m_bar * mp.m_bar * np.asarray(coeffs.maturity, dtype=float)
     return c2, (coeffs.theta / c2, mp.rho * coeffs.sigma3 / c2**1.5,
                 coeffs.quartic_weight / (c2 * c2))
 
@@ -364,6 +364,6 @@ def regime_warning(mp: MartingaleParams, coeffs: ExpansionCoeffs):
     """
     t = np.asarray(coeffs.maturity, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # t <= 0 lanes, masked below
-        weights = np.broadcast_arrays(*_hermite_weights(mp, replace(coeffs, maturity=t))[1])
+        weights = np.broadcast_arrays(*_hermite_weights(mp, coeffs)[1])
         big = np.max(np.abs(weights), axis=0) > REGIME_MAX_CORRECTION
     return _out((mp.lam < REGIME_MIN_LAMBDA) | ((t > 0) & big))

@@ -12,9 +12,10 @@ run their own stepper, one step and two normal draws at a time, which
 mc._steps must match bit for bit.  The per-path raw sums of one stats
 block have their earlier form, one list of rows per chunk stacked and
 concatenated, which mc._block_sums must match bit for bit.  The
-Black-Scholes leg, the expansion coefficients and the component price
-have 50-digit mpmath forms, evaluated from the same binary floats the
-package gets, so a test can measure the package's rounding error.
+Black-Scholes leg, the expansion coefficients, the component price and
+the volatility transition density have 50-digit mpmath forms, evaluated
+from the same binary floats the package gets, so a test can measure the
+package's rounding error.
 """
 
 import math
@@ -375,6 +376,23 @@ def coeffs_50(mp, t, r):
         return mu, theta, sigma3, kappa
 
 
+def sigma3_scale(mp, t):
+    """|s1| + |z0 s2| over lam^3 nu^2, at 50 digits, as mpf.
+
+    s1 = at - (1-e1) and s2 = at e1 - (1-e1) are sigma3's two brackets,
+    sigma3 = (s1 - z0 s2)/(lam^3 nu^2), so this is the sum of the
+    magnitudes of its two terms: a rounding error in either is relative
+    to it, and it over |sigma3| is the condition of their cancellation.
+    """
+    with mpmath.workdps(DIGITS):
+        m_bar, alpha_bar, k, z0, t = _mpf(mp.m_bar, mp.alpha_bar, mp.k, mp.z0, t)
+        lam, nu = k / m_bar, alpha_bar / (k * k)
+        at = alpha_bar * t
+        a1 = -mpmath.expm1(-at)
+        s1, s2 = at - a1, at * mpmath.exp(-at) - a1
+        return (abs(s1) + abs(z0 * s2)) / (lam ** 3 * nu ** 2)
+
+
 def expou_call_50(S, K, T, r, mp):
     """pricing._call_prices at 50 digits: (bs, c0, c1, c2, total) as mpf.
 
@@ -396,6 +414,20 @@ def expou_call_50(S, K, T, r, mp):
         c2 = sn1 + q * (h2 / c2t - h1 / mpmath.sqrt(c2t) + 1)
         total = bs + theta * c0 + rho * sigma3 * c1 + (kappa + theta * theta / 2) * c2
         return bs, c0, c1, c2, total
+
+
+def vol_conditional_pdf_50(p, sigma, t, sigma0):
+    """model.vol_conditional_pdf at 50 digits, as mpf.
+
+    The lognormal transition density of sigma(t) = m e^{Y(t)} from sigma0,
+    its OU mean and variance formed at 50 digits from m, alpha and k.
+    """
+    with mpmath.workdps(DIGITS):
+        m, alpha, k, sigma, t, sigma0 = _mpf(p.m, p.alpha, p.k, sigma, t, sigma0)
+        mean = mpmath.log(sigma0 / m) * mpmath.exp(-alpha * t)
+        var = k * k / (2 * alpha) * -mpmath.expm1(-2 * alpha * t)
+        z = mpmath.log(sigma / m) - mean
+        return mpmath.exp(-z * z / (2 * var)) / (sigma * mpmath.sqrt(2 * mpmath.pi * var))
 
 
 def call_condition(S, K, T, r, vol, price):

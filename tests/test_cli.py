@@ -3,6 +3,7 @@
 import functools
 import importlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -533,7 +534,7 @@ class TestConfigHandling:
         ([("tau_grid", "0,10.1")], "tau_grid"),            # 101 + 100
     ])
     def test_step_count_budget_edge(self, monkeypatch, settings, key):
-        monkeypatch.setattr("expouvol.cli._MAX_STEPS", 200)
+        monkeypatch.setattr("expouvol.cli.PATH_BUDGET", 200)
         if key is None:
             assert cli.build_config([], settings).sim.n_steps <= 200
         else:
@@ -541,15 +542,17 @@ class TestConfigHandling:
                                "more than 200$"):
                 cli.build_config([], settings)
 
-    @pytest.mark.parametrize("points, code", [(50, 0), (51, 2), (10**20, 2)])
+    @pytest.mark.parametrize("points, code", [(300, 0), (301, 2), (10**20, 2)])
     def test_moneyness_grid_budget(self, capsys, monkeypatch, points, code):
-        monkeypatch.setattr("expouvol.cli.PATH_BUDGET", 50)
+        # 300: the smallest cap that admits the default 200-step maturity
+        # and 300-step stats horizon, which the same cap bounds
+        monkeypatch.setattr("expouvol.cli.PATH_BUDGET", 300)
         got, out, err = run_cli(capsys, "--set", f"moneyness_points={points}", "price")
         assert got == code
         if code:
-            assert out == "" and "moneyness_points must be at most 50" in err
+            assert out == "" and "moneyness_points must be at most 300" in err
         else:
-            assert len(parse_csv(out)[1]) == 50
+            assert len(parse_csv(out)[1]) == 300
 
     def test_return_panel_budget_exit_3(self, capsys, monkeypatch, tmp_path):
         # stats simulates the largest lag plus 100 steps: 8 x 300 > 1000
@@ -725,21 +728,24 @@ class TestGoldensAtOtherKernelLevels:
 
 
 class TestGridChunks:
-    """price, greeks and smile run the moneyness grid and write their rows
-    cli._CHUNK points at a time: the bytes do not depend on the chunk size,
-    and memory grows by the output columns alone."""
+    """price, greeks, smile and simulate's analytic column run the moneyness
+    grid, and every command writes its rows, cli._CHUNK points at a time:
+    the bytes do not depend on the chunk size, and memory grows by the
+    output columns alone."""
 
     # (moneyness_min, moneyness_max, points); both reach moneyness 1.25, so
     # the smile's blank cells (sub-intrinsic prices, from 1.187 up) run
     # inside chunks and across chunk edges
     GRIDS = {"ascending": ("0.75", "1.25", 2001), "descending": ("1.25", "0.75", 1001)}
+    # simulate at TestSimulate's small path count, on the smaller grid
+    CASES = [*itertools.product(["price", "greeks", "smile"], GRIDS), ("simulate", "descending")]
 
     @pytest.mark.byte_exact
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    @pytest.mark.parametrize("command", ["price", "greeks", "smile"])
+    @pytest.mark.parametrize("command, grid", CASES)
     def test_same_bytes_at_any_chunk_size(self, capsys, monkeypatch, command, grid):
         lo, hi, points = self.GRIDS[grid]
-        argv = ["--set", f"moneyness_min={lo}", "--set", f"moneyness_max={hi}",
+        mc = ["--set", "n_paths=2000", "--set", "dt=0.5"] if command == "simulate" else []
+        argv = [*mc, "--set", f"moneyness_min={lo}", "--set", f"moneyness_max={hi}",
                 "--set", f"moneyness_points={points}", command]
         outs = {}
         for chunk in (points, 1024, 7, 1):
@@ -750,6 +756,10 @@ class TestGridChunks:
         assert len(parse_csv(outs[1])[1]) == points
         if command == "smile":
             assert ",\n" in outs[1]     # blank cells were written
+        if command == "simulate":     # its analytic column is price's call column
+            _, price, _ = run_cli(capsys, *argv[:-1], "price")
+            assert ([row[3] for row in parse_csv(outs[1])[1]]
+                    == [row[1] for row in parse_csv(price)[1]])
 
     @pytest.mark.parametrize("command, max_bytes", [("price", 64), ("greeks", 64),
                                                     ("smile", 128)])

@@ -16,6 +16,7 @@ from expouvol import (
     vol_conditional_pdf,
     vol_stationary_pdf,
 )
+from oracles import vol_conditional_pdf_50
 
 
 class TestParams:
@@ -105,6 +106,19 @@ class TestVolDensities:
         diff = np.abs(vol_conditional_pdf(fig_params, sig, t, 0.02)
                       - vol_stationary_pdf(fig_params, sig))
         assert diff.max() < 1e-10
+
+    @pytest.mark.parametrize("t", [0.001, 0.01])
+    def test_conditional_digits_at_short_horizons(self, fig_params, t):
+        # over +-3 conditional sd from sigma0 = 0.015, against 50 digits:
+        # measured worst 1.1e-13 at t = 0.001 and 4.2e-14 at 0.01; forming
+        # the variance as beta^2 (1 - e^{-at} e^{-at}) cancels to 1.4e-11
+        sigma0 = 0.015
+        mean, var = ou_conditional_moments(fig_params, math.log(sigma0 / fig_params.m), t)
+        sig = fig_params.m * np.exp(mean + math.sqrt(var) * np.linspace(-3.0, 3.0, 61))
+        got = vol_conditional_pdf(fig_params, sig, t, sigma0)
+        for s, g in zip(sig.tolist(), got.tolist()):
+            want = vol_conditional_pdf_50(fig_params, s, t, sigma0)
+            assert float(abs(g - want) / want) <= 2e-13, s
 
     def test_domain_errors(self, fig_params):
         with pytest.raises(ValueError):

@@ -24,8 +24,8 @@ from expouvol import (
     norm_pdf,
     return_density,
 )
-from oracles import (bs_call_quadrature, call_condition, central_diff, component_integral,
-                     expou_call_50, expou_call_assembled)
+from oracles import (bs_call_quadrature, call_condition, central_diff, coeffs_50,
+                     component_integral, expou_call_50, expou_call_assembled, sigma3_scale)
 from expouvol import cli
 from expouvol.pricing import _MAXLOG, _bs, _call_prices, _erfc
 from expouvol.risk_neutral import MartingaleParams
@@ -303,6 +303,48 @@ class TestDigitsOracle:
                 err = float(abs(got - want) / abs(want))
                 kappa = call_condition(spec.spot, k, t, r, mp.m_bar, want)
                 assert err <= self.C * eps * kappa, (k, err / eps, kappa)
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    #: measured at most 34 for sigma3 and 83 for the total over the 250
+    #: points below (the same with numpy's AVX-512 or AVX2 kernels off), and
+    #: 34 and 79 over 4,000 other points of the same domain
+    C_SIGMA3 = 64.0
+    C_TOTAL = 128.0
+    #: below it the true price nears the end of double range, where the
+    #: kernel's 0 is a relative error of 1
+    PRICE_FLOOR = 1e-290
+
+    # ROADMAP direction 5's domain; the three scales log-uniform
+    @given(log_m_bar=st.floats(-2.5, -1.5), log_k=st.floats(-1.5, -0.5),
+           log_alpha_bar=st.floats(-3.5, -1.0), rho=st.floats(-0.9, 0.9),
+           z0=st.floats(-1.0, 1.0), t=st.floats(0.1, 250.0), r=st.floats(0.0, 2e-4),
+           moneyness=st.floats(0.7, 1.4))
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_domain_within_condition(self, log_m_bar, log_k, log_alpha_bar, rho, z0, t, r,
+                                     moneyness):
+        # sigma3 within C_SIGMA3 eps of the sum of its two terms' magnitudes
+        # (so C_SIGMA3 eps times the condition of their z0 cancellation).
+        # The unflagged total priced above PRICE_FLOOR within C_TOTAL eps
+        # kappa_call, plus kappa's own error through its C2 weight: kappa
+        # loses digits above the series threshold, up to 939 eps kappa_call
+        # in the total over those 4,000 points, and its bound waits for
+        # ROADMAP direction 5 step 2.
+        mp = MartingaleParams(m_bar=10.0 ** log_m_bar, alpha_bar=10.0 ** log_alpha_bar,
+                              k=10.0 ** log_k, rho=rho, z0=z0)
+        spec = OptionSpec(100.0, 100.0 / moneyness, t, r)
+        co = expansion_coeffs(mp, t, r)
+        eps = np.finfo(float).eps
+        _, _, sigma3, kappa = coeffs_50(mp, t, r)
+        assert abs(co.sigma3 - sigma3) <= self.C_SIGMA3 * eps * sigma3_scale(mp, t)
+        pb = expou_call(spec, mp, co)
+        *_, c2, total = expou_call_50(spec.spot, spec.strike, t, r, mp)
+        if pb.warning or total <= self.PRICE_FLOOR:
+            return
+        cond = call_condition(spec.spot, spec.strike, t, r, mp.m_bar, total)
+        budget = self.C_TOTAL * eps * cond * total + abs(co.kappa - kappa) * abs(c2)
+        assert abs(pb.total - total) <= budget
 
 
 class TestArrayContract:
