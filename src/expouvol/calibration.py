@@ -54,7 +54,8 @@ class OptionQuote:
 
     def __post_init__(self):
         for name in ("strike", "maturity", "bid", "ask", "mid"):
-            _check(name, getattr(self, name), positive=name in ("strike", "maturity"))
+            _check(name, getattr(self, name),
+                   "positive" if name in ("strike", "maturity") else "finite", scalar=True)
         if not (0 < self.bid <= self.mid <= self.ask):
             raise ValueError(
                 f"prices must satisfy 0 < bid <= mid <= ask, got "

@@ -201,7 +201,7 @@ def build_config(file_values, overrides) -> RunConfig:
         try:
             merged[key] = val = _convert(key, val)
             if _KEYS[key][1] != "bool":
-                _check(key, val, positive=_KEYS[key][1] in ("positive", "count"))
+                _check(key, val, "positive" if _KEYS[key][1] in ("positive", "count") else "finite")
         except ValueError as exc:  # ConfigError included
             errors.append(str(exc))
     if errors:

@@ -248,8 +248,8 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
     n_paths*(n_steps+1) exceeds PATH_BUDGET; the streaming estimators
     (mc_call_prices etc.) handle large runs instead.
     """
-    _check("y0", y0, positive=False)
-    _check("rate", rate, positive=False)
+    _check("y0", y0, "finite")
+    _check("rate", rate, "finite")
     if cfg.n_paths * (cfg.n_steps + 1) > PATH_BUDGET:
         raise ValueError(
             f"ensemble of {cfg.n_paths}x{cfg.n_steps + 1} samples exceeds the "
@@ -436,8 +436,8 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     if panel > PATH_BUDGET:
         raise ValueError(f"a block's return panel exceeds the storage budget ({PATH_BUDGET})")
     lev_lags = _lag_steps(leverage_taus, cfg)
-    if any(t < 0 for t in autocorr_taus):
-        raise ValueError("autocorrelation lags must be nonnegative")
+    for tau in autocorr_taus:
+        _check("autocorrelation lag", tau, "nonnegative")
     aco_lags = _lag_steps(autocorr_taus, cfg)
     lags = sorted({abs(lag) for lag in lev_lags + aco_lags})
     n_paths, n_all = cfg.n_paths, cfg.n_steps

@@ -18,6 +18,7 @@ in day^(-1/2).  Annualization happens only at the CLI boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,25 +44,35 @@ def _out(x):
     return x.item() if x.ndim == 0 else x
 
 
-def _check(name: str, value, positive: bool = True) -> None:
-    """The package's numeric-input rule: ``value`` finite, and > 0 if ``positive``.
+#: rule -> (test on a number or an array, what a refused value must do)
+_RULES = {"positive": (lambda v: (v > 0) & (v < math.inf), "be positive and finite"),
+          "finite": (lambda v: (v > -math.inf) & (v < math.inf), "be finite"),
+          "nonnegative": (lambda v: v >= 0, "be nonnegative"),
+          "correlation": (lambda v: (v >= -1) & (v <= 1), "lie in [-1, 1]")}
 
-    Scalars and arrays alike, element by element; raises ValueError naming
-    the field; a bool is not a number here.  A plain float skips numpy, so
-    the dataclasses rebuilt on every calibration objective evaluation stay
-    cheap.
+
+def _check(name: str, value, rule: str = "positive", scalar: bool = False) -> None:
+    """The package's one input rule: ValueError("<name> must <...>, got <value>").
+
+    ``rule`` is a key of _RULES; "nonnegative" runs "finite" first.  A
+    number is a numbers.Real but not a bool, or an integer or float array
+    (element by element); text, bytes, complex values, None and object or
+    bool arrays fail every rule.  With ``scalar``, a passing array that is
+    not 0-d "must be a single number".  A float skips numpy and the slower
+    ABC test, so dataclasses rebuilt per calibration evaluation stay cheap.
     """
-    lo = 0.0 if positive else -math.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        ok = lo < value < math.inf
-    elif np.asarray(value).dtype == bool:
-        ok = False
+    if rule == "nonnegative":
+        _check(name, value, "finite", scalar)
+    test, must = _RULES[rule]
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        ok = test(value)
     else:
-        v = np.asarray(value, dtype=float)
-        ok = np.all((v > lo) & (v < math.inf))
+        v = np.asarray(value)
+        ok = v.dtype.kind in "iuf" and np.all(test(v))
+        if ok and scalar and v.ndim:
+            ok, must = False, "be a single number"
     if not ok:
-        kind = "positive and finite" if positive else "finite"
-        raise ValueError(f"{name} must be {kind}, got {value}")
+        raise ValueError(f"{name} must {must}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +100,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("m", "alpha", "k"):
-            _check(name, getattr(self, name))
-        if isinstance(self.rho, (bool, np.bool_)) or not (-1.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+            _check(name, getattr(self, name), scalar=True)
+        _check("rho", self.rho, "correlation", scalar=True)
         if not math.isfinite(self.beta2):
             raise ValueError("k^2/(2 alpha) is not finite")
 
@@ -107,11 +117,9 @@ def ou_conditional_moments(p: ModelParams, y0: float, t):
     mean = y0 exp(-alpha t), variance = (k^2/2alpha)(1 - exp(-2 alpha t)).
     The variance grows monotonically from 0 to beta^2.
     """
-    _check("y0", y0, positive=False)
-    _check("t", t, positive=False)
+    _check("y0", y0, "finite")
+    _check("t", t, "nonnegative")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
     mean = y0 * np.exp(-p.alpha * t)
     var = p.beta2 * (-np.expm1(-2.0 * p.alpha * t))
     return _out(mean), _out(var)
@@ -161,10 +169,8 @@ def squared_return_autocorr(p: ModelParams, tau):
     Decays through a cascade of exponentials exp(-n alpha tau); the lag-0
     value is below 1/3 and the large-lag tail is a single exponential.
     """
-    _check("tau", tau, positive=False)
+    _check("tau", tau, "nonnegative")
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be nonnegative")
     b2 = p.beta2
     num = np.expm1(4.0 * b2 * np.exp(-p.alpha * tau))
     den = 3.0 * math.exp(4.0 * b2) - 1.0
@@ -179,7 +185,7 @@ def leverage(p: ModelParams, tau):
     for tau >= 0.  The sign is the sign of rho; the decay rate is k^2 for
     alpha*tau << 1 and alpha for alpha*tau >> 1.
     """
-    _check("tau", tau, positive=False)
+    _check("tau", tau, "finite")
     tau = np.asarray(tau, dtype=float)
     b2 = p.beta2
     amp = 2.0 * p.rho * p.k / p.m
@@ -211,7 +217,7 @@ class SimConfig:
             raise ValueError(f"n_paths, n_steps and seed must be integers, got {ints}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
-        _check("dt", self.dt)
+        _check("dt", self.dt, scalar=True)
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if self.antithetic and self.n_paths % 2:

@@ -70,7 +70,7 @@ class OptionSpec:
     def __post_init__(self):
         for name in ("spot", "strike", "maturity", "rate"):
             v = getattr(self, name)
-            _check(name, v, positive=name != "rate")
+            _check(name, v, "finite" if name == "rate" else "positive")
             if np.ndim(v):
                 object.__setattr__(self, name, np.asarray(v, dtype=float))
 

@@ -79,10 +79,9 @@ class MartingaleParams:
 
     def __post_init__(self):
         for name in ("m_bar", "alpha_bar", "k"):
-            _check(name, getattr(self, name))
-        _check("z0", self.z0, positive=False)
-        if isinstance(self.rho, (bool, np.bool_)) or not (-1.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+            _check(name, getattr(self, name), scalar=True)
+        _check("z0", self.z0, "finite", scalar=True)
+        _check("rho", self.rho, "correlation", scalar=True)
 
     @property
     def lam(self) -> float:
@@ -118,9 +117,7 @@ class ExpansionCoeffs:
 
     def __post_init__(self):
         for name in ("mu", "theta", "sigma3", "kappa", "maturity"):
-            _check(name, getattr(self, name), positive=False)
-        if np.any(np.asarray(self.maturity) < 0):
-            raise ValueError(f"maturity must be nonnegative, got {self.maturity}")
+            _check(name, getattr(self, name), "nonnegative" if name == "maturity" else "finite")
 
     @property
     def quartic_weight(self) -> float:
@@ -141,8 +138,8 @@ def to_martingale(p: ModelParams, lambda0: float, lambda1: float, y0: float) -> 
         aversion destabilizes reversion) or if m_bar = m*exp(-k*lambda0/alpha_bar)
         is not positive and finite.
     """
-    _check("lambda0", lambda0, positive=False)
-    _check("lambda1", lambda1, positive=False)
+    _check("lambda0", lambda0, "finite", scalar=True)
+    _check("lambda1", lambda1, "finite", scalar=True)
     alpha_bar = p.alpha + p.k * lambda1
     if alpha_bar <= 0:
         raise ValueError(
@@ -183,8 +180,8 @@ def expansion_coeffs(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
     An array t gives fields of its shape, each lane bit for bit the scalar
     call at its maturity.
     """
-    _check("t", t, positive=False)
-    _check("r", r, positive=False)
+    _check("t", t, "nonnegative")
+    _check("r", r, "finite")
     ts, lane = np.unique(t, return_inverse=True)
     cols = np.array([_coeffs(mp, float(ti), r) for ti in ts]).reshape(-1, 4).T
     return ExpansionCoeffs(*map(_out, cols[:, lane]), maturity=_out(np.asarray(t, float)))
@@ -192,8 +189,6 @@ def expansion_coeffs(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
 
 def _coeffs(mp: MartingaleParams, t: float, r: float) -> tuple:
     """(mu, theta, sigma3, kappa) at one maturity t >= 0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     lam, nu, z0, rho = mp.lam, mp.nu, mp.z0, mp.rho
     at = mp.alpha_bar * t
     e1 = math.exp(-at)
@@ -249,12 +244,10 @@ def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
     The effective shifted rates are gamma = nu + i rho omega1 in the
     initial-volatility term and nu + i rho omega1 / 2 in the skew and
     quartic terms (the half compensates the quadratic embedding of the
-    skew term in the quartic one).  Every argument must be finite.
+    skew term in the quartic one).  Every argument must be finite, t_prime >= 0.
     """
     for name, val in (("omega1", omega1), ("t_prime", t_prime), ("v0", v0), ("rate", rate)):
-        _check(name, val, positive=False)
-    if t_prime < 0:
-        raise ValueError("t_prime must be nonnegative")
+        _check(name, val, "nonnegative" if name == "t_prime" else "finite")
     lam, nu, rho = mp.lam, mp.nu, mp.rho
     w = complex(omega1)
     g1 = nu + 1j * rho * w
@@ -279,7 +272,7 @@ def char_fn_expanded(mp: MartingaleParams, coeffs: ExpansionCoeffs, omega: float
 
     ``omega`` must be finite and ``coeffs`` at one scalar maturity.
     """
-    _check("omega", omega, positive=False)
+    _check("omega", omega, "finite")
     _one_maturity("char_fn_expanded", coeffs)
     w = float(omega)
     gauss = cmath.exp(-(1j * w * coeffs.mu + 0.5 * mp.m_bar**2 * w * w * coeffs.maturity))
@@ -328,8 +321,7 @@ def return_density(mp: MartingaleParams, coeffs: ExpansionCoeffs, x):
     scalar maturity.
     """
     _one_maturity("return_density", coeffs)
-    if coeffs.maturity <= 0:
-        raise ValueError("t must be positive")
+    _check("maturity", coeffs.maturity)
     x = np.asarray(x, dtype=float)
     c2, weights = _hermite_weights(mp, coeffs)
     u = (x - coeffs.mu) / math.sqrt(c2)

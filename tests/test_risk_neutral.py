@@ -401,8 +401,15 @@ class TestInputChecks:
             call(fig_mp, co)
 
     def test_negative_t_prime_rejected(self, fig_mp):
-        with pytest.raises(ValueError, match="^t_prime must be nonnegative$"):
+        with pytest.raises(ValueError, match="^t_prime must be nonnegative, got -0.1$"):
             char_fn_full(fig_mp, 1.0, -0.1, 0.0)
+
+    @pytest.mark.parametrize("call", [lambda mp, co: return_density(mp, co, 0.0),
+                                      negative_mass_fraction])
+    def test_zero_maturity_rejected(self, fig_mp, call):
+        co = expansion_coeffs(fig_mp, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^maturity must be positive and finite, got 0\.0$"):
+            call(fig_mp, co)
 
     def test_non_finite_beta2_rejected(self):
         with pytest.raises(ValueError, match=r"^k\^2/\(2 alpha\) is not finite$"):
