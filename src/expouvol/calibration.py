@@ -18,6 +18,7 @@ reads (the package writes none) has the header ``strike,maturity_days,bid,ask``
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -87,7 +88,7 @@ class QuoteLoadResult:
         return "\n".join(lines)
 
 
-def load_quotes(path) -> QuoteLoadResult:
+def load_quotes(path: str | os.PathLike) -> QuoteLoadResult:
     """Read an option-chain CSV, validating row by row.
 
     Rows with missing or non-numeric fields, or that OptionQuote refuses

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .model import _check
 from .pricing import OptionSpec, _bs, _call_prices, norm_pdf
 from .risk_neutral import ExpansionCoeffs, MartingaleParams
 from .units import annualize_vol
@@ -99,15 +100,16 @@ def implied_vol(price: float, spec: OptionSpec) -> float:
     Raises
     ------
     ValueError
-        If (price, spec) broadcast to more than one option.
+        If price is not a number, or (price, spec) broadcast to more than one option.
     ImpliedVolError
         If the price is not finite, violates a no-arbitrage bound, exceeds
         the price at the solver's volatility cap (10 day^(-1/2)), or the
         iteration does not converge within MAX_ITER steps.
     """
+    _check("price", price, "number")
+    if (lanes := np.broadcast(price, _intrinsic(spec)).size) != 1:
+        raise ValueError(f"implied_vol takes one lane, got {lanes}; see smile_curve")
     vol, why = _implied_vols(price, spec)
-    if why.size != 1:
-        raise ValueError(f"implied_vol takes one lane, got {why.size}; see smile_curve")
     if why.item():
         raise ImpliedVolError(_FAILURES[why.item() - 1].format(
             price=np.ravel(price)[0], intrinsic=np.ravel(_intrinsic(spec))[0],

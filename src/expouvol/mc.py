@@ -236,7 +236,8 @@ def _steps(params, cfg: SimConfig, rng: np.random.Generator, y: np.ndarray, rate
         ys[0] = ys[m]
 
 
-def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> PathEnsemble:
+def simulate_paths(params: ModelParams | MartingaleParams, cfg: SimConfig, y0: float,
+                   rate: float = 0.0) -> PathEnsemble:
     """Simulate and store the full path ensemble.
 
     ``params`` is ModelParams (physical measure; ``y0`` is Y(0)) or
@@ -244,12 +245,12 @@ def simulate_paths(params, cfg: SimConfig, y0: float, rate: float = 0.0) -> Path
     the log-price drift's risk-free rate (martingale pricing); physical
     diagnostics demean returns, so their drift convention is immaterial.
 
-    Raises ValueError when ``y0`` or ``rate`` is not finite, or when
-    n_paths*(n_steps+1) exceeds PATH_BUDGET; the streaming estimators
+    Raises ValueError when ``y0`` or ``rate`` is not one finite number, or
+    when n_paths*(n_steps+1) exceeds PATH_BUDGET; the streaming estimators
     (mc_call_prices etc.) handle large runs instead.
     """
-    _check("y0", y0, "finite")
-    _check("rate", rate, "finite")
+    _check("y0", y0, "finite", scalar=True)
+    _check("rate", rate, "finite", scalar=True)
     if cfg.n_paths * (cfg.n_steps + 1) > PATH_BUDGET:
         raise ValueError(
             f"ensemble of {cfg.n_paths}x{cfg.n_steps + 1} samples exceeds the "
@@ -284,8 +285,8 @@ def _pairwise(values: np.ndarray, antithetic: bool) -> np.ndarray:
 def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> McEstimate:
     """Discounted expected call payoffs under the martingale measure, from ``mp.z0``.
 
-    Spot and strike may be arrays; maturity and rate are scalars and the
-    maturity equals the config horizon.  ``value`` and ``std_error`` follow
+    Spot and strike may be arrays; maturity and rate are single numbers and
+    the maturity is the config horizon.  ``value`` and ``std_error`` follow
     the OptionSpec shape contract: floats for a scalar spec, arrays of the
     broadcast strike shape otherwise.  All strikes share one ensemble
     (common random numbers), which keeps the price curve internally
@@ -294,8 +295,8 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     """
     _expect(mp, MartingaleParams, "mc_call_prices")
     t, r = spec.maturity, spec.rate
-    if np.ndim(t) or np.ndim(r):
-        raise ValueError("maturity and rate must be scalars (one horizon per ensemble)")
+    _check("maturity", t, scalar=True)  # one horizon per ensemble
+    _check("rate", r, "finite", scalar=True)
     if _day_steps(t, cfg.dt, "config horizon: option maturity") != cfg.n_steps:
         raise ValueError(f"config horizon {cfg.horizon:g} != option maturity {t:g}")
     spots, strikes = np.broadcast_arrays(spec.spot, spec.strike)
@@ -323,7 +324,9 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
 
 
-def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig):
+def _lag_steps(tau_grid: Sequence[float], cfg: SimConfig, name: str, rule: str):
+    for tau in tau_grid:
+        _check(name, tau, rule, scalar=True)
     steps = [_day_steps(abs(tau), cfg.dt, "lag magnitude") for tau in tau_grid]
     if any(n >= cfg.n_steps for n in steps):
         raise ValueError(f"lag {max(map(abs, tau_grid))} is beyond the simulated horizon")
@@ -415,8 +418,8 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     L(tau) = mean[dR(t) dR(t+tau)^2] / mean[dR^2]^2; its negative lags
     estimate the anticausal side, which vanishes.  The autocorrelation is
     the Pearson correlation of (dR(t)^2, dR(t+tau)^2) at nonnegative
-    lags.  Lags are in days; either grid may be empty.  Returns
-    (leverage, autocorr), one list of McEstimate per grid.
+    lags.  Each lag is one number of days; either grid may be empty.
+    Returns (leverage, autocorr), one list of McEstimate per grid.
 
     One pass, at most one block's return panel per worker, and at most
     PATH_BUDGET returns in the panels of all running blocks together: each
@@ -435,10 +438,8 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     panel = min(cfg.n_paths, BLOCK) * cfg.n_steps
     if panel > PATH_BUDGET:
         raise ValueError(f"a block's return panel exceeds the storage budget ({PATH_BUDGET})")
-    lev_lags = _lag_steps(leverage_taus, cfg)
-    for tau in autocorr_taus:
-        _check("autocorrelation lag", tau, "nonnegative")
-    aco_lags = _lag_steps(autocorr_taus, cfg)
+    lev_lags = _lag_steps(leverage_taus, cfg, "leverage lag", "finite")
+    aco_lags = _lag_steps(autocorr_taus, cfg, "autocorrelation lag", "nonnegative")
     lags = sorted({abs(lag) for lag in lev_lags + aco_lags})
     n_paths, n_all = cfg.n_paths, cfg.n_steps
 

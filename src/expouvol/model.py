@@ -48,7 +48,8 @@ def _out(x):
 _RULES = {"positive": (lambda v: (v > 0) & (v < math.inf), "be positive and finite"),
           "finite": (lambda v: (v > -math.inf) & (v < math.inf), "be finite"),
           "nonnegative": (lambda v: v >= 0, "be nonnegative"),
-          "correlation": (lambda v: (v >= -1) & (v <= 1), "lie in [-1, 1]")}
+          "correlation": (lambda v: (v >= -1) & (v <= 1), "lie in [-1, 1]"),
+          "number": (lambda v: True, "be a number")}
 
 
 def _check(name: str, value, rule: str = "positive", scalar: bool = False) -> None:
@@ -56,10 +57,10 @@ def _check(name: str, value, rule: str = "positive", scalar: bool = False) -> No
 
     ``rule`` is a key of _RULES; "nonnegative" runs "finite" first.  A
     number is a numbers.Real but not a bool, or an integer or float array
-    (element by element); text, bytes, complex values, None and object or
-    bool arrays fail every rule.  With ``scalar``, a passing array that is
-    not 0-d "must be a single number".  A float skips numpy and the slower
-    ABC test, so dataclasses rebuilt per calibration evaluation stay cheap.
+    (element by element); anything else fails every rule, shown by repr
+    unless a numbers.Number, numpy scalar or array.  With ``scalar``, a
+    passing array that is not 0-d "must be a single number".  A float skips
+    numpy and the ABC test: dataclasses rebuilt per evaluation stay cheap.
     """
     if rule == "nonnegative":
         _check(name, value, "finite", scalar)
@@ -72,7 +73,8 @@ def _check(name: str, value, rule: str = "positive", scalar: bool = False) -> No
         if ok and scalar and v.ndim:
             ok, must = False, "be a single number"
     if not ok:
-        raise ValueError(f"{name} must {must}, got {value}")
+        num = isinstance(value, (numbers.Number, np.generic, np.ndarray))
+        raise ValueError(f"{name} must {must}, got {value if num else repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
         Initial volatility, > 0.
     """
     _check("sigma", sigma)
-    _check("sigma0", sigma0)
-    _check("t", t)
+    _check("sigma0", sigma0, scalar=True)
+    _check("t", t, scalar=True)
     sigma = np.asarray(sigma, dtype=float)
     mean, var = ou_conditional_moments(p, math.log(sigma0 / p.m), t)
     z = np.log(sigma / p.m) - mean
@@ -243,6 +245,6 @@ class QuoteError(ValueError):
 
 def y0_from_vol_index(sigma0_annual: float, m: float) -> float:
     """Initial log-volatility from an annualized vol index: ln(sigma0_daily/m)."""
-    _check("sigma0", sigma0_annual)
-    _check("m", m)
+    _check("sigma0", sigma0_annual, scalar=True)
+    _check("m", m, scalar=True)
     return math.log(daily_vol(sigma0_annual) / m)

@@ -258,6 +258,7 @@ def call_components(spec: OptionSpec, m_bar: float):
 
     with q = K e^{-rT}/sqrt(m_bar^2 T) and h = d2/sqrt(2).
     """
+    _check("m_bar", m_bar)
     return tuple(_out(c) for c in _call_terms(spec, m_bar)[1:])
 
 

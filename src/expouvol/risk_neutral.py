@@ -134,12 +134,12 @@ def to_martingale(p: ModelParams, lambda0: float, lambda1: float, y0: float) -> 
     Raises
     ------
     ValueError
-        If lambda0 or lambda1 is not finite, if alpha + k*lambda1 <= 0 (risk
-        aversion destabilizes reversion) or if m_bar = m*exp(-k*lambda0/alpha_bar)
-        is not positive and finite.
+        If lambda0, lambda1 or y0 is not a finite number, if alpha +
+        k*lambda1 <= 0 (risk aversion destabilizes reversion) or if m_bar =
+        m*exp(-k*lambda0/alpha_bar) is not positive and finite.
     """
-    _check("lambda0", lambda0, "finite", scalar=True)
-    _check("lambda1", lambda1, "finite", scalar=True)
+    for name, val in (("lambda0", lambda0), ("lambda1", lambda1), ("y0", y0)):
+        _check(name, val, "finite", scalar=True)
     alpha_bar = p.alpha + p.k * lambda1
     if alpha_bar <= 0:
         raise ValueError(
@@ -181,7 +181,7 @@ def expansion_coeffs(mp: MartingaleParams, t, r: float) -> ExpansionCoeffs:
     call at its maturity.
     """
     _check("t", t, "nonnegative")
-    _check("r", r, "finite")
+    _check("r", r, "finite", scalar=True)
     ts, lane = np.unique(t, return_inverse=True)
     cols = np.array([_coeffs(mp, float(ti), r) for ti in ts]).reshape(-1, 4).T
     return ExpansionCoeffs(*map(_out, cols[:, lane]), maturity=_out(np.asarray(t, float)))
@@ -223,13 +223,6 @@ def expansion_coeffs_averaged(mp: MartingaleParams, t, r: float) -> ExpansionCoe
     return replace(co, kappa=_out(co.kappa + a1 * a1 / (4.0 * mp.lam**4 * mp.nu**3)))
 
 
-def _one_maturity(name: str, coeffs: ExpansionCoeffs) -> None:
-    """Reject array coefficients in a function that handles one maturity."""
-    if np.ndim(coeffs.maturity):
-        raise ValueError(f"{name} takes coefficients at one scalar maturity, "
-                         f"got {np.size(coeffs.maturity)} lanes")
-
-
 def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
                  rate: float = 0.0) -> complex:
     """Resummed characteristic function exp(-C) in scaled variables.
@@ -247,7 +240,7 @@ def char_fn_full(mp: MartingaleParams, omega1: float, t_prime: float, v0: float,
     skew term in the quartic one).  Every argument must be finite, t_prime >= 0.
     """
     for name, val in (("omega1", omega1), ("t_prime", t_prime), ("v0", v0), ("rate", rate)):
-        _check(name, val, "nonnegative" if name == "t_prime" else "finite")
+        _check(name, val, "nonnegative" if name == "t_prime" else "finite", scalar=True)
     lam, nu, rho = mp.lam, mp.nu, mp.rho
     w = complex(omega1)
     g1 = nu + 1j * rho * w
@@ -272,8 +265,8 @@ def char_fn_expanded(mp: MartingaleParams, coeffs: ExpansionCoeffs, omega: float
 
     ``omega`` must be finite and ``coeffs`` at one scalar maturity.
     """
-    _check("omega", omega, "finite")
-    _one_maturity("char_fn_expanded", coeffs)
+    _check("omega", omega, "finite", scalar=True)
+    _check("maturity", coeffs.maturity, "nonnegative", scalar=True)
     w = float(omega)
     gauss = cmath.exp(-(1j * w * coeffs.mu + 0.5 * mp.m_bar**2 * w * w * coeffs.maturity))
     poly = (1.0 - coeffs.theta * w**2
@@ -317,11 +310,11 @@ def return_density(mp: MartingaleParams, coeffs: ExpansionCoeffs, x):
 
     u = (x - mu)/sqrt(2 m_bar^2 t).  The corrections integrate to zero, so
     total mass is one, but the density can go negative in far tails; values
-    are returned as computed, never clamped.  ``coeffs`` must be at one
-    scalar maturity.
+    are returned as computed, never clamped.  ``x`` must be finite and
+    ``coeffs`` at one positive maturity.
     """
-    _one_maturity("return_density", coeffs)
-    _check("maturity", coeffs.maturity)
+    _check("maturity", coeffs.maturity, scalar=True)
+    _check("x", x, "finite")
     x = np.asarray(x, dtype=float)
     c2, weights = _hermite_weights(mp, coeffs)
     u = (x - coeffs.mu) / math.sqrt(c2)
@@ -339,7 +332,7 @@ def negative_mass_fraction(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> flo
     on 4,001 points over mu +- 10 standard deviations, at one scalar
     maturity.
     """
-    _one_maturity("negative_mass_fraction", coeffs)
+    _check("maturity", coeffs.maturity, scalar=True)
     sd = mp.m_bar * math.sqrt(coeffs.maturity)
     xs = np.linspace(coeffs.mu - 10.0 * sd, coeffs.mu + 10.0 * sd, 4001)
     p = return_density(mp, coeffs, xs)

@@ -240,14 +240,14 @@ def _per_path_sums(panel, leverage_taus, autocorr_taus, cfg):
     if any(t < 0 for t in autocorr_taus):
         raise ValueError("autocorrelation lags must be nonnegative")
     n_all = panel.shape[1]
-    for lag in _lag_steps(leverage_taus, cfg):
+    for lag in _lag_steps(leverage_taus, cfg, "leverage lag", "finite"):
         if lag >= 0:
             a, b = panel[:, : n_all - lag], panel[:, lag:]
         else:
             a, b = panel[:, -lag:], panel[:, : n_all + lag]
         yield "lev", lag, [(a * b * b).sum(axis=1), (panel * panel).sum(axis=1)], a.shape[1]
     sq = panel * panel
-    for lag in _lag_steps(autocorr_taus, cfg):
+    for lag in _lag_steps(autocorr_taus, cfg, "autocorrelation lag", "nonnegative"):
         a, b = sq[:, : n_all - lag], sq[:, lag:]
         yield "aco", lag, [(a * b).sum(axis=1), sq.sum(axis=1), (sq * sq).sum(axis=1)], \
             a.shape[1]

@@ -87,6 +87,16 @@ class TestImpliedVol:
             implied_vol(price, spec)
         assert not isinstance(exc.value, ImpliedVolError)
 
+    def test_many_lanes_rejected_before_solving(self, monkeypatch):
+        # the broadcast's size is known before any lane is solved
+        def solve(price, spec):
+            raise AssertionError("solved a broadcast implied_vol refuses")
+
+        monkeypatch.setattr("expouvol.implied._implied_vols", solve)
+        spec = OptionSpec(100.0, np.linspace(90.0, 110.0, 1000), 20.0, 0.0)
+        with pytest.raises(ValueError, match="^implied_vol takes one lane, got 1000; "):
+            implied_vol(5.0, spec)
+
     def test_size_one_inputs(self):
         spec = OptionSpec(100.0, 97.0, 20.0, 2e-4)
         price = bs_call(spec, 0.013)
