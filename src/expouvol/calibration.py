@@ -92,54 +92,50 @@ def load_quotes(path: str | os.PathLike) -> QuoteLoadResult:
     """Read an option-chain CSV, validating row by row.
 
     Rows with missing or non-numeric fields, or that OptionQuote refuses
-    (its message is the reason), are rejected individually with their line
-    numbers; a missing or unusable header, or bytes that are not UTF-8,
-    raise QuoteError outright.
+    (its message is the reason), are rejected individually by the file line
+    each record starts on; a missing or unusable header, or bytes that are
+    not UTF-8, raise QuoteError outright.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
+        reader = csv.reader(fh)
         try:
-            return _read_quotes(path, csv.reader(fh))
+            header = [h.strip().lower() for h in next(reader)]
+            if header[:2] != ["strike", "maturity_days"]:
+                raise QuoteError(f"{path}: header must start with strike,maturity_days")
+            if header[2:] not in (["bid", "ask"], ["mid"]):
+                raise QuoteError(f"{path}: columns after maturity_days must be bid,ask or mid")
+            mid_only = header[2:] == ["mid"]
+
+            quotes, rejects, end = [], [], reader.line_num
+            for row in reader:
+                line_no, end = end + 1, reader.line_num  # a quoted field may span lines
+                if not row or all(not c.strip() for c in row):
+                    continue
+                try:
+                    vals = [float(c) for c in row]
+                except ValueError:
+                    rejects.append((line_no, "non-numeric field"))
+                    continue
+                if len(vals) != len(header):
+                    rejects.append((line_no, f"expected {len(header)} fields, got {len(vals)}"))
+                    continue
+                strike, mat, bid = vals[:3]
+                ask, mid = (bid, bid) if mid_only else (vals[3], 0.5 * (bid + vals[3]))
+                try:
+                    quotes.append(OptionQuote(strike, mat, bid, ask, mid))
+                except ValueError as exc:
+                    rejects.append((line_no, str(exc)))
+        except StopIteration:  # no header row
+            raise QuoteError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
             raise QuoteError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _read_quotes(path, reader) -> QuoteLoadResult:
-    """The rows of load_quotes' reader, checked header first."""
-    try:
-        header = [h.strip().lower() for h in next(reader)]
-    except StopIteration:
-        raise QuoteError(f"{path}: empty file") from None
-    if header[:2] != ["strike", "maturity_days"]:
-        raise QuoteError(f"{path}: header must start with strike,maturity_days")
-    if header[2:] not in (["bid", "ask"], ["mid"]):
-        raise QuoteError(f"{path}: columns after maturity_days must be bid,ask or mid")
-    mid_only = header[2:] == ["mid"]
-
-    quotes, rejects = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            vals = [float(c) for c in row]
-        except ValueError:
-            rejects.append((line_no, "non-numeric field"))
-            continue
-        if len(vals) != len(header):
-            rejects.append((line_no, f"expected {len(header)} fields, got {len(vals)}"))
-            continue
-        strike, mat, bid = vals[:3]
-        ask = bid if mid_only else vals[3]
-        mid = bid if mid_only else 0.5 * (bid + ask)
-        try:
-            quotes.append(OptionQuote(strike=strike, maturity=mat, bid=bid,
-                                      ask=ask, mid=mid))
-        except ValueError as exc:
-            rejects.append((line_no, str(exc)))
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 
 def _chain_spec(quotes, spot: float, r: float) -> OptionSpec:
-    """One OptionSpec over every quote's strike and maturity, in quote order."""
+    """One OptionSpec over every quote's strike and maturity, in quote order, at one spot and r."""
+    _check("spot", spot, scalar=True)
+    _check("r", r, "finite", scalar=True)
     return OptionSpec(spot, np.array([q.strike for q in quotes]),
                       np.array([q.maturity for q in quotes]), r)
 
@@ -158,10 +154,11 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
     Levenberg-Marquardt from (0, 0), as in the module docstring.  ``iterations``
     counts trial steps, accepted or not; ``converged`` means one fell below
     STEP_TOL in max-norm within MAX_ITER of them.  rmse is that of the
-    residuals at the returned parameters.
+    residuals at the returned parameters.  Fewer than 2 quotes raise QuoteError.
     """
     if len(quotes) < 2:
-        raise ValueError("underdetermined: need at least 2 quotes for 2 parameters")
+        raise QuoteError("calibrate needs at least 2 usable quotes for its 2 parameters, "
+                         f"got {len(quotes)}")
     mids = np.array([q.mid for q in quotes])
     spec = _chain_spec(quotes, spot, r)
 

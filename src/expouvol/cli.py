@@ -32,10 +32,10 @@ Annual quantities are converted once at load: rates divide by 252,
 volatilities by sqrt(252).  If both sigma0_annual and z0 appear, z0 wins
 as the martingale start of price, smile, greeks, density and simulate,
 sigma0_annual still gives calibrate its y0, and a warning goes to stderr.
-Numeric values must be finite; scales, sizes and steps positive;
-maturity_days and the tau_grid lags nonnegative multiples of dt.  One cap,
-PATH_BUDGET = 25,000,000, bounds moneyness_points and the steps of dt in
-maturity_days and in the stats horizon (the longest lag plus 100 steps).
+Numeric values must be finite; scales, sizes and steps positive; seed in
+[0, 2**64); maturity_days and each tau_grid lag, in grid order, nonnegative
+multiples of dt.  One cap, PATH_BUDGET = 25,000,000, bounds moneyness_points
+and the steps of dt in maturity_days and the stats horizon (longest lag + 100).
 Accepted on purpose:
 
 - A key given twice, in the file or in --set, takes its last value; every
@@ -224,8 +224,6 @@ def build_config(file_values, overrides) -> RunConfig:
         maturity = float(merged["maturity_days"])
         dt = float(merged["dt"])
         n_steps = _day_steps(maturity, dt, "maturity_days")
-        for tau in merged["tau_grid"]:
-            _day_steps(tau, dt, "tau_grid lag")
         for key, steps in [("maturity_days", n_steps),
                            ("tau_grid", _stats_steps(merged["tau_grid"], dt))]:
             if steps > PATH_BUDGET:  # else simulate or stats would run for ages
@@ -365,8 +363,8 @@ def cmd_simulate(cfg: RunConfig, args) -> list:
 
 
 def _stats_steps(tau_grid, dt: float) -> int:
-    """The stats horizon: the longest lag plus 100 steps of dt."""
-    return _day_steps(max(tau_grid), dt, "tau_grid lag") + 100
+    """The stats horizon: the longest lag plus 100 steps of dt; each lag is checked in order."""
+    return max(_day_steps(tau, dt, "tau_grid lag") for tau in tau_grid) + 100
 
 
 def cmd_stats(cfg: RunConfig, args) -> list:
@@ -386,20 +384,15 @@ def cmd_calibrate(cfg: RunConfig, args) -> list:
     loaded = load_quotes(args.quotes)
     if loaded.rejects:
         print(loaded.summary(), file=sys.stderr)
-    if len(loaded.quotes) < 2:
-        raise QuoteError("calibrate needs at least 2 usable quotes for its 2 parameters, "
-                         f"got {len(loaded.quotes)}")
     if cfg.y0 is None:
         raise ConfigError("calibrate needs sigma0_annual in the config "
                           "(y0 cannot come from z0: the shift depends on the fitted lambdas)")
-    result = calibrate_risk_aversion(list(loaded.quotes), cfg.params,
-                                     cfg.spot, cfg.rate, cfg.y0)
+    result = calibrate_risk_aversion(loaded.quotes, cfg.params, cfg.spot, cfg.rate, cfg.y0)
     tables = [(args.output, "lambda0,lambda1,rmse,n_quotes,converged,iterations",
                [[result.lambda0], [result.lambda1], [result.rmse], [result.n_quotes],
                 [str(result.converged).lower()], [result.iterations]])]
     if args.repricing:
-        table = reprice_quotes(result, list(loaded.quotes), cfg.params,
-                               cfg.spot, cfg.rate, cfg.y0)
+        table = reprice_quotes(result, loaded.quotes, cfg.params, cfg.spot, cfg.rate, cfg.y0)
         tables.append((args.repricing, "strike,mid,model,residual", zip(*table)))
     return tables
 

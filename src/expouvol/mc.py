@@ -102,19 +102,14 @@ class PathEnsemble:
         self.times.flags.writeable = False
 
 
-def _coerce(params):
-    """Map either parameter set onto (vol_level, reversion, k, rho)."""
+def _coerce(params, name: str = "simulate_paths", kinds=(ModelParams, MartingaleParams)):
+    """(vol_level, reversion, k, rho) of ``params``; ``name`` takes only ``kinds``: the measure."""
+    if not isinstance(params, kinds):
+        raise TypeError(f"{name} expects {' or '.join(kind.__name__ for kind in kinds)}, "
+                        f"got {type(params).__name__}")
     if isinstance(params, ModelParams):
         return params.m, params.alpha, params.k, params.rho
-    if isinstance(params, MartingaleParams):
-        return params.m_bar, params.alpha_bar, params.k, params.rho
-    raise TypeError(f"expected ModelParams or MartingaleParams, got {type(params)!r}")
-
-
-def _expect(params, kind: type, name: str) -> None:
-    """Reject parameters of the other measure: the type is the measure."""
-    if not isinstance(params, kind):
-        raise TypeError(f"{name} expects {kind.__name__}, got {type(params).__name__}")
+    return params.m_bar, params.alpha_bar, params.k, params.rho
 
 
 def _block_sizes(n_paths: int):
@@ -125,7 +120,7 @@ def _block_sizes(n_paths: int):
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -245,10 +240,12 @@ def simulate_paths(params: ModelParams | MartingaleParams, cfg: SimConfig, y0: f
     the log-price drift's risk-free rate (martingale pricing); physical
     diagnostics demean returns, so their drift convention is immaterial.
 
-    Raises ValueError when ``y0`` or ``rate`` is not one finite number, or
-    when n_paths*(n_steps+1) exceeds PATH_BUDGET; the streaming estimators
-    (mc_call_prices etc.) handle large runs instead.
+    Raises TypeError for any other ``params``, and ValueError when ``y0`` or
+    ``rate`` is not one finite number or when n_paths*(n_steps+1) exceeds
+    PATH_BUDGET; the streaming estimators (mc_call_prices etc.) handle large
+    runs instead.
     """
+    _coerce(params)
     _check("y0", y0, "finite", scalar=True)
     _check("rate", rate, "finite", scalar=True)
     if cfg.n_paths * (cfg.n_steps + 1) > PATH_BUDGET:
@@ -293,7 +290,7 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     consistent.  With antithetic variates the mirrored pair means are the
     independent samples, so n_effective is n_paths/2.
     """
-    _expect(mp, MartingaleParams, "mc_call_prices")
+    _coerce(mp, "mc_call_prices", (MartingaleParams,))
     t, r = spec.maturity, spec.rate
     _check("maturity", t, scalar=True)  # one horizon per ensemble
     _check("rate", r, "finite", scalar=True)
@@ -434,7 +431,7 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     error is the std (ddof=1) of the _N_BOOT replicates (less any that drew no
     path at all, possible only for tiny n_paths).
     """
-    _expect(p, ModelParams, "mc_return_stats")
+    _coerce(p, "mc_return_stats", (ModelParams,))
     panel = min(cfg.n_paths, BLOCK) * cfg.n_steps
     if panel > PATH_BUDGET:
         raise ValueError(f"a block's return panel exceeds the storage budget ({PATH_BUDGET})")

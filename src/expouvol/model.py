@@ -77,6 +77,16 @@ def _check(name: str, value, rule: str = "positive", scalar: bool = False) -> No
         raise ValueError(f"{name} must {must}, got {value if num else repr(value)}")
 
 
+def _broadcast(owner) -> None:
+    """Refuse a dataclass whose fields cannot broadcast together, naming every shape."""
+    try:
+        np.broadcast(*vars(owner).values())
+    except ValueError:
+        shapes = {name: np.shape(v) for name, v in vars(owner).items()}
+        raise ValueError(f"{type(owner).__name__} fields must broadcast together, "
+                         f"got shapes {shapes}") from None
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """expOU model parameters (physical measure, daily units).
@@ -145,21 +155,20 @@ def vol_conditional_pdf(p: ModelParams, sigma, t: float, sigma0: float):
     _check("sigma", sigma)
     _check("sigma0", sigma0, scalar=True)
     _check("t", t, scalar=True)
-    sigma = np.asarray(sigma, dtype=float)
-    mean, var = ou_conditional_moments(p, math.log(sigma0 / p.m), t)
-    z = np.log(sigma / p.m) - mean
-    pdf = np.exp(-z * z / (2.0 * var)) / (sigma * math.sqrt(2.0 * math.pi * var))
-    return _out(pdf)
+    return _vol_lognormal(p, sigma, *ou_conditional_moments(p, math.log(sigma0 / p.m), t))
 
 
 def vol_stationary_pdf(p: ModelParams, sigma):
     """Stationary volatility density: lognormal with median m, log-scale beta."""
     _check("sigma", sigma)
+    return _vol_lognormal(p, sigma, 0.0, p.beta2)
+
+
+def _vol_lognormal(p: ModelParams, sigma, mean: float, var: float):
+    """Density at ``sigma`` of m e^Y, Y normal with ``mean`` and ``var``: the lognormal law."""
     sigma = np.asarray(sigma, dtype=float)
-    b2 = p.beta2
-    z = np.log(sigma / p.m)
-    pdf = np.exp(-z * z / (2.0 * b2)) / (sigma * math.sqrt(2.0 * math.pi * b2))
-    return _out(pdf)
+    z = np.log(sigma / p.m) - mean
+    return _out(np.exp(-z * z / (2.0 * var)) / (sigma * math.sqrt(2.0 * math.pi * var)))
 
 
 def squared_return_autocorr(p: ModelParams, tau):
@@ -219,6 +228,8 @@ class SimConfig:
             raise ValueError(f"n_paths, n_steps and seed must be integers, got {ints}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the Philox key's word
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         _check("dt", self.dt, scalar=True)
         if not isinstance(self.antithetic, (bool, np.bool_)):
             raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
@@ -240,7 +251,7 @@ def _day_steps(days: float, dt: float, name: str) -> int:
 
 
 class QuoteError(ValueError):
-    """Quote file cannot be used at all: empty, or without a usable header."""
+    """Unusable quotes: an empty file, a bad header, non-UTF-8 bytes or fewer than 2 quotes."""
 
 
 def y0_from_vol_index(sigma0_annual: float, m: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _check, _out
+from .model import _broadcast, _check, _out
 from .risk_neutral import (
     ExpansionCoeffs,
     MartingaleParams,
@@ -58,7 +58,7 @@ class OptionSpec:
 
     spot and strike in currency, maturity in days, rate in day^(-1).
     Each field is a float or an array (sequences are stored as NumPy
-    arrays); arrays broadcast against each other and are validated
+    arrays); arrays must broadcast against each other and are validated
     element-wise: rate must be finite, the others positive and finite.
     """
 
@@ -73,6 +73,7 @@ class OptionSpec:
             _check(name, v, "finite" if name == "rate" else "positive")
             if np.ndim(v):
                 object.__setattr__(self, name, np.asarray(v, dtype=float))
+        _broadcast(self)
 
 
 @dataclass(frozen=True)

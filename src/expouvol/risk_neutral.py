@@ -30,7 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import ModelParams, _check, _out
+from .model import ModelParams, _broadcast, _check, _out
 
 __all__ = [
     "MartingaleParams",
@@ -118,6 +118,7 @@ class ExpansionCoeffs:
     def __post_init__(self):
         for name in ("mu", "theta", "sigma3", "kappa", "maturity"):
             _check(name, getattr(self, name), "nonnegative" if name == "maturity" else "finite")
+        _broadcast(self)
 
     @property
     def quartic_weight(self) -> float:

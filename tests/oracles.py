@@ -290,13 +290,13 @@ def _double_or_nothing_weights(cfg, n_boot=200):
     """(n_boot, n_paths) bootstrap weights, 0 or 2, from the documented key.
 
     Block b (BLOCK paths, the last one short) takes n_boot * ceil(size/8)
-    bytes from Philox keyed by (seed mod 2**64, 2**63 + b) and unpacks
+    bytes from Philox keyed by (seed, 2**63 + b) and unpacks
     them most significant bit first, one bit per path and replicate.
     """
     blocks = []
     for b, lo in enumerate(range(0, cfg.n_paths, BLOCK)):
         size = min(BLOCK, cfg.n_paths - lo)
-        key = np.array([cfg.seed % 2**64, 2**63 + b], dtype=np.uint64)
+        key = np.array([cfg.seed, 2**63 + b], dtype=np.uint64)
         raw = np.random.Generator(np.random.Philox(key=key)).bytes(n_boot * -(-size // 8))
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n_boot, -1),
                              axis=1, count=size)

@@ -333,22 +333,22 @@ ARGUMENTS = {
     ("mc_return_stats", "autocorr_taus"):
         ("autocorrelation lag", lambda v: mc_return_stats(REFERENCE, SHORT_RUN, [], [v]), 1.0,
          "nonnegative", True),
-    # spot and r are OptionSpec fields, which broadcast; y0 reaches to_martingale
+    # one spot and one r for the whole chain; y0 reaches to_martingale
     ("calibrate_risk_aversion", "spot"):
         ("spot", lambda v: calibrate_risk_aversion(QUOTES, REFERENCE, v, 0.0, 0.0), 100.0,
-         "positive", False),
+         "positive", True),
     ("calibrate_risk_aversion", "r"):
-        ("rate", lambda v: calibrate_risk_aversion(QUOTES, REFERENCE, 100.0, v, 0.0), 0.0,
-         "finite", False),
+        ("r", lambda v: calibrate_risk_aversion(QUOTES, REFERENCE, 100.0, v, 0.0), 0.0,
+         "finite", True),
     ("calibrate_risk_aversion", "y0"):
         ("y0", lambda v: calibrate_risk_aversion(QUOTES, REFERENCE, 100.0, 0.0, v), 0.0,
          "finite", True),
     ("reprice_quotes", "spot"):
         ("spot", lambda v: reprice_quotes(FIT, QUOTES, REFERENCE, v, 0.0, 0.0), 100.0,
-         "positive", False),
+         "positive", True),
     ("reprice_quotes", "r"):
-        ("rate", lambda v: reprice_quotes(FIT, QUOTES, REFERENCE, 100.0, v, 0.0), 0.0,
-         "finite", False),
+        ("r", lambda v: reprice_quotes(FIT, QUOTES, REFERENCE, 100.0, v, 0.0), 0.0,
+         "finite", True),
     ("reprice_quotes", "y0"):
         ("y0", lambda v: reprice_quotes(FIT, QUOTES, REFERENCE, 100.0, 0.0, v), 0.0,
          "finite", True),

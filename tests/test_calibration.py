@@ -138,6 +138,16 @@ class TestLoadQuotes:
         assert res.rejects == ((2, "mid must be finite, got inf"),)
         assert [(q.bid, q.ask, q.mid) for q in res.quotes] == [(1.0, 1.2, 1.1)]
 
+    def test_reject_names_the_line_its_record_starts_on(self, tmp_path):
+        # a quoted field may hold a newline: csv records and file lines then differ
+        f = tmp_path / "q.csv"
+        f.write_text('strike,maturity_days,bid,ask\n"95\n",20,6,6.2\nabc,20,1.0,1.2\n'
+                     '\n100,-5,1.0,1.2\n')
+        res = load_quotes(f)
+        assert [q.strike for q in res.quotes] == [95.0]
+        assert res.rejects == ((4, "non-numeric field"),
+                               (6, "maturity must be positive and finite, got -5.0"))
+
     def test_mid_only_schema(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text("strike,maturity_days,mid\n100,10,1.5\n")
@@ -234,7 +244,9 @@ class TestCalibration:
     def test_single_quote_underdetermined(self, fig_params):
         quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
                                  [100.0], 10.0)
-        with pytest.raises(ValueError, match="underdetermined"):
+        # the CLI's message: the library holds the one quote-count rule
+        with pytest.raises(QuoteError, match="^calibrate needs at least 2 usable quotes "
+                                             "for its 2 parameters, got 1$"):
             calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
 
     def test_negative_lambdas_recoverable(self, fig_params):

@@ -351,6 +351,34 @@ class TestCalibrate:
         assert f"needs at least 2 usable quotes for its 2 parameters, got {usable}" in err
         assert "computation failed" not in err
 
+    def test_too_few_quotes_without_vol_index_names_sigma0_annual(self, capsys, tmp_path):
+        # the quote count is the library's rule, checked once the config is complete
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("strike,maturity_days,bid,ask\n100,10,1.0,1.2\n")
+        code, out, err = run_cli(capsys, "calibrate", "--quotes", str(quotes))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: calibrate needs sigma0_annual in the config")
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "empty file"),
+        ("strike,maturity_days,bid,last\n100,10,1.0,1.2\n",
+         "columns after maturity_days must be bid,ask or mid"),
+    ])
+    def test_unusable_quote_file_exit_2(self, capsys, tmp_path, text, reason):
+        quotes = tmp_path / "q.csv"
+        quotes.write_text(text)
+        got = run_cli(capsys, "--set", "sigma0_annual=0.1655", "calibrate", "--quotes", str(quotes))
+        assert got == (2, "", f"error: {quotes}: {reason}\n")
+
+    def test_blank_rows_skipped_without_reject(self, capsys, tmp_path):
+        chain = self.make_chain(tmp_path)
+        lines = chain.read_text().splitlines(keepends=True)
+        chain.write_text("".join(lines[:3] + ["\n", " , ,\n"] + lines[3:]))
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "--set", "rate_annual=0.02", "calibrate", "--quotes", str(chain))
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[1][0][3] == "7"
+
 
 class TestConfigHandling:
     def test_config_file_and_env(self, capsys, tmp_path, monkeypatch):
@@ -447,6 +475,22 @@ class TestConfigHandling:
         assert out == ""
         assert err.splitlines()[-1].startswith("computation failed: ")
         assert "encountered" in err
+
+    def test_config_line_without_equals_exit_2(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("# reference run\nmoneyness_points 3\n")
+        got = run_cli(capsys, "--config", str(cfgfile), "price")
+        assert got == (2, "", f"error: {cfgfile}:2: expected key = value\n")
+
+    def test_bool_value_not_a_bool_exit_2(self, capsys):
+        got = run_cli(capsys, "--set", "antithetic=maybe", "price")
+        assert got == (2, "", "error: antithetic: expected true/false, got 'maybe'\n")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_philox_key_word_exit_2(self, capsys, seed):
+        # Philox keys on one 64-bit word: a seed outside it would share a stream
+        got = run_cli(capsys, "--set", f"seed={seed}", "--set", "n_paths=64", "simulate")
+        assert got == (2, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
 
     def test_unknown_key_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "--set", "bogus=1", "price")

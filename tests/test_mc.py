@@ -62,6 +62,17 @@ class TestConfig:
     def test_horizon(self):
         assert small_cfg().horizon == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-5)])
+    def test_seed_outside_the_philox_key_word(self, seed):
+        # Philox keys on one 64-bit word: -1 and 2**64 - 1 would share a stream
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got "):
+            small_cfg(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_range_edges_accepted(self, fig_params, seed):
+        cfg = small_cfg(n_paths=8, n_steps=2, seed=seed)
+        assert simulate_paths(fig_params, cfg, 0.0).x.shape == (8, 3)
+
 
 class TestReproducibility:
     def test_bit_exact_ensembles(self, fig_mp):
@@ -456,8 +467,12 @@ class TestGuards:
         # path simulation takes either measure, and nothing else
         simulate_paths(fig_params, cfg, 0.0)
         simulate_paths(fig_mp, cfg, 0.0)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^simulate_paths expects ModelParams or "
+                                            "MartingaleParams, got object$"):
             simulate_paths(object(), cfg, 0.0)
+        # refused before any storage: a budget-sized run meets the type check first
+        with pytest.raises(TypeError, match="simulate_paths expects"):
+            simulate_paths(object(), small_cfg(n_paths=300_000, n_steps=200), 0.0)
 
     def test_horizon_mismatch(self, fig_mp):
         spec = OptionSpec(100.0, 100.0, 5.0, 0.0)

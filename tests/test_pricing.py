@@ -651,6 +651,13 @@ class TestOptionSpecValidation:
     def test_negative_rate_accepted(self):
         assert OptionSpec(**{**self.VALID, "rate": -1e-4}).rate == -1e-4
 
+    def test_fields_that_cannot_broadcast_rejected(self):
+        # refused at construction, not at first use inside numpy
+        with pytest.raises(ValueError, match=r"^OptionSpec fields must broadcast together, got "
+                                             r"shapes \{'spot': \(2,\), 'strike': \(3,\), "
+                                             r"'maturity': \(\), 'rate': \(\)\}$"):
+            OptionSpec([100.0, 101.0], [90.0, 95.0, 100.0], 20.0)
+
     def test_sequence_stored_as_array(self):
         spec = OptionSpec(**{**self.VALID, "strike": [90.0, 110.0]})
         assert isinstance(spec.strike, np.ndarray)

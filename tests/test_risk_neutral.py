@@ -181,6 +181,11 @@ class TestExpansionCoeffs:
         with pytest.raises(ValueError, match=message):
             ExpansionCoeffs(**{**fields, field: value})
 
+    def test_fields_that_cannot_broadcast_rejected(self):
+        with pytest.raises(ValueError, match=r"^ExpansionCoeffs fields must broadcast together, "
+                                             r"got shapes \{'mu': \(2,\), .*'maturity': \(3,\)\}$"):
+            ExpansionCoeffs(mu=[0, 0], theta=0, sigma3=0, kappa=0, maturity=[1, 2, 3])
+
 
 class TestAveragedCoeffs:
     def test_zero_maturity(self, fig_mp):
