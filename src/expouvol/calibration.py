@@ -93,8 +93,8 @@ def load_quotes(path: str | os.PathLike) -> QuoteLoadResult:
 
     Rows with missing or non-numeric fields, or that OptionQuote refuses
     (its message is the reason), are rejected individually by the file line
-    each record starts on; a missing or unusable header, or bytes that are
-    not UTF-8, raise QuoteError outright.
+    each record starts on; a missing or unusable header, bytes that are not
+    UTF-8, or a record the csv module refuses raise QuoteError outright.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
         reader = csv.reader(fh)
@@ -129,6 +129,8 @@ def load_quotes(path: str | os.PathLike) -> QuoteLoadResult:
             raise QuoteError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
             raise QuoteError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise QuoteError(f"{path}: line {reader.line_num}: {exc}") from None
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 

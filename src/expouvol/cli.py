@@ -1,6 +1,8 @@
 """Batch command-line front end emitting plot-ready CSV.
 
 Commands: price, smile, density, greeks, simulate, stats, calibrate.
+simulate --dump-paths draws its own min(n_paths, 64)-path run from the seed:
+past the first step its paths are not the first paths of the priced ensemble.
 Configuration comes from a flat ``key = value`` file (UTF-8, a leading
 byte-order mark skipped; ``#`` comments, blank lines ignored) named by
 --config or the EXPOUVOL_CONFIG environment variable, with individual
@@ -415,7 +417,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
         if name == "simulate":
             sp.add_argument("--dump-paths", metavar="FILE",
-                            help="also export up to 64 raw paths as CSV")
+                            help="also export up to 64 paths, from a separate run, as CSV")
         if name == "calibrate":
             sp.add_argument("--quotes", required=True,
                             help="option-chain CSV (strike,maturity_days,bid,ask|mid)")

@@ -272,13 +272,6 @@ def simulate_paths(params: ModelParams | MartingaleParams, cfg: SimConfig, y0: f
     return PathEnsemble(x=xs, y=ys, times=times)
 
 
-def _pairwise(values: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Collapse antithetic pairs to their means (the iid samples)."""
-    if not antithetic:
-        return values
-    return 0.5 * (values[0::2] + values[1::2])
-
-
 def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> McEstimate:
     """Discounted expected call payoffs under the martingale measure, from ``mp.z0``.
 
@@ -306,16 +299,17 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
             for dx_i in dx:     # row by row: the order of the sum
                 x += dx_i
         growth = np.exp(x)
-        sums = np.empty((2,) + strikes.shape)
-        for i in np.ndindex(strikes.shape):
-            pay = disc * np.maximum(spots[i] * growth - strikes[i], 0.0)
-            pay = _pairwise(pay, cfg.antithetic)
-            sums[(0,) + i] = pay.sum()
-            sums[(1,) + i] = (pay * pay).sum()
+        sums = np.empty((2, strikes.size))
+        for j, (spot, strike) in enumerate(zip(spots.flat, strikes.flat)):
+            pay = disc * np.maximum(spot * growth - strike, 0.0)
+            if cfg.antithetic:      # the mirrored pair means are the iid samples
+                pay = 0.5 * (pay[0::2] + pay[1::2])
+            sums[0, j] = pay.sum()
+            sums[1, j] = (pay * pay).sum()
         return sums
 
     # sum() is a left fold: the block sums are added in block order
-    total, total_sq = sum(_map_blocks(payoff_sums, cfg))
+    total, total_sq = sum(_map_blocks(payoff_sums, cfg)).reshape((2,) + strikes.shape)
     mean = total / n
     var = np.maximum(0.0, (total_sq - n * mean * mean) / max(n - 1, 1))
     return McEstimate(value=_out(mean), std_error=_out(np.sqrt(var / n)), n_effective=n)
@@ -392,11 +386,11 @@ def _bootstrap_sums(seed: int, block: int, sums: np.ndarray) -> np.ndarray:
     bits = np.frombuffer(rng.bytes(_N_BOOT * -(-size // 8)), dtype=np.uint8)
     bits = bits.reshape(_N_BOOT, -1)
     out = np.empty((_N_BOOT + 1, sums.shape[0]))
-    # one dot per (replicate, sum): no multithreaded BLAS gemm
+    # one dot per (replicate, sum), sums row by sums row: no multithreaded BLAS gemm
     out[0] = np.vecdot(np.ones(size), sums)
     for rows in _chunks(_N_BOOT, size):
         w = np.unpackbits(bits[rows], axis=1, count=size) * 2.0
-        out[1:][rows] = np.vecdot(w[:, None, :], sums)
+        out[1:][rows] = np.vecdot(w, sums[:, None, :]).T
     return out
 
 

@@ -251,7 +251,8 @@ def _day_steps(days: float, dt: float, name: str) -> int:
 
 
 class QuoteError(ValueError):
-    """Unusable quotes: an empty file, a bad header, non-UTF-8 bytes or fewer than 2 quotes."""
+    """Unusable quotes: an empty file, a bad header, non-UTF-8 bytes, a record the
+    csv module refuses (a field over its size limit) or fewer than 2 quotes."""
 
 
 def y0_from_vol_index(sigma0_annual: float, m: float) -> float:

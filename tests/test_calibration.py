@@ -173,6 +173,15 @@ class TestLoadQuotes:
         with pytest.raises(QuoteError, match="not UTF-8 text"):
             load_quotes(f)
 
+    @pytest.mark.parametrize("text", ["strike,maturity_days,mid\n" + "1" * 200_001 + ",10,1.5\n",
+                                      "strike," + "x" * 200_001 + "\n"], ids=["body", "header"])
+    def test_field_over_csv_limit_raises(self, tmp_path, text):
+        # a record the csv module refuses, in the body or the header
+        f = tmp_path / "q.csv"
+        f.write_text(text)
+        with pytest.raises(QuoteError, match=r": line [12]: field larger than field limit"):
+            load_quotes(f)
+
     def test_bad_header_raises(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text("k,t,b,a\n100,10,1.0,1.2\n")

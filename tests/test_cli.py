@@ -333,6 +333,18 @@ class TestCalibrate:
         assert f"error: {chain}: not UTF-8 text (invalid start byte)" in err
         assert "computation failed" not in err
 
+    def test_quote_field_over_csv_limit_exit_2(self, capsys, tmp_path):
+        # the csv module refuses a field over 131,072 characters: one message, no traceback
+        chain = self.make_chain(tmp_path)
+        with open(chain, "a") as fh:
+            fh.write("1" * 200_001 + ",10,1.0,1.2\n")
+        line = len(chain.read_text().splitlines())
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "calibrate", "--quotes", str(chain))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {chain}: line {line}: field larger than field limit (131072)\n"
+
     def test_requires_vol_index(self, capsys, tmp_path):
         chain = self.make_chain(tmp_path)
         code, _, err = run_cli(capsys, "calibrate", "--quotes", str(chain))

@@ -813,13 +813,18 @@ class TestMultiStrike:
                 assert single.n_effective == multi.n_effective
 
     def test_spot_and_strike_broadcast(self, fig_mp):
-        cfg = small_cfg(n_paths=8192)
-        spots = np.array([[98.0], [102.0]])
-        grid = mc_call_prices(
-            fig_mp, cfg, OptionSpec(spots, self.STRIKES, cfg.horizon, 0.0))
-        assert grid.value.shape == grid.std_error.shape == (2, 3)
-        single = mc_call_prices(fig_mp, cfg, OptionSpec(102.0, 95.0, cfg.horizon, 0.0))
-        assert single.value == grid.value[1, 0]
+        # every (spot, strike) lane of the broadcast grid is its scalar call, bit for bit
+        spots = (98.0, 102.0)
+        for antithetic in (False, True):
+            cfg = small_cfg(n_paths=8192, antithetic=antithetic)
+            grid = mc_call_prices(fig_mp, cfg, OptionSpec(
+                np.array(spots)[:, None], self.STRIKES, cfg.horizon, 0.0))
+            assert grid.value.shape == grid.std_error.shape == (2, 3)
+            for i, spot in enumerate(spots):
+                for j, k in enumerate(self.STRIKES):
+                    single = mc_call_prices(fig_mp, cfg, OptionSpec(spot, k, cfg.horizon, 0.0))
+                    assert single.value == grid.value[i, j]
+                    assert single.std_error == grid.std_error[i, j]
 
     def test_mixed_maturities_rejected(self, fig_mp):
         # one ensemble has one horizon: an array maturity or rate is
