@@ -97,7 +97,7 @@ def load_quotes(path: str | os.PathLike) -> QuoteLoadResult:
     UTF-8, or a record the csv module refuses raise QuoteError outright.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
-        reader = csv.reader(fh)
+        reader, end = csv.reader(fh), 0     # end: the line the last record read ends on
         try:
             header = [h.strip().lower() for h in next(reader)]
             if header[:2] != ["strike", "maturity_days"]:
@@ -130,7 +130,7 @@ def load_quotes(path: str | os.PathLike) -> QuoteLoadResult:
         except UnicodeDecodeError as exc:
             raise QuoteError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise QuoteError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise QuoteError(f"{path}: line {end + 1}: {exc}") from None
     return QuoteLoadResult(quotes=tuple(quotes), rejects=tuple(rejects))
 
 

@@ -71,7 +71,7 @@ def _implied_vols(price, spec: OptionSpec):
                      _bs(spec, VOL_LO)[0] > price,
                      _bs(spec, VOL_HI)[0] < price], range(1, len(_FAILURES)), 0)
     lo, hi, vol = VOL_LO, VOL_HI, 0.01  # 0.01: cheap initial guess
-    tol = PRICE_TOL * np.maximum(spec.spot, 1.0)
+    tol = PRICE_TOL * spec.spot     # relative to spot: the stop scales with the currency
     live = why == 0
     for _ in range(MAX_ITER):
         call, _, (d1, *_) = _bs(spec, vol)

@@ -337,7 +337,7 @@ def negative_mass_fraction(mp: MartingaleParams, coeffs: ExpansionCoeffs) -> flo
     sd = mp.m_bar * math.sqrt(coeffs.maturity)
     xs = np.linspace(coeffs.mu - 10.0 * sd, coeffs.mu + 10.0 * sd, 4001)
     p = return_density(mp, coeffs, xs)
-    return float(np.trapezoid(np.minimum(p, 0.0), xs) * -1.0)
+    return float(0.0 - np.trapezoid(np.minimum(p, 0.0), xs))   # +0.0 when none is negative
 
 
 def regime_warning(mp: MartingaleParams, coeffs: ExpansionCoeffs):

@@ -15,7 +15,8 @@ concatenated, which mc._block_sums must match bit for bit.  The
 Black-Scholes leg, the expansion coefficients, the component price and
 the volatility transition density have 50-digit mpmath forms, evaluated
 from the same binary floats the package gets, so a test can measure the
-package's rounding error.
+package's rounding error; so does the risk-aversion fit's stationary
+point, with lambda carried at 50 digits.
 """
 
 import math
@@ -345,15 +346,31 @@ def _npdf(d):
     return mpmath.exp(-d * d / 2) / mpmath.sqrt(2 * mpmath.pi)
 
 
+def _bs_mp(S, K, T, r, vol):
+    w = vol * mpmath.sqrt(T)
+    d1 = (mpmath.log(S / K) + (r + vol * vol / 2) * T) / w
+    d2 = d1 - w
+    n1 = _ncdf(d1)
+    return S * n1 - K * mpmath.exp(-r * T) * _ncdf(d2), n1, d1, d2
+
+
 def bs_50(S, K, T, r, vol):
     """pricing._bs at 50 digits: (price, N(d1), d1, d2) as mpf."""
     with mpmath.workdps(DIGITS):
-        S, K, T, r, vol = _mpf(S, K, T, r, vol)
-        w = vol * mpmath.sqrt(T)
-        d1 = (mpmath.log(S / K) + (r + vol * vol / 2) * T) / w
-        d2 = d1 - w
-        n1 = _ncdf(d1)
-        return S * n1 - K * mpmath.exp(-r * T) * _ncdf(d2), n1, d1, d2
+        return _bs_mp(*_mpf(S, K, T, r, vol))
+
+
+def _coeffs_mp(m_bar, alpha_bar, k, rho, z0, t, r):
+    lam, nu = k / m_bar, alpha_bar / (k * k)
+    at = alpha_bar * t
+    e1 = mpmath.exp(-at)
+    a1, a2 = -mpmath.expm1(-at), -mpmath.expm1(-2 * at)
+    mu = r * t - m_bar * m_bar * t / 2
+    theta = z0 * a1 / (lam ** 2 * nu)
+    sigma3 = ((at - a1) - z0 * (at * e1 - a1)) / (lam ** 3 * nu ** 2)
+    kappa = ((at + a2 / 2 - 2 * a1)
+             + rho * rho * (at - 2 * a1 + at * e1)) / (2 * lam ** 4 * nu ** 3)
+    return mu, theta, sigma3, kappa
 
 
 def coeffs_50(mp, t, r):
@@ -362,18 +379,7 @@ def coeffs_50(mp, t, r):
     lam and nu are formed at 50 digits too, from m_bar, alpha_bar and k.
     """
     with mpmath.workdps(DIGITS):
-        m_bar, alpha_bar, k, rho, z0, t, r = _mpf(mp.m_bar, mp.alpha_bar, mp.k, mp.rho,
-                                                  mp.z0, t, r)
-        lam, nu = k / m_bar, alpha_bar / (k * k)
-        at = alpha_bar * t
-        e1 = mpmath.exp(-at)
-        a1, a2 = -mpmath.expm1(-at), -mpmath.expm1(-2 * at)
-        mu = r * t - m_bar * m_bar * t / 2
-        theta = z0 * a1 / (lam ** 2 * nu)
-        sigma3 = ((at - a1) - z0 * (at * e1 - a1)) / (lam ** 3 * nu ** 2)
-        kappa = ((at + a2 / 2 - 2 * a1)
-                 + rho * rho * (at - 2 * a1 + at * e1)) / (2 * lam ** 4 * nu ** 3)
-        return mu, theta, sigma3, kappa
+        return _coeffs_mp(*_mpf(mp.m_bar, mp.alpha_bar, mp.k, mp.rho, mp.z0, t, r))
 
 
 def sigma3_scale(mp, t):
@@ -393,27 +399,68 @@ def sigma3_scale(mp, t):
         return (abs(s1) + abs(z0 * s2)) / (lam ** 3 * nu ** 2)
 
 
+def _call_mp(S, K, T, r, m_bar, alpha_bar, k, rho, z0):
+    _, theta, sigma3, kappa = _coeffs_mp(m_bar, alpha_bar, k, rho, z0, T, r)
+    bs, n1, _, d2 = _bs_mp(S, K, T, r, m_bar)
+    w = m_bar * mpmath.sqrt(T)
+    c2t = 2 * m_bar * m_bar * T
+    q = K * mpmath.exp(-r * T) / w * _npdf(d2)
+    h = d2 / mpmath.sqrt(2)
+    h1, h2 = 2 * h, 4 * h * h - 2
+    sn1 = S * n1
+    c0 = sn1 + q
+    c1 = sn1 - q * (h1 / mpmath.sqrt(c2t) - 1)
+    c2 = sn1 + q * (h2 / c2t - h1 / mpmath.sqrt(c2t) + 1)
+    total = bs + theta * c0 + rho * sigma3 * c1 + (kappa + theta * theta / 2) * c2
+    return bs, c0, c1, c2, total
+
+
 def expou_call_50(S, K, T, r, mp):
     """pricing._call_prices at 50 digits: (bs, c0, c1, c2, total) as mpf.
 
-    The coefficients come from coeffs_50, so the whole chain from the
-    martingale parameters to the price is at 50 digits.
+    The coefficients come from the same 50-digit form as coeffs_50, so the
+    whole chain from the martingale parameters to the price is at 50 digits.
     """
     with mpmath.workdps(DIGITS):
-        _, theta, sigma3, kappa = coeffs_50(mp, T, r)
-        bs, n1, _, d2 = bs_50(S, K, T, r, mp.m_bar)
-        S, K, T, r, vol, rho = _mpf(S, K, T, r, mp.m_bar, mp.rho)
-        w = vol * mpmath.sqrt(T)
-        c2t = 2 * vol * vol * T
-        q = K * mpmath.exp(-r * T) / w * _npdf(d2)
-        h = d2 / mpmath.sqrt(2)
-        h1, h2 = 2 * h, 4 * h * h - 2
-        sn1 = S * n1
-        c0 = sn1 + q
-        c1 = sn1 - q * (h1 / mpmath.sqrt(c2t) - 1)
-        c2 = sn1 + q * (h2 / c2t - h1 / mpmath.sqrt(c2t) + 1)
-        total = bs + theta * c0 + rho * sigma3 * c1 + (kappa + theta * theta / 2) * c2
-        return bs, c0, c1, c2, total
+        return _call_mp(*_mpf(S, K, T, r, mp.m_bar, mp.alpha_bar, mp.k, mp.rho, mp.z0))
+
+
+def chain_fit_50(quotes, p, spot, r, y0):
+    """The stationary point of calibrate_risk_aversion's cost at 50 digits.
+
+    Returns (lambda0, lambda1) as mpf, where the gradient of sum (price -
+    mid)^2 over ``quotes`` vanishes.  to_martingale and the chain price are
+    carried with lambda at 50 digits: expou_call_50 would round m_bar and z0
+    to doubles.  Gauss-Newton from (0, 0), as the fit starts: the Jacobian
+    by forward differences at h = 1e-25 (each entry good to about 25
+    digits, far past the double's 16), each step clipped to 0.01 in
+    max-norm so that the first steps cannot leap past alpha + k lambda1 >
+    0, and a stop when a step is below 1e-22.  It converges only linearly
+    on a chain with a flat direction, so it takes up to 200 steps and
+    raises ArithmeticError after them.
+    """
+    with mpmath.workdps(DIGITS):
+        m, alpha, k, rho, spot, r, y0 = _mpf(p.m, p.alpha, p.k, p.rho, spot, r, y0)
+        chain = [_mpf(q.strike, q.maturity, q.mid) for q in quotes]
+
+        def residuals(lam):
+            alpha_bar = alpha + k * lam[1]
+            shift = k * lam[0] / alpha_bar
+            mp = (m * mpmath.exp(-shift), alpha_bar, k, rho, y0 + shift)
+            return mpmath.matrix([_call_mp(spot, K, T, r, *mp)[4] - mid for K, T, mid in chain])
+
+        lam, h = mpmath.matrix([0, 0]), mpmath.mpf("1e-25")
+        probes = [mpmath.matrix([h, 0]), mpmath.matrix([0, h])]
+        for _ in range(200):
+            f, jac = residuals(lam), mpmath.matrix(len(chain), 2)
+            for j, probe in enumerate(probes):
+                jac[:, j] = (residuals(lam + probe) - f) / h
+            step = mpmath.qr_solve(jac, f)[0]
+            step *= min(1, mpmath.mpf("0.01") / mpmath.mnorm(step, "inf"))
+            lam -= step
+            if mpmath.mnorm(step, "inf") < mpmath.mpf("1e-22"):
+                return lam[0], lam[1]
+        raise ArithmeticError("Gauss-Newton did not converge in 200 steps")
 
 
 def vol_conditional_pdf_50(p, sigma, t, sigma0):

@@ -15,7 +15,10 @@ from expouvol import (
     expansion_coeffs,
     implied_vol,
     smile_curve,
+    to_martingale,
 )
+from expouvol.implied import _implied_vols
+from expouvol.pricing import _call_prices
 from expouvol.risk_neutral import MartingaleParams, expansion_coeffs_averaged
 from expouvol.units import annualize_vol
 
@@ -105,6 +108,19 @@ class TestImpliedVol:
         assert implied_vol(price, one_lane) == implied_vol(price, spec)
         with pytest.raises(ImpliedVolError, match="^price 100 at or above upper"):
             implied_vol(np.array([100.0]), one_lane)
+
+    @pytest.mark.byte_exact
+    def test_vols_keep_their_bits_in_any_currency(self, fig_params, fig_risk):
+        # a power of 2 scales spot, strikes and prices exactly, and the stop is
+        # relative to spot, so every lane takes the same steps to the same bits
+        mp = to_martingale(fig_params, *fig_risk, 0.3)
+        spec = OptionSpec(100.0, np.linspace(80.0, 120.0, 41), 20.0, 2e-4)
+        price = _call_prices(spec, mp, expansion_coeffs(mp, 20.0, 2e-4))[4]
+        vols, why = _implied_vols(price, spec)
+        assert not why.any()
+        for scale in [2.0 ** j for j in (-10, -3, -1, 1, 2, 10)]:
+            scaled = dataclasses.replace(spec, spot=100.0 * scale, strike=spec.strike * scale)
+            assert _implied_vols(price * scale, scaled)[0].tobytes() == vols.tobytes()
 
 
 def _spec(mons, t=20.0, r=0.0):

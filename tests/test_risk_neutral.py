@@ -381,6 +381,13 @@ class TestNegativeMassDiagnostic:
         frac = negative_mass_fraction(fig_mp, co)
         assert 0.0 <= frac < 1e-3
 
+    @pytest.mark.parametrize("t", [5.0, 20.0])
+    def test_no_negative_mass_is_plus_zero(self, fig_params, t):
+        from expouvol import negative_mass_fraction
+        mp = to_martingale(fig_params, 1e-3, 1e-3, 0.0)
+        frac = negative_mass_fraction(mp, expansion_coeffs(mp, t, 0.0))
+        assert frac == 0.0 and math.copysign(1.0, frac) == 1.0
+
     def test_grows_with_forced_corrections(self, fig_mp):
         from expouvol import negative_mass_fraction
         co = ExpansionCoeffs(mu=0.0, theta=0.0, sigma3=3e-3, kappa=0.0,
