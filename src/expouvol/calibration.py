@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+# y0_from_vol_index is unused here: it keeps its old path from before its move to model
 from .model import ModelParams, QuoteError, _check, y0_from_vol_index
 from .pricing import OptionSpec, _call_prices
 from .risk_neutral import expansion_coeffs, to_martingale

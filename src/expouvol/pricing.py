@@ -32,6 +32,7 @@ from .model import _broadcast, _check, _out
 from .risk_neutral import (
     ExpansionCoeffs,
     MartingaleParams,
+    _polevl,
     hermite_poly,
     regime_warning,
 )
@@ -125,24 +126,15 @@ _ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
 _MAXLOG = 7.09782712893383996843e2   # log(DBL_MAX)
 
 
-def _polevl(x, coef):
-    """Cephes polevl: the polynomial by Horner's rule, highest power first, in place."""
-    ans = x * coef[0]
-    ans += coef[1]
-    for c in coef[2:]:
-        ans *= x
-        ans += c
-    return ans
-
-
 def _erfc(a):
     """erfc as Cephes computes it, step for step, so equal to scipy.special.erfc.
 
     Same branches as Cephes: 1 - erf(a) for |a| < 1; P/Q for 1 <= |a| < 8
     and R/S beyond, times exp(-a^2); 0 once a^2 > MAXLOG; 2 - y for a < 0.
-    Each polynomial runs only on its own lanes.  exp(-a^2) is libm's
-    (``math.exp``), as in Cephes: numpy's SIMD ``np.exp`` differs from libm
-    in the last bit at some inputs, and that moves printed digits.
+    Each polynomial runs only on its own lanes, on one path (an empty lane
+    set runs on no elements).  exp(-a^2) is libm's (``math.exp``), as in
+    Cephes: numpy's SIMD ``np.exp`` differs from libm in the last bit at
+    some inputs, and that moves printed digits.
     """
     a = np.asarray(a, dtype=float)
     flat = a.ravel()
@@ -150,31 +142,24 @@ def _erfc(a):
     x = np.abs(flat)
     small = x < 1.0
     s = flat[small]
-    if s.size:
-        z = s * s
-        out[small] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    z = s * s
+    out[small] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
     big = np.flatnonzero(x >= 1.0)
-    if big.size:
-        b = flat[big]
-        with np.errstate(over="ignore"):   # a^2 is inf past |a| ~ 1.3e154
-            sq = b * b
-        live = sq <= _MAXLOG
-        if not live.all():
-            out[big[~live]] = 2.0 * (b[~live] < 0.0)
-            big, b, sq = big[live], b[live], sq[live]
-        y = np.fromiter(map(math.exp, (-sq).tolist()), float, count=sq.size)
-        xb = x[big]
-        mid = xb < 8.0
-        if mid.all():
-            y *= _polevl(xb, _ERFC_P)
-            y /= _polevl(xb, _ERFC_Q)
-        else:
-            for lanes, p, q in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
-                xl = xb[lanes]
-                y[lanes] = y[lanes] * _polevl(xl, p) / _polevl(xl, q)
-        neg = b < 0.0
-        y[neg] = 2.0 - y[neg]
-        out[big] = y
+    b = flat[big]
+    with np.errstate(over="ignore"):   # a^2 is inf past |a| ~ 1.3e154
+        sq = b * b
+    live = sq <= _MAXLOG
+    out[big[~live]] = 2.0 * (b[~live] < 0.0)
+    big, b, sq = big[live], b[live], sq[live]
+    y = np.fromiter(map(math.exp, (-sq).tolist()), float, count=sq.size)
+    xb = x[big]
+    mid = xb < 8.0
+    for lanes, p, q in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+        xl = xb[lanes]
+        y[lanes] = y[lanes] * _polevl(xl, p) / _polevl(xl, q)
+    neg = b < 0.0
+    y[neg] = 2.0 - y[neg]
+    out[big] = y
     return out.reshape(a.shape)
 
 
@@ -230,10 +215,15 @@ def _call_terms(spec: OptionSpec, vol: float):
             sn1 + q * (h2 / c2t - h1 / np.sqrt(c2t) + 1.0))
 
 
-def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
-    """(bs, c0, c1, c2, total) of the expansion call over the broadcast spec."""
+def _same_maturity(spec: OptionSpec, coeffs: ExpansionCoeffs) -> None:
+    """Raise ValueError unless ``coeffs`` are at the option's maturity, lane by lane."""
     if np.any(coeffs.maturity != spec.maturity):
         raise ValueError(f"coeffs are for maturity {coeffs.maturity}, not {spec.maturity}")
+
+
+def _call_prices(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
+    """(bs, c0, c1, c2, total) of the expansion call over the broadcast spec."""
+    _same_maturity(spec, coeffs)
     bs, c0, c1, c2 = _call_terms(spec, mp.m_bar)
     total = (bs + coeffs.theta * c0 + mp.rho * coeffs.sigma3 * c1
              + coeffs.quartic_weight * c2)
@@ -291,8 +281,7 @@ def delta(spec: OptionSpec, mp: MartingaleParams, coeffs: ExpansionCoeffs):
     with P = theta + rho sigma3 + Q, R = rho sigma3 + Q, Q the quartic
     weight and h = d2/sqrt(2).  ``coeffs`` must be at the option's maturity.
     """
-    if np.any(coeffs.maturity != spec.maturity):
-        raise ValueError(f"coeffs are for maturity {coeffs.maturity}, not {spec.maturity}")
+    _same_maturity(spec, coeffs)
     _, n1, (_, d2, w, disc_k, h) = _bs(spec, mp.m_bar)
     c2t = 2.0 * mp.m_bar * mp.m_bar * spec.maturity
     rs = mp.rho * coeffs.sigma3

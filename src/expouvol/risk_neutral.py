@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -196,8 +195,7 @@ def _coeffs(mp: MartingaleParams, t: float, r: float) -> tuple:
     a1 = -math.expm1(-at)       # 1 - e^{-at}
     a2 = -math.expm1(-2.0 * at)  # 1 - e^{-2at}
     if at < _SERIES_MAX_U:  # the brackets' leading terms cancel
-        s1, s2, k1, k2 = (reduce(lambda acc, c: acc * at + c, cs, 0.0) * at**n0
-                          for n0, cs in _SERIES)
+        s1, s2, k1, k2 = (_polevl(at, cs) * at**n0 for n0, cs in _SERIES)
     else:
         s1, s2, k1, k2 = at - a1, at * e1 - a1, at + 0.5 * a2 - 2.0 * a1, at - 2.0 * a1 + at * e1
     mu = r * t - 0.5 * mp.m_bar * mp.m_bar * t
@@ -276,22 +274,25 @@ def char_fn_expanded(mp: MartingaleParams, coeffs: ExpansionCoeffs, omega: float
     return gauss * poly
 
 
+#: H0..H4, highest power first.
+_HERMITE = ((1.0,), (2.0, 0.0), (4.0, 0.0, -2.0), (8.0, 0.0, -12.0, 0.0),
+            (16.0, 0.0, -48.0, 0.0, 12.0))
+
+
+def _polevl(x, coef):
+    """Cephes polevl: the polynomial by Horner's rule, highest power first, in place."""
+    ans = np.full(np.shape(x), coef[0])[()]   # a float64 scalar for a scalar x: 0-d steps are slow
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
 def hermite_poly(n: int, x):
     """Physicists' Hermite polynomial H_n, n in 0..4."""
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        h = np.ones_like(x)
-    elif n == 1:
-        h = 2.0 * x
-    elif n == 2:
-        h = 4.0 * x * x - 2.0
-    elif n == 3:
-        h = (8.0 * x * x - 12.0) * x
-    elif n == 4:
-        h = (16.0 * x * x - 48.0) * x * x + 12.0
-    else:
+    if n not in range(len(_HERMITE)):   # by value: 2.0 and np.int64(3) are degrees too
         raise ValueError(f"hermite_poly supports n in 0..4, got {n}")
-    return _out(h)
+    return _out(_polevl(np.asarray(x, dtype=float), _HERMITE[int(n)]))
 
 
 def _hermite_weights(mp: MartingaleParams, coeffs: ExpansionCoeffs):

@@ -107,10 +107,20 @@ class TestErfcPort:
         rng = np.random.default_rng(2008)
         self.assert_identical(4.0 * rng.standard_normal(200_000))
         self.assert_identical(rng.standard_cauchy(200_000))
+        # whole arrays in one Cephes branch, then across all four, at the sizes
+        # norm_cdf sees (one d1, d2 pair; a chain): every lane set is empty on some call
+        for lo, hi in [(0.0, 1.0), (1.0, 8.0), (8.0, 26.0), (27.0, 1e150), (0.0, 40.0)]:
+            for size in (1, 2, 474):
+                mags = lo + (hi - lo) * rng.random(size)
+                assert np.all((lo <= mags) & (mags < hi))
+                for a in (mags, -mags, np.where(rng.random(size) < 0.5, mags, -mags)):
+                    self.assert_identical(a)
 
     def test_shapes(self):
         self.assert_identical(np.linspace(-30.0, 30.0, 60).reshape(3, 4, 5))
         self.assert_identical(np.empty((2, 0)))
+        self.assert_identical(np.empty((0, 3)))
+        self.assert_identical(np.array(-1.5))
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @settings(max_examples=500, deadline=None)
@@ -263,7 +273,7 @@ class TestExpouCall:
     def test_coefficients_at_another_maturity_rejected(self, fig_mp, fn, maturity):
         # 20-day coefficients priced this 5-day call at 0.313 against 0.869, silently
         co = expansion_coeffs(fig_mp, 20.0, 0.0)
-        with pytest.raises(ValueError, match="maturity"):
+        with pytest.raises(ValueError, match="^coeffs are for maturity"):
             fn(OptionSpec(100.0, 100.0, maturity), fig_mp, co)
         fn(OptionSpec(100.0, 100.0, [20.0, 20.0]), fig_mp, co)
 

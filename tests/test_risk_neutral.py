@@ -233,12 +233,28 @@ class TestHermite:
         assert hermite_poly(2, 0.0) == -2.0
         assert hermite_poly(3, 1.0) == -4.0
         assert hermite_poly(4, 0.0) == 12.0
+        # any number equal to a degree is that degree
+        assert hermite_poly(2.0, 1.5) == 7.0
+        assert hermite_poly(np.int64(3), 1.5) == 9.0
+        assert hermite_poly(True, 1.5) == 3.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             hermite_poly(5, 0.0)
         with pytest.raises(ValueError):
             hermite_poly(-1, 0.0)
+        with pytest.raises(ValueError):
+            hermite_poly(2.5, 0.0)
+
+    def test_textbook_expansions_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.standard_normal(10_000), 1e3 * rng.standard_cauchy(1_000)])
+        x = x[x != 0.0]   # Horner's trailing + 0 makes H1 and H3 give +0.0 at a zero
+        textbook = [np.ones_like(x), 2.0 * x, 4.0 * x * x - 2.0, (8.0 * x * x - 12.0) * x,
+                    (16.0 * x * x - 48.0) * x * x + 12.0]
+        for n, want in enumerate(textbook):
+            assert hermite_poly(n, x).tobytes() == want.tobytes()
+            assert hermite_poly(n, float(x[7])) == want[7]
 
     @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
