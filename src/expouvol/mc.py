@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 BLOCK = 4096
-#: steps a block advances per pass of _steps: one normal fill and one ufunc
-#: call per operation for the whole chunk, on buffers reused by every chunk
+#: steps a block advances per pass of _steps (one normal fill and one ufunc call
+#: per operation per chunk), and strike lanes per payoff row of mc_call_prices
 _STEP_CHUNK = 4
 #: bootstrap replicates behind every mc_return_stats standard error
 _N_BOOT = 200
@@ -278,9 +278,8 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     broadcast strike shape otherwise.  All strikes share one ensemble
     (common random numbers), which keeps the price curve internally
     consistent.  With antithetic variates the mirrored pair means are the
-    independent samples, so n_effective is n_paths/2.  Each block makes one
-    Python pass per strike: about 15 us per strike and block on one CPU of
-    a 2-CPU Xeon, and no faster on two, as the passes hold the interpreter lock.
+    independent samples, so n_effective is n_paths/2.  20,001 strikes x 8,192
+    paths at dt=0.5 take about 0.55 s on one CPU of a 2-CPU Xeon, 0.5 s on two.
     """
     _coerce(mp, "mc_call_prices", (MartingaleParams,))
     t, r = spec.maturity, spec.rate
@@ -289,6 +288,7 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     if _day_steps(t, cfg.dt, "config horizon: option maturity") != cfg.n_steps:
         raise ValueError(f"config horizon {cfg.horizon:g} != option maturity {t:g}")
     spots, strikes = np.broadcast_arrays(spec.spot, spec.strike)
+    sp, st = spots.reshape(-1, 1), strikes.reshape(-1, 1)  # the lanes as columns
     disc = math.exp(-r * t)
     n = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
 
@@ -299,12 +299,12 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
                 x += dx_i
         growth = np.exp(x, out=x)
         sums = np.empty((2, strikes.size))
-        for j, (spot, strike) in enumerate(zip(spots.flat, strikes.flat)):
-            pay = disc * np.maximum(spot * growth - strike, 0.0)
+        for lo in range(0, strikes.size, _STEP_CHUNK):
+            k = slice(lo, lo + _STEP_CHUNK)  # a row sums as one strike alone did: the same bits
+            pay = disc * np.maximum(sp[k] * growth - st[k], 0.0)
             if cfg.antithetic:      # the mirrored pair means are the iid samples
-                pay = 0.5 * (pay[0::2] + pay[1::2])
-            sums[0, j] = pay.sum()
-            sums[1, j] = (pay * pay).sum()
+                pay = 0.5 * (pay[:, 0::2] + pay[:, 1::2])
+            sums[:, k] = pay.sum(axis=1), (pay * pay).sum(axis=1)
         return sums
 
     # sum() is a left fold: the block sums are added in block order

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: reproducibility, scheme exactness, estimator checks."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -797,13 +798,16 @@ class TestMultiStrike:
 
     def test_consistent_with_single(self, fig_mp):
         # an array spec gives, strike by strike, the scalar spec's exact
-        # value and error: floats in, floats out; array in, array out
-        for antithetic in (False, True):
+        # value and error: floats in, floats out; array in, array out.
+        # The lanes go _STEP_CHUNK to a row: 3 strikes make one partial row,
+        # 9 two full rows and a partial one.
+        for strikes, antithetic in itertools.product(
+                (self.STRIKES, tuple(np.linspace(90.0, 110.0, 9))), (False, True)):
             cfg = small_cfg(n_paths=20_000, antithetic=antithetic)
             multi = mc_call_prices(
-                fig_mp, cfg, OptionSpec(100.0, self.STRIKES, cfg.horizon, 0.0))
-            assert multi.value.shape == multi.std_error.shape == (3,)
-            for i, k in enumerate(self.STRIKES):
+                fig_mp, cfg, OptionSpec(100.0, strikes, cfg.horizon, 0.0))
+            assert multi.value.shape == multi.std_error.shape == (len(strikes),)
+            for i, k in enumerate(strikes):
                 single = mc_call_prices(
                     fig_mp, cfg, OptionSpec(100.0, k, cfg.horizon, 0.0))
                 assert type(single.value) is float
@@ -813,18 +817,37 @@ class TestMultiStrike:
                 assert single.n_effective == multi.n_effective
 
     def test_spot_and_strike_broadcast(self, fig_mp):
-        # every (spot, strike) lane of the broadcast grid is its scalar call, bit for bit
-        spots = (98.0, 102.0)
-        for antithetic in (False, True):
+        # every (spot, strike) lane of the broadcast grid is its scalar call,
+        # bit for bit; in the 3 x 5 grid the rows of _STEP_CHUNK lanes
+        # straddle the spots and the last row is partial
+        grids = [((98.0, 102.0), self.STRIKES),
+                 ((97.0, 100.0, 103.0), (90.0, 95.0, 100.0, 105.0, 110.0))]
+        for (spots, strikes), antithetic in itertools.product(grids, (False, True)):
             cfg = small_cfg(n_paths=8192, antithetic=antithetic)
             grid = mc_call_prices(fig_mp, cfg, OptionSpec(
-                np.array(spots)[:, None], self.STRIKES, cfg.horizon, 0.0))
-            assert grid.value.shape == grid.std_error.shape == (2, 3)
+                np.array(spots)[:, None], strikes, cfg.horizon, 0.0))
+            assert grid.value.shape == grid.std_error.shape == (len(spots), len(strikes))
             for i, spot in enumerate(spots):
-                for j, k in enumerate(self.STRIKES):
+                for j, k in enumerate(strikes):
                     single = mc_call_prices(fig_mp, cfg, OptionSpec(spot, k, cfg.horizon, 0.0))
                     assert single.value == grid.value[i, j]
                     assert single.std_error == grid.std_error[i, j]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_working_set_of_one_block(self, fig_mp, antithetic):
+        # the step engine's bound (TestStepChunks) plus two payoff row blocks
+        # of _STEP_CHUNK lanes: rows of 16 lanes, or the whole grid at once, exceed it
+        rows = 1.25 * (5 * mc._STEP_CHUNK + 1) + 2 * mc._STEP_CHUNK
+        cfg = small_cfg(n_paths=BLOCK, n_steps=41, antithetic=antithetic)
+        spec = OptionSpec(100.0, np.linspace(80.0, 120.0, 2001), cfg.horizon, 0.0)
+        mc_call_prices(fig_mp, cfg, spec)   # numpy's first generator caches its own tables
+        tracemalloc.start()
+        try:
+            mc_call_prices(fig_mp, cfg, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows * BLOCK * 8
 
     def test_mixed_maturities_rejected(self, fig_mp):
         # one ensemble has one horizon: an array maturity or rate is

@@ -1,4 +1,5 @@
-"""Exact symmetries as bit-level oracles: a change of currency by a power of 2.
+"""Exact symmetries as bit-level oracles: a change of currency by a power of 2,
+and a change of time unit by a power of 4.
 
 Spot, strikes and quotes times 2^j scale every price exactly in binary
 floating point and leave moneyness, and so every d1, d2 and erfc argument,
@@ -6,25 +7,42 @@ with the same bits.  Prices, Monte Carlo estimates and the fit's residuals
 then scale by 2^j exactly, and the fit's normal equations by 4^j, so the
 fitted risk aversion keeps its bits at every kernel setting.  ``calibrate``
 has no golden; this is its gate that holds on every host.
+
+A time unit c times shorter divides the rates alpha and r by c and the
+volatilities m, k, lambda0 and lambda1 by sqrt(c), and multiplies T, dt and
+every lag by c.  With c = 4^j each of those is exact, and so is every
+product the model forms of them (alpha t, m^2 t, k^2/alpha, sig sqrt(dt)):
+closed-form prices, Monte Carlo prices and return statistics keep their bits.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from expouvol import (
+    ModelParams,
     OptionQuote,
     OptionSpec,
     SimConfig,
     calibrate_risk_aversion,
     expansion_coeffs,
     mc_call_prices,
+    mc_return_stats,
     to_martingale,
 )
 from expouvol.pricing import _call_prices
 
 SCALES = [pytest.param(2.0 ** j, id=f"2^{j}") for j in (1, 10, -3)]
+TIME_UNITS = [pytest.param(4.0 ** j, id=f"4^{j}") for j in (1, 2, -1)]
+
+
+def in_time_unit(p, risk, c):
+    """(params, (lambda0, lambda1)) with time counted in units c times shorter."""
+    s = math.sqrt(c)
+    return (ModelParams(m=p.m / s, alpha=p.alpha / c, k=p.k / s, rho=p.rho),
+            tuple(lam / s for lam in risk))
 
 
 def four_maturity_chain(p, r, y0):
@@ -50,7 +68,8 @@ def in_currency(quotes, scale):
 
 @pytest.mark.byte_exact
 class TestSymmetries:
-    """Currency x 2^j: every result keeps its bits or scales by 2^j exactly."""
+    """Currency x 2^j: every result keeps its bits or scales by 2^j exactly.
+    Time unit / 4^j: every result keeps its bits."""
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_call_prices_scale_exactly(self, fig_params, scale):
@@ -84,3 +103,45 @@ class TestSymmetries:
         assert (got.lambda0.hex(), got.lambda1.hex()) == (base.lambda0.hex(), base.lambda1.hex())
         assert (got.iterations, got.converged) == (base.iterations, base.converged)
         assert got.rmse.hex() == (base.rmse * scale).hex()
+
+    @pytest.mark.parametrize("c", TIME_UNITS)
+    def test_call_prices_keep_their_bits(self, fig_params, fig_risk, c):
+        # 0.3 days lies in _coeffs' series region
+        t, r = np.array([[5.0], [20.0], [60.0], [0.3]]), 2e-4
+        strikes = 100.0 / np.linspace(0.8, 1.2, 101)
+
+        def totals(p, risk, t, r):
+            mp = to_martingale(p, *risk, 0.3)
+            co = expansion_coeffs(mp, np.broadcast_to(t, (4, 101)), r)
+            return _call_prices(OptionSpec(100.0, strikes, t, r), mp, co)[4]
+
+        want = totals(fig_params, fig_risk, t, r)
+        got = totals(*in_time_unit(fig_params, fig_risk, c), t * c, r / c)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", TIME_UNITS)
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_mc_call_prices_keep_their_bits(self, fig_params, fig_risk, c, antithetic):
+        cfg = SimConfig(n_paths=2000, n_steps=20, dt=1.0, seed=43, antithetic=antithetic)
+
+        def estimate(p, risk, cfg, r):
+            mp = dataclasses.replace(to_martingale(p, *risk, 0.0), z0=0.0)
+            return mc_call_prices(mp, cfg, OptionSpec(100.0, np.linspace(90.0, 110.0, 11),
+                                                      cfg.horizon, r))
+
+        want = estimate(fig_params, fig_risk, cfg, 2e-4)
+        got = estimate(*in_time_unit(fig_params, fig_risk, c),
+                       dataclasses.replace(cfg, dt=cfg.dt * c), 2e-4 / c)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.std_error.tobytes() == want.std_error.tobytes()
+
+    @pytest.mark.parametrize("c", TIME_UNITS)
+    def test_return_stats_keep_their_bits(self, fig_params, fig_risk, c):
+        cfg = SimConfig(n_paths=1000, n_steps=20, dt=1.0, seed=43)
+        lev_taus, aco_taus = np.array([-1.0, 0.0, 1.0, 5.0]), np.array([0.0, 1.0, 5.0])
+        want = mc_return_stats(fig_params, cfg, lev_taus, aco_taus)
+        p, _ = in_time_unit(fig_params, fig_risk, c)
+        got = mc_return_stats(p, dataclasses.replace(cfg, dt=cfg.dt * c),
+                              lev_taus * c, aco_taus * c)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert (g.value.hex(), g.std_error.hex()) == (w.value.hex(), w.std_error.hex())
