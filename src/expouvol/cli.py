@@ -47,7 +47,8 @@ Accepted on purpose:
   digits of any script (``١٠٠``) are numbers.
 - moneyness_min above moneyness_max gives the same grid in descending order.
 - Keys that each pass their rule but that the computation cannot evaluate
-  together, such as alpha=1e308 (the expansion's sigma3 is not finite), are
+  together, such as alpha=1e308 (the expansion's sigma3 is not finite) or
+  m=1e-120 (lam = k/m_bar leaves float range in the coefficients), are
   a computation failure, not an input error.
 
 Each command returns its tables as (destination, header, columns), the

@@ -65,8 +65,11 @@ __all__ = [
 
 BLOCK = 4096
 #: steps a block advances per pass of _steps (one normal fill and one ufunc call
-#: per operation per chunk), and strike lanes per payoff row of mc_call_prices
+#: per operation per chunk)
 _STEP_CHUNK = 4
+#: strike lanes per payoff pass of mc_call_prices (one ufunc call per operation
+#: per row of lanes, in one (_PAY_LANES, size) buffer per block)
+_PAY_LANES = 8
 #: bootstrap replicates behind every mc_return_stats standard error
 _N_BOOT = 200
 #: bytes of one row chunk in the per-block stats reductions: the r*r
@@ -278,8 +281,9 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
     broadcast strike shape otherwise.  All strikes share one ensemble
     (common random numbers), which keeps the price curve internally
     consistent.  With antithetic variates the mirrored pair means are the
-    independent samples, so n_effective is n_paths/2.  20,001 strikes x 8,192
-    paths at dt=0.5 take about 0.55 s on one CPU of a 2-CPU Xeon, 0.5 s on two.
+    independent samples, so n_effective is n_paths/2.  Each block prices its
+    strikes _PAY_LANES at a time in one reused buffer: 20,001 strikes x 8,192
+    paths at dt=0.5 take about 0.5 s on one CPU of a 2-CPU Xeon, 0.35 s on two.
     """
     _coerce(mp, "mc_call_prices", (MartingaleParams,))
     t, r = spec.maturity, spec.rate
@@ -298,13 +302,25 @@ def mc_call_prices(mp: MartingaleParams, cfg: SimConfig, spec: OptionSpec) -> Mc
             for dx_i in dx:     # row by row: the order of the sum
                 x += dx_i
         growth = np.exp(x, out=x)
+        buf = np.empty((_PAY_LANES, size))
+        if cfg.antithetic:
+            means = np.empty((_PAY_LANES, size // 2))
         sums = np.empty((2, strikes.size))
-        for lo in range(0, strikes.size, _STEP_CHUNK):
-            k = slice(lo, lo + _STEP_CHUNK)  # a row sums as one strike alone did: the same bits
-            pay = disc * np.maximum(sp[k] * growth - st[k], 0.0)
+        # each lane takes the IEEE operations of a lone strike, in its order,
+        # and a contiguous row sums pairwise as one strike alone did: the same bits
+        for lo in range(0, strikes.size, _PAY_LANES):
+            k = slice(lo, lo + _PAY_LANES)
+            pay = buf[:len(st[k])]
+            np.multiply(sp[k], growth, out=pay)
+            np.subtract(pay, st[k], out=pay)
+            np.maximum(pay, 0.0, out=pay)
+            np.multiply(disc, pay, out=pay)
             if cfg.antithetic:      # the mirrored pair means are the iid samples
-                pay = 0.5 * (pay[:, 0::2] + pay[:, 1::2])
-            sums[:, k] = pay.sum(axis=1), (pay * pay).sum(axis=1)
+                pay = np.add(pay[:, 0::2], pay[:, 1::2], out=means[:len(pay)])
+                np.multiply(0.5, pay, out=pay)
+            np.add.reduce(pay, axis=1, out=sums[0, k])
+            np.multiply(pay, pay, out=pay)
+            np.add.reduce(pay, axis=1, out=sums[1, k])
         return sums
 
     # sum() is a left fold: the block sums are added in block order

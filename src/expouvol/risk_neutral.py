@@ -90,7 +90,10 @@ class MartingaleParams:
     @property
     def nu(self) -> float:
         """Dimensionless reversion rate alpha_bar/k^2 = 1/(2 beta_bar^2)."""
-        return self.alpha_bar / (self.k * self.k)
+        try:
+            return self.alpha_bar / (self.k * self.k)
+        except ZeroDivisionError:   # k*k underflows to 0
+            raise ValueError(f"nu = alpha_bar/k^2 must be finite, got inf at k = {self.k:g}") from None
 
     @property
     def beta2_bar(self) -> float:
@@ -199,9 +202,13 @@ def _coeffs(mp: MartingaleParams, t: float, r: float) -> tuple:
     else:
         s1, s2, k1, k2 = at - a1, at * e1 - a1, at + 0.5 * a2 - 2.0 * a1, at - 2.0 * a1 + at * e1
     mu = r * t - 0.5 * mp.m_bar * mp.m_bar * t
-    theta = z0 * a1 / (lam * lam * nu)
-    sigma3 = (s1 - z0 * s2) / (lam**3 * nu**2)
-    kappa = (k1 + rho * rho * k2) / (2.0 * lam**4 * nu**3)
+    try:
+        theta = z0 * a1 / (lam * lam * nu)
+        sigma3 = (s1 - z0 * s2) / (lam**3 * nu**2)
+        kappa = (k1 + rho * rho * k2) / (2.0 * lam**4 * nu**3)
+    except ArithmeticError:     # a power overflows, or lam*lam*nu underflows to 0
+        raise ValueError("lam = k/m_bar and nu = alpha_bar/k^2 must keep the expansion "
+                         f"coefficients in float range, got lam = {lam:g}, nu = {nu:g}") from None
     return mu, theta, sigma3, kappa
 
 

@@ -474,6 +474,23 @@ class TestConfigHandling:
         assert out == ""
         assert err == "computation failed: sigma3 must be finite, got nan\n"
 
+    @pytest.mark.parametrize("setting, message", [
+        # lam**3 overflows; lam*lam*nu underflows to 0; k*k underflows to 0
+        pytest.param("m=1e-120", "lam = k/m_bar and nu = alpha_bar/k^2 must keep the expansion "
+                     "coefficients in float range, got lam = 1.11502e+119, nu = 0.670248",
+                     id="m=1e-120"),
+        pytest.param("m=1e300", "lam = k/m_bar and nu = alpha_bar/k^2 must keep the expansion "
+                     "coefficients in float range, got lam = 1.11502e-301, nu = 0.670248",
+                     id="m=1e300"),
+        pytest.param("k=1e-300", "nu = alpha_bar/k^2 must be finite, got inf at k = 1e-300",
+                     id="k=1e-300"),
+    ])
+    def test_valid_keys_out_of_float_range_name_the_quantity(self, capsys, setting, message):
+        code, out, err = run_cli(capsys, "--set", setting, "price")
+        assert code == 3
+        assert out == ""
+        assert err == f"computation failed: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["--set", "spot=1e308", "price"],
         ["--set", "rate_annual=-1e20", "greeks"],

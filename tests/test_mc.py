@@ -799,8 +799,8 @@ class TestMultiStrike:
     def test_consistent_with_single(self, fig_mp):
         # an array spec gives, strike by strike, the scalar spec's exact
         # value and error: floats in, floats out; array in, array out.
-        # The lanes go _STEP_CHUNK to a row: 3 strikes make one partial row,
-        # 9 two full rows and a partial one.
+        # The lanes go _PAY_LANES to a row: 3 strikes make one partial row,
+        # 9 a full row and a partial one.
         for strikes, antithetic in itertools.product(
                 (self.STRIKES, tuple(np.linspace(90.0, 110.0, 9))), (False, True)):
             cfg = small_cfg(n_paths=20_000, antithetic=antithetic)
@@ -818,7 +818,7 @@ class TestMultiStrike:
 
     def test_spot_and_strike_broadcast(self, fig_mp):
         # every (spot, strike) lane of the broadcast grid is its scalar call,
-        # bit for bit; in the 3 x 5 grid the rows of _STEP_CHUNK lanes
+        # bit for bit; in the 3 x 5 grid the rows of _PAY_LANES lanes
         # straddle the spots and the last row is partial
         grids = [((98.0, 102.0), self.STRIKES),
                  ((97.0, 100.0, 103.0), (90.0, 95.0, 100.0, 105.0, 110.0))]
@@ -833,11 +833,26 @@ class TestMultiStrike:
                     assert single.value == grid.value[i, j]
                     assert single.std_error == grid.std_error[i, j]
 
+    @pytest.mark.byte_exact
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_full_and_partial_rows_equal_single(self, fig_mp, antithetic):
+        # 2 _PAY_LANES + 1 strikes make two full payoff rows and a partial
+        # one, over a full block and a partial one: every lane is its scalar
+        # call, bit for bit, at every kernel setting (tests/kernel_levels.py)
+        cfg = small_cfg(n_paths=BLOCK + 1000, n_steps=8, antithetic=antithetic)
+        strikes = np.linspace(90.0, 110.0, 2 * mc._PAY_LANES + 1)
+        multi = mc_call_prices(fig_mp, cfg, OptionSpec(100.0, strikes, cfg.horizon, 0.0))
+        for i, k in enumerate(strikes.tolist()):
+            single = mc_call_prices(fig_mp, cfg, OptionSpec(100.0, k, cfg.horizon, 0.0))
+            assert single.value.hex() == float(multi.value[i]).hex()
+            assert single.std_error.hex() == float(multi.std_error[i]).hex()
+
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_working_set_of_one_block(self, fig_mp, antithetic):
-        # the step engine's bound (TestStepChunks) plus two payoff row blocks
-        # of _STEP_CHUNK lanes: rows of 16 lanes, or the whole grid at once, exceed it
-        rows = 1.25 * (5 * mc._STEP_CHUNK + 1) + 2 * mc._STEP_CHUNK
+        # the step engine's bound (TestStepChunks) plus one payoff row of
+        # _PAY_LANES lanes: rows of 16 lanes (antithetic), or the whole grid
+        # at once, exceed it
+        rows = 1.25 * (5 * mc._STEP_CHUNK + 1) + mc._PAY_LANES
         cfg = small_cfg(n_paths=BLOCK, n_steps=41, antithetic=antithetic)
         spec = OptionSpec(100.0, np.linspace(80.0, 120.0, 2001), cfg.horizon, 0.0)
         mc_call_prices(fig_mp, cfg, spec)   # numpy's first generator caches its own tables

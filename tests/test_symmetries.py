@@ -20,8 +20,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expouvol import (
+    MartingaleParams,
     ModelParams,
     OptionQuote,
     OptionSpec,
@@ -36,6 +39,25 @@ from expouvol.pricing import _call_prices
 
 SCALES = [pytest.param(2.0 ** j, id=f"2^{j}") for j in (1, 10, -3)]
 TIME_UNITS = [pytest.param(4.0 ** j, id=f"4^{j}") for j in (1, 2, -1)]
+
+#: ROADMAP direction 5's domain box, test_pricing's test_domain_within_condition's:
+#: the three scales log-uniform
+DOMAIN = dict(log_m_bar=st.floats(-2.5, -1.5), log_k=st.floats(-1.5, -0.5),
+              log_alpha_bar=st.floats(-3.5, -1.0), rho=st.floats(-0.9, 0.9),
+              z0=st.floats(-1.0, 1.0), t=st.floats(0.1, 250.0), r=st.floats(0.0, 2e-4),
+              moneyness=st.floats(0.7, 1.4))
+
+
+def domain_totals(log_m_bar, log_k, log_alpha_bar, rho, z0, t, r, moneyness,
+                  scale=1.0, c=1.0):
+    """The _call_prices total at a domain point, in currency x ``scale`` and
+    with time counted in units ``c`` times shorter."""
+    s = math.sqrt(c)
+    mp = MartingaleParams(m_bar=10.0 ** log_m_bar / s, alpha_bar=10.0 ** log_alpha_bar / c,
+                          k=10.0 ** log_k / s, rho=rho, z0=z0)
+    co = expansion_coeffs(mp, t * c, r / c)
+    spec = OptionSpec(100.0 * scale, 100.0 / moneyness * scale, t * c, r / c)
+    return _call_prices(spec, mp, co)[4]
 
 
 def in_time_unit(p, risk, c):
@@ -81,6 +103,12 @@ class TestSymmetries:
         scaled = dataclasses.replace(spec, spot=100.0 * scale, strike=spec.strike * scale)
         assert (_call_prices(scaled, mp, co)[4]).tobytes() == (total * scale).tobytes()
 
+    @given(**DOMAIN, j=st.integers(-10, 10))
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_call_prices_scale_exactly_over_the_domain(self, j, **point):
+        total = domain_totals(**point)
+        assert domain_totals(**point, scale=2.0 ** j).hex() == (total * 2.0 ** j).hex()
+
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_mc_call_prices_scale_exactly(self, fig_mp, antithetic):
         cfg = SimConfig(n_paths=2000, n_steps=20, dt=1.0, seed=43, antithetic=antithetic)
@@ -118,6 +146,11 @@ class TestSymmetries:
         want = totals(fig_params, fig_risk, t, r)
         got = totals(*in_time_unit(fig_params, fig_risk, c), t * c, r / c)
         assert got.tobytes() == want.tobytes()
+
+    @given(**DOMAIN, j=st.integers(-3, 3))
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_call_prices_keep_their_bits_over_the_domain(self, j, **point):
+        assert domain_totals(**point, c=4.0 ** j).hex() == domain_totals(**point).hex()
 
     @pytest.mark.parametrize("c", TIME_UNITS)
     @pytest.mark.parametrize("antithetic", [False, True])
