@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -157,7 +158,10 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
     Levenberg-Marquardt from (0, 0), as in the module docstring.  ``iterations``
     counts trial steps, accepted or not; ``converged`` means one fell below
     STEP_TOL in max-norm within MAX_ITER of them.  rmse is that of the
-    residuals at the returned parameters.  Fewer than 2 quotes raise QuoteError.
+    residuals at the returned parameters.  Fewer than 2 quotes raise QuoteError;
+    a chain whose prices never move with a free parameter (its Jacobian
+    column zero at every accepted point, so the LM system is singular) raises
+    ValueError naming it.
     """
     if len(quotes) < 2:
         raise QuoteError("calibrate needs at least 2 usable quotes for its 2 parameters, "
@@ -179,6 +183,12 @@ def calibrate_risk_aversion(quotes: Sequence[OptionQuote], p: ModelParams,
             jtj, grad = jac.T @ jac, jac.T @ f
             scale = np.maximum(scale, np.diag(jtj))
             free = ~((np.abs(x) == LAMBDA_BOUND) & (x * grad < 0))  # else held on the box
+            # a free zero-scale column leaves the damped system singular at every damping
+            lost = " or ".join(compress(("lambda0", "lambda1"), free & (scale == 0)))
+            if lost:
+                raise ValueError(f"the chain does not identify {lost}: no model price moves "
+                                 f"with {lost} (quotes in other units than spot, whose "
+                                 "model prices underflow to 0, do this)")
         step, lhs = np.zeros(2), jtj + damping * np.diag(scale)
         step[free] = np.linalg.solve(lhs[np.ix_(free, free)], -grad[free])
         trial = np.clip(x + step, -LAMBDA_BOUND, LAMBDA_BOUND)

@@ -74,7 +74,9 @@ _PAY_LANES = 8
 _N_BOOT = 200
 #: bytes of one row chunk in the per-block stats reductions: the r*r
 #: scratch of _block_sums and the bootstrap weights of _bootstrap_sums.
-#: It trades memory for calls: _block_sums makes 5 + 12 per lag a chunk.
+#: It trades memory for calls: _block_sums makes 6 + 12 per nonzero lag a
+#: chunk.  It also sizes mc_return_stats' step-major return tile, one
+#: transposed copy into the panel per tile (16 steps of a full block).
 _CHUNK_BYTES = 1 << 19
 
 
@@ -351,21 +353,23 @@ def _chunks(n_rows: int, width: int):
 
 
 def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """The (5 + 8 len(lags), size) per-path raw sums of a block's returns.
+    """The (6 + 8 len(lags), size) per-path raw sums of a block's returns.
 
     Row 0 is each path's weight 1 and rows 1-4 are sum r, sum r^2,
-    sum r^2 r and sum r^2 r^2 over every step; lag ``lags[k]`` then has
-    rows 5+8k to 12+8k, sum a^p b^q for (p, q) in _PAIR_POWERS over the
-    pairs a = r(t), b = r(t+lag).  A window sum (a or b alone) is its full
-    sum less the sum over the edge steps the window leaves out.  One pass
-    writes every row in place, a row chunk at a time, with one r*r scratch
-    shared by every chunk.  Each path's sums use only its own row, through
-    the same numpy calls whatever the chunk, so the values do not depend
-    on the chunking.
+    sum r^2 r and sum r^2 r^2 over every step; row 5 is sum r r, the one
+    lag-0 pair sum whose bits are no single sum's (lag 0's sum a^p b^q is
+    row p + q otherwise: x - 0.0 is x, and a dot's products commute).
+    Nonzero lag ``lags[k]`` then has rows 6+8k to 13+8k, sum a^p b^q for
+    (p, q) in _PAIR_POWERS over the pairs a = r(t), b = r(t+lag).  A window
+    sum (a or b alone) is its full sum less the sum over the edge steps the
+    window leaves out.  One pass writes every row in place, a row chunk at
+    a time, with one r*r scratch shared by every chunk.  Each path's sums
+    use only its own row, through the same numpy calls whatever the chunk,
+    so the values do not depend on the chunking.
     """
     n = rets.shape[1]
     chunks = _chunks(*rets.shape)
-    sums = np.empty((5 + len(_PAIR_POWERS) * len(lags), rets.shape[0]))
+    sums = np.empty((6 + len(_PAIR_POWERS) * len(lags), rets.shape[0]))
     sq = np.empty_like(rets[chunks[0]])
     sums[0] = 1.0
     for c in chunks:
@@ -375,8 +379,9 @@ def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
         np.add.reduce(pw[2], axis=1, out=out[2])
         np.vecdot(pw[2], r, out=out[3])
         np.vecdot(pw[2], pw[2], out=out[4])
+        np.vecdot(r, r, out=out[5])
         for k, lag in enumerate(lags):
-            for i, (p, q) in enumerate(_PAIR_POWERS, 5 + len(_PAIR_POWERS) * k):
+            for i, (p, q) in enumerate(_PAIR_POWERS, 6 + len(_PAIR_POWERS) * k):
                 if p and q:
                     np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:], out=out[i])
                 else:
@@ -428,9 +433,14 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     Returns (leverage, autocorr), one list of McEstimate per grid.
 
     One pass, at most one block's return panel per worker, and at most
-    PATH_BUDGET returns in the panels of all running blocks together: each
-    block's per-path raw sums (powers of r, then eight lagged pair sums per
-    lag in ``lags`` order, see _block_sums) are reduced at once against
+    PATH_BUDGET returns in the panels of all running blocks together.  The
+    step engine's chunks go through expm1 into a step-major tile of
+    max(_STEP_CHUNK, _CHUNK_BYTES / (8 size)) steps (16 for a full block,
+    never past the horizon), and each full tile into the path-major panel
+    in one transposed copy; the tile is freed before the sums.  Each
+    block's per-path raw sums (powers of r and sum r r, then eight lagged
+    pair sums per nonzero lag in ``lags`` order, see _block_sums; lag 0
+    reads the single sums) are reduced at once against
     the block's bootstrap weights (_bootstrap_sums: row 0 all ones, then
     _N_BOOT rows of 0/2 weights from Philox keyed by (seed, 2**63 + block)),
     and the block totals are added in block order.  After the last block, mu =
@@ -446,17 +456,23 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
         raise ValueError(f"a block's return panel exceeds the storage budget ({PATH_BUDGET})")
     lev_lags = _lag_steps(leverage_taus, cfg, "leverage lag", "finite")
     aco_lags = _lag_steps(autocorr_taus, cfg, "autocorrelation lag", "nonnegative")
-    lags = sorted({abs(lag) for lag in lev_lags + aco_lags})
+    lags = sorted({abs(lag) for lag in lev_lags + aco_lags} - {0})   # lag 0: single sums
     n_paths, n_all = cfg.n_paths, cfg.n_steps
 
     def weighted_sums(b, size):
         rng = _block_rng(cfg.seed, b)
         rets = np.empty((size, n_all))
+        tile = np.empty((min(n_all, max(_STEP_CHUNK, _CHUNK_BYTES // (8 * size))), size))
         y = math.sqrt(p.beta2) * _normals(rng, np.empty(size), cfg.antithetic)  # stationary start
-        i = 0
+        i = j = 0   # steps before i are in the panel, the next j in the tile
         for dx, _ in _steps(p, cfg, rng, y, 0.0):
-            rets[:, i:i + len(dx)] = np.expm1(dx, out=dx).T
-            i += len(dx)
+            if j + len(dx) > len(tile):     # full: one transposed copy, long rows
+                rets[:, i:i + j] = tile[:j].T
+                i, j = i + j, 0
+            np.expm1(dx, out=tile[j:j + len(dx)])
+            j += len(dx)
+        rets[:, i:] = tile[:j].T
+        del tile    # freed before the sums
         sums = _block_sums(rets, lags)
         del rets    # freed before the bootstrap
         return _bootstrap_sums(cfg.seed, b, sums)
@@ -472,8 +488,11 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     mean4 = _centered(single, mu, 4, 0) / (n_w * n_all)
 
     def pair_sums(lag):
-        lo = 5 + len(_PAIR_POWERS) * lags.index(lag)
-        raw = dict(zip(_PAIR_POWERS, totals[:, lo:lo + len(_PAIR_POWERS)].T))
+        if lag:
+            lo = 6 + len(_PAIR_POWERS) * lags.index(lag)
+            raw = dict(zip(_PAIR_POWERS, totals[:, lo:lo + len(_PAIR_POWERS)].T))
+        else:   # a and b are one return: row p + q, bar sum r r in row 5
+            raw = {pq: totals[:, 5 if pq == (1, 1) else sum(pq)] for pq in _PAIR_POWERS}
         raw[0, 0] = n_w * (n_all - lag)
         return raw
 

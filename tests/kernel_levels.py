@@ -4,8 +4,8 @@ Tests marked ``byte_exact`` assert bits: the golden CSVs, the stats block
 sums and the step chunks against their reference forms, and the erfc port
 against scipy.  Each setting below runs every one of them in one pytest
 subprocess: numpy's AVX-512 kernels off, its AVX2 kernels off as well,
-OpenBLAS's Haswell kernels, and OpenBLAS on one thread, as the CLI process
-runs it.  The subprocesses start together, on the first test that asks for
+OpenBLAS's Haswell (AVX2) kernels, its Nehalem (SSE2) kernels, and OpenBLAS
+on one thread, as the CLI process runs it.  The subprocesses start together, on the first test that asks for
 them, so the settings share the host's CPUs.  ``tests/test_kernel_levels.py``
 asserts that each whole run passed; the golden and block-sum tests in
 ``test_cli.py`` and ``test_mc.py`` read their own tests' outcomes from the
@@ -26,6 +26,7 @@ SETTINGS = {
     "numpy-no-x86-v4": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4"}, "AVX512_SKX"),
     "numpy-no-x86-v3": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4,X86_V3"}, "AVX2"),
     "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "AVX2"),
+    "openblas-nehalem": ({"OPENBLAS_CORETYPE": "Nehalem"}, "SSE42"),
     "openblas-one-thread": ({"OPENBLAS_NUM_THREADS": "1"}, None),
 }
 

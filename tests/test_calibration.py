@@ -330,6 +330,28 @@ class TestCalibration:
         assert res.iterations == MAX_ITER
         assert (res.lambda0, res.lambda1) == (0.0, 0.0)
 
+    def test_chain_in_other_units_names_both_parameters(self, fig_params):
+        # strikes quoted x100 at spot 100: every model price underflows to 0,
+        # so no price moves with either lambda and the LM system is singular
+        quotes = [OptionQuote(strike=k, maturity=20.0, bid=v - 0.5, ask=v + 0.5, mid=v)
+                  for k, v in [(9500.0, 510.0), (10000.0, 250.0), (10500.0, 100.0)]]
+        mp = to_martingale(fig_params, 0.0, 0.0, 0.0)
+        spec = OptionSpec(100.0, np.array([9500.0, 10500.0]), 20.0, 0.0)
+        assert not _call_prices(spec, mp, expansion_coeffs(mp, 20.0, 0.0))[4].any()
+        with pytest.raises(ValueError, match="^the chain does not identify lambda0 or lambda1: "
+                                             "no model price moves with lambda0 or lambda1 "):
+            calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+
+    def test_parameter_no_price_moves_with_is_named(self, fig_params, monkeypatch):
+        # prices that move with lambda0 alone: lambda1's Jacobian column is zero
+        quotes = synthetic_chain(fig_params, 1e-3, 1e-3, 100.0, 0.0, 0.0,
+                                 np.linspace(94, 106, 7), 10.0)
+        mids = np.array([q.mid for q in quotes])
+        monkeypatch.setattr("expouvol.calibration._chain_price",
+                            lambda lambda0, lambda1, *args: mids + lambda0 - 1e-3)
+        with pytest.raises(ValueError, match="^the chain does not identify lambda1: "):
+            calibrate_risk_aversion(quotes, fig_params, 100.0, 0.0, 0.0)
+
 
 def six_maturity_chain(p, y0, seed):
     """Seeded chain over six maturities: mids within +-0.01 of the model price,

@@ -392,6 +392,19 @@ class TestCalibrate:
         assert parse_csv(out)[1][0][3] == "7"
 
 
+    def test_chain_in_other_units_exit_3_names_the_parameters(self, capsys, tmp_path):
+        # strikes 9500-10500 at spot 100: the prices underflow, the Jacobian is zero
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("strike,maturity_days,mid\n9500,20,510\n10000,20,250\n"
+                          "10500,20,100\n")
+        code, out, err = run_cli(capsys, "--set", "sigma0_annual=0.1655",
+                                 "calibrate", "--quotes", str(quotes))
+        assert (code, out) == (3, "")
+        assert err.startswith("computation failed: the chain does not identify "
+                              "lambda0 or lambda1: ")
+        assert "Singular matrix" not in err
+
+
 class TestConfigHandling:
     def test_config_file_and_env(self, capsys, tmp_path, monkeypatch):
         cfgfile = tmp_path / "run.cfg"
@@ -776,8 +789,8 @@ class TestWorkerThreads:
 
 class TestGoldensAtOtherKernelLevels:
     """Every golden test passes again with numpy's AVX-512 kernels off, with
-    its AVX2 kernels off as well, with OpenBLAS's Haswell kernels, and with
-    OpenBLAS on one thread, as the CLI process runs it: the golden bytes
+    its AVX2 kernels off as well, with OpenBLAS's Haswell and Nehalem kernels,
+    and with OpenBLAS on one thread, as the CLI process runs it: the golden bytes
     depend neither on the SIMD level nor on the thread count.  The goldens
     run in the byte-exact subprocess of each setting (tests/kernel_levels.py)."""
 

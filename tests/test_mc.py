@@ -685,10 +685,37 @@ class TestBlockSums:
         assert sorted(rets.shape[0] for rets, _, _ in blocks) == [1000, BLOCK]
         for rets, lags, sums in blocks:
             want = reference_block_sums(rets, lags)
-            assert sums.shape == want.shape == (5 + 8 * len(lags), rets.shape[0])
+            assert 0 not in lags    # lag 0 reads the single sums and sum r r
+            assert sums.shape == want.shape == (6 + 8 * len(lags), rets.shape[0])
             assert (sums == want).all()
 
-    @pytest.mark.parametrize("setting", ["openblas-haswell", "numpy-no-x86-v4"])
+    @pytest.mark.byte_exact
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_lag_zero_keeps_the_bits_of_its_eight_rows(self, fig_params, blocks, antithetic):
+        # lag 0 from the layout that gave it eight pair rows like any lag
+        # (the reference sums with 0 among the lags), through the same
+        # bootstrap and estimator: every bit as mc_return_stats reads it
+        # from the single sums and sum r r
+        cfg = SimConfig(n_paths=BLOCK + 1000, n_steps=40, dt=0.5, seed=11, antithetic=antithetic)
+        lev, aco = mc_return_stats(fig_params, cfg, [0.0], [0.0])
+        in_order = sorted(blocks, key=lambda blk: -len(blk[0]))     # block 0 is the full one
+        totals = sum(mc._bootstrap_sums(cfg.seed, b, reference_block_sums(rets, [0]))
+                     for b, (rets, _, _) in enumerate(in_order))
+        n_w, n_all = totals[:, 0], cfg.n_steps
+        mu = totals[0, 1] / (cfg.n_paths * n_all)
+        raw = dict(zip(mc._PAIR_POWERS, totals[:, 6:14].T))     # lag 0 as a lag
+        raw[0, 0] = n_w * n_all
+        single = {(k, 0): totals[:, k] for k in range(1, 5)} | {(0, 0): raw[0, 0]}
+        mean2, mean4 = (mc._centered(single, mu, k, 0) / raw[0, 0] for k in (2, 4))
+        want = [(mc._centered(raw, mu, 1, 2) / raw[0, 0]) / mean2 ** 2,
+                (mc._centered(raw, mu, 2, 2) / raw[0, 0] - mean2 * mean2)
+                / (mean4 - mean2 * mean2)]
+        for got, stat in zip(lev + aco, want):
+            assert (got.value.hex(), got.std_error.hex()) == \
+                (float(stat[0]).hex(), float(stat[1:].std(ddof=1)).hex())
+
+    @pytest.mark.parametrize("setting", ["openblas-haswell", "openblas-nehalem",
+                                         "numpy-no-x86-v4"])
     def test_equals_the_reference_at_other_kernel_levels(self, kernel_level_runs, setting):
         # the default-chunk cases run in the byte-exact subprocess of each
         # setting (tests/kernel_levels.py)
@@ -712,8 +739,10 @@ class TestBlockSums:
         finally:
             tracemalloc.stop()
         panel = BLOCK * cfg.n_steps * 8
-        sums = (5 + 8 * 4) * BLOCK * 8    # the weight, 4 single sums, 8 per lag
-        assert peak <= panel + sums + 3 * mc._CHUNK_BYTES
+        sums = (6 + 8 * 3) * BLOCK * 8    # the weight, 5 single sums, 8 per nonzero lag
+        # and the r*r scratch with the step engine's last buffers: the
+        # return tile is freed before the sums
+        assert peak <= panel + sums + 2 * mc._CHUNK_BYTES
 
 
 def _vol_path_functionals(mp, t, n_paths, dt, seed, z0=0.0):

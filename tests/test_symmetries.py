@@ -5,8 +5,11 @@ Spot, strikes and quotes times 2^j scale every price exactly in binary
 floating point and leave moneyness, and so every d1, d2 and erfc argument,
 with the same bits.  Prices, Monte Carlo estimates and the fit's residuals
 then scale by 2^j exactly, and the fit's normal equations by 4^j, so the
-fitted risk aversion keeps its bits at every kernel setting.  ``calibrate``
-has no golden; this is its gate that holds on every host.
+fitted risk aversion keeps its bits at every kernel setting; so do the
+CLI's tables under ``--set spot=``.  ``calibrate`` has no golden; this is
+its gate that holds on every host.  The one exception is a price near the
+subnormal range, where a rounding on 2^-1074 does not scale (see
+test_call_prices_scale_exactly_over_the_domain).
 
 A time unit c times shorter divides the rates alpha and r by c and the
 volatilities m, k, lambda0 and lambda1 by sqrt(c), and multiplies T, dt and
@@ -15,12 +18,13 @@ product the model forms of them (alpha t, m^2 t, k^2/alpha, sig sqrt(dt)):
 closed-form prices, Monte Carlo prices and return statistics keep their bits.
 """
 
+import argparse
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expouvol import (
@@ -35,6 +39,7 @@ from expouvol import (
     mc_return_stats,
     to_martingale,
 )
+from expouvol import cli
 from expouvol.pricing import _call_prices
 
 SCALES = [pytest.param(2.0 ** j, id=f"2^{j}") for j in (1, 10, -3)]
@@ -88,6 +93,32 @@ def in_currency(quotes, scale):
                         q.mid * scale) for q in quotes]
 
 
+#: the columns of each command's table that scale with the currency; the
+#: others (moneyness, delta, the smile cells) keep their bits
+CLI_SCALED = {"price": {"call", "bs", "diff"}, "greeks": set(), "smile": set(),
+              "simulate": {"mc_price", "std_err", "analytic", "abs_diff"}}
+
+
+def cli_tables(command, sets, **args):
+    """(header fields, columns) of each table ``cmd_<command>`` hands to _emit,
+    with ``sets`` as the --set pairs."""
+    cfg = cli.build_config([], list(sets.items()))
+    namespace = argparse.Namespace(output=None, dump_paths=None, **args)
+    return [(header.split(","), [c if isinstance(c, np.ndarray) else list(c) for c in columns])
+            for _, header, columns in getattr(cli, f"cmd_{command}")(cfg, namespace)]
+
+
+def assert_scaled(names, got, want, scaled, scale):
+    """Each column of ``got`` is ``want``'s, times ``scale`` in the ``scaled``
+    columns, bit for bit (a float's repr names its bits)."""
+    for name, g, w in zip(names, got, want, strict=True):
+        if isinstance(w, np.ndarray):
+            assert g.tobytes() == (w * scale if name in scaled else w).tobytes(), name
+        else:
+            assert list(map(repr, g)) == [repr(v * scale if name in scaled else v)
+                                          for v in w], name
+
+
 @pytest.mark.byte_exact
 class TestSymmetries:
     """Currency x 2^j: every result keeps its bits or scales by 2^j exactly.
@@ -103,11 +134,30 @@ class TestSymmetries:
         scaled = dataclasses.replace(spec, spot=100.0 * scale, strike=spec.strike * scale)
         assert (_call_prices(scaled, mp, co)[4]).tobytes() == (total * scale).tobytes()
 
+    # Exact scaling stops where an intermediate of either currency rounds on
+    # the subnormal grid, 2^-1074 apart, which the other currency does not
+    # share.  Both pinned points are such: a subnormal total (2.5e-320, x32),
+    # and a normal one (2.9e-307, x4) one of whose terms is subnormal.  Over
+    # about 65,000 random points of the box and j in [-10, 10], the totals
+    # carried to the higher currency then differed by at most 1.5 steps of
+    # the lower currency's 2^-1074 (a subnormal total) or one ulp (a normal
+    # total, up to 3.6e-307).  From tiny * 2^53 up, a few 2^-1074 are under
+    # 2^-52 ulp of the total: the bits are exact there.
+    @example(log_m_bar=-2.5, log_k=-1.5, log_alpha_bar=-1.9098126003631382, rho=0.0, z0=1.0,
+             t=0.1, r=0.0, moneyness=0.9622769267495572, j=5)
+    @example(log_m_bar=-2.0924674336170996, log_k=-1.4653876325712027,
+             log_alpha_bar=-1.6984596791522102, rho=0.12595236795649012, z0=0.8956037553157472,
+             t=0.14025008292517885, r=0.0001812586085641364, moneyness=0.8921756851662778, j=2)
     @given(**DOMAIN, j=st.integers(-10, 10))
     @settings(max_examples=250, deadline=None, derandomize=True)
     def test_call_prices_scale_exactly_over_the_domain(self, j, **point):
-        total = domain_totals(**point)
-        assert domain_totals(**point, scale=2.0 ** j).hex() == (total * 2.0 ** j).hex()
+        total, scaled = domain_totals(**point), domain_totals(**point, scale=2.0 ** j)
+        if min(abs(total), abs(scaled)) >= np.finfo(float).tiny * 2.0 ** 53:
+            assert scaled.hex() == (total * 2.0 ** j).hex()
+        else:   # both at the higher currency, where each is exact
+            up = 2.0 ** abs(j)
+            a, b = (scaled, total * up) if j >= 0 else (total, scaled * up)
+            assert abs(a - b) <= max(2 * up * 2.0 ** -1074, np.spacing(max(abs(a), abs(b))))
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_mc_call_prices_scale_exactly(self, fig_mp, antithetic):
@@ -131,6 +181,33 @@ class TestSymmetries:
         assert (got.lambda0.hex(), got.lambda1.hex()) == (base.lambda0.hex(), base.lambda1.hex())
         assert (got.iterations, got.converged) == (base.iterations, base.converged)
         assert got.rmse.hex() == (base.rmse * scale).hex()
+
+    @pytest.mark.parametrize("command", list(CLI_SCALED))
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_cli_columns_scale_exactly(self, command, scale):
+        # simulate at 2,000 paths of 50 steps; the 101-point default grid
+        sets = {"n_paths": "2000", "maturity_days": "5"}
+        (names, want), = cli_tables(command, sets)
+        (_, got), = cli_tables(command, {**sets, "spot": repr(100.0 * scale)})
+        assert_scaled(names, got, want, CLI_SCALED[command], scale)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_cli_calibrate_keeps_its_bits(self, tmp_path, scale):
+        sets = {"sigma0_annual": "0.1655"}
+        cfg = cli.build_config([], list(sets.items()))
+        quotes = four_maturity_chain(cfg.params, cfg.rate, cfg.y0)
+        tables = []
+        for s in (1.0, scale):
+            path = tmp_path / f"quotes_{s!r}.csv"
+            path.write_text("strike,maturity_days,bid,ask\n" + "".join(
+                f"{q.strike!r},{q.maturity!r},{q.bid!r},{q.ask!r}\n"
+                for q in in_currency(quotes, s)))
+            tables.append(cli_tables("calibrate", {**sets, "spot": repr(100.0 * s)},
+                                     quotes=str(path), repricing="reprice.csv"))
+        (fit_names, fit), (rp_names, rp) = tables[0]
+        assert fit[4] == ["true"]                     # converged
+        assert_scaled(fit_names, tables[1][0][1], fit, {"rmse"}, scale)
+        assert_scaled(rp_names, tables[1][1][1], rp, set(rp_names), scale)
 
     @pytest.mark.parametrize("c", TIME_UNITS)
     def test_call_prices_keep_their_bits(self, fig_params, fig_risk, c):
