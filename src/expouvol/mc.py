@@ -74,7 +74,7 @@ _PAY_LANES = 8
 _N_BOOT = 200
 #: bytes of one row chunk in the per-block stats reductions: the r*r
 #: scratch of _block_sums and the bootstrap weights of _bootstrap_sums.
-#: It trades memory for calls: _block_sums makes 6 + 12 per nonzero lag a
+#: It trades memory for calls: _block_sums makes 5 + 12 per nonzero lag a
 #: chunk.  It also sizes mc_return_stats' step-major return tile, one
 #: transposed copy into the panel per tile (16 steps of a full block).
 _CHUNK_BYTES = 1 << 19
@@ -353,35 +353,34 @@ def _chunks(n_rows: int, width: int):
 
 
 def _block_sums(rets: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """The (6 + 8 len(lags), size) per-path raw sums of a block's returns.
+    """The (5 + 8 len(lags), size) per-path raw sums of a block's returns.
 
-    Row 0 is each path's weight 1 and rows 1-4 are sum r, sum r^2,
-    sum r^2 r and sum r^2 r^2 over every step; row 5 is sum r r, the one
-    lag-0 pair sum whose bits are no single sum's (lag 0's sum a^p b^q is
-    row p + q otherwise: x - 0.0 is x, and a dot's products commute).
-    Nonzero lag ``lags[k]`` then has rows 6+8k to 13+8k, sum a^p b^q for
-    (p, q) in _PAIR_POWERS over the pairs a = r(t), b = r(t+lag).  A window
-    sum (a or b alone) is its full sum less the sum over the edge steps the
-    window leaves out.  One pass writes every row in place, a row chunk at
-    a time, with one r*r scratch shared by every chunk.  Each path's sums
-    use only its own row, through the same numpy calls whatever the chunk,
-    so the values do not depend on the chunking.
+    Row 0 is each path's weight 1 and rows 1-4 are sum r, sum r r,
+    sum r^2 r and sum r^2 r^2 over every step.  These are lag 0's pair
+    sums too: its sum a^p b^q is row p + q (x - 0.0 is x, and a dot's
+    products commute).  Nonzero lag ``lags[k]`` then has rows 5+8k to
+    12+8k, sum a^p b^q for (p, q) in _PAIR_POWERS over the pairs
+    a = r(t), b = r(t+lag).  A window sum (a or b alone) is its full sum
+    less the sum over the edge steps the window leaves out.  One pass
+    writes every row in place, a row chunk at a time, with one r*r scratch
+    shared by every chunk.  Each path's sums use only its own row, through
+    the same numpy calls whatever the chunk, so the values do not depend
+    on the chunking.
     """
     n = rets.shape[1]
     chunks = _chunks(*rets.shape)
-    sums = np.empty((6 + len(_PAIR_POWERS) * len(lags), rets.shape[0]))
+    sums = np.empty((5 + len(_PAIR_POWERS) * len(lags), rets.shape[0]))
     sq = np.empty_like(rets[chunks[0]])
     sums[0] = 1.0
     for c in chunks:
         r, out = rets[c], sums[:, c]
         pw = [None, r, np.multiply(r, r, out=sq[:len(r)])]
         np.add.reduce(r, axis=1, out=out[1])
-        np.add.reduce(pw[2], axis=1, out=out[2])
+        np.vecdot(r, r, out=out[2])
         np.vecdot(pw[2], r, out=out[3])
         np.vecdot(pw[2], pw[2], out=out[4])
-        np.vecdot(r, r, out=out[5])
         for k, lag in enumerate(lags):
-            for i, (p, q) in enumerate(_PAIR_POWERS, 6 + len(_PAIR_POWERS) * k):
+            for i, (p, q) in enumerate(_PAIR_POWERS, 5 + len(_PAIR_POWERS) * k):
                 if p and q:
                     np.vecdot(pw[p][:, : n - lag], pw[q][:, lag:], out=out[i])
                 else:
@@ -438,12 +437,12 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     max(_STEP_CHUNK, _CHUNK_BYTES / (8 size)) steps (16 for a full block,
     never past the horizon), and each full tile into the path-major panel
     in one transposed copy; the tile is freed before the sums.  Each
-    block's per-path raw sums (powers of r and sum r r, then eight lagged
-    pair sums per nonzero lag in ``lags`` order, see _block_sums; lag 0
-    reads the single sums) are reduced at once against
-    the block's bootstrap weights (_bootstrap_sums: row 0 all ones, then
-    _N_BOOT rows of 0/2 weights from Philox keyed by (seed, 2**63 + block)),
-    and the block totals are added in block order.  After the last block, mu =
+    block's per-path raw sums (powers of r, which are lag 0's pair sums,
+    then eight lagged pair sums per nonzero lag in ``lags`` order, see
+    _block_sums) are reduced at once against the block's bootstrap
+    weights (_bootstrap_sums: row 0 all ones, then _N_BOOT rows of 0/2
+    weights from Philox keyed by (seed, 2**63 + block)), and the block
+    totals are added in block order.  After the last block, mu =
     sum r / (n_paths n_steps) is the full-sample mean, and every demeaned sum
     follows exactly from the raw ones by binomial expansion in that fixed mu.
     Each replicate uses its own weight sum in place of n_paths; the standard
@@ -480,21 +479,19 @@ def mc_return_stats(p: ModelParams, cfg: SimConfig, leverage_taus: Sequence[floa
     # sum() is a left fold: the block totals are added in block order
     totals = sum(_map_blocks(weighted_sums, cfg, block_samples=panel))
     totals = totals[totals[:, 0] > 0]       # a replicate that drew no path
-    n_w = totals[:, 0]
     mu = totals[0, 1] / (n_paths * n_all)
-    single = {(k, 0): totals[:, k] for k in range(1, 5)}
-    single[0, 0] = n_w * n_all
-    mean2 = _centered(single, mu, 2, 0) / (n_w * n_all)
-    mean4 = _centered(single, mu, 4, 0) / (n_w * n_all)
 
     def pair_sums(lag):
         if lag:
-            lo = 6 + len(_PAIR_POWERS) * lags.index(lag)
+            lo = 5 + len(_PAIR_POWERS) * lags.index(lag)
             raw = dict(zip(_PAIR_POWERS, totals[:, lo:lo + len(_PAIR_POWERS)].T))
-        else:   # a and b are one return: row p + q, bar sum r r in row 5
-            raw = {pq: totals[:, 5 if pq == (1, 1) else sum(pq)] for pq in _PAIR_POWERS}
-        raw[0, 0] = n_w * (n_all - lag)
+        else:   # a and b are one return: sum a^p b^q is row p + q
+            raw = {(p, q): totals[:, p + q] for p in range(5) for q in range(5 - p)}
+        raw[0, 0] = totals[:, 0] * (n_all - lag)
         return raw
+
+    lag0 = pair_sums(0)
+    mean2, mean4 = (_centered(lag0, mu, k, 0) / lag0[0, 0] for k in (2, 4))
 
     def estimate(stat, lag):
         return McEstimate(value=float(stat[0]), std_error=float(stat[1:].std(ddof=1)),

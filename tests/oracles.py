@@ -189,17 +189,17 @@ def chi_square_vs_density(edges, counts, pdf, n_total=None, min_expected=5.0):
 def reference_raw_sums(r, lags):
     """Per-path raw sums of one block of returns, one row per sum.
 
-    Row 0 is each path's weight 1, rows 1-4 are sum r^p over every step,
-    row 5 is sum r r, then each (nonzero) lag l adds sum a^p b^q for
-    (p, q) in _PAIR_POWERS over the pairs a = r(t), b = r(t+l).  Window
-    sums (a or b alone) are the full sums less the l edge steps the window
-    leaves out.
+    Row 0 is each path's weight 1 and rows 1-4 are sum r^p over every
+    step, sum r^2 as the dot sum r r (lag 0's pair sum a^p b^q is row
+    p + q); then each (nonzero) lag l adds sum a^p b^q for (p, q) in
+    _PAIR_POWERS over the pairs a = r(t), b = r(t+l).  Window sums (a or b
+    alone) are the full sums less the l edge steps the window leaves out.
     """
     n = r.shape[1]
     pw = [None, r, r * r]
-    full = [None, pw[1].sum(axis=1), pw[2].sum(axis=1)]
+    full = [None, pw[1].sum(axis=1), np.vecdot(pw[1], pw[1])]
     rows = [np.ones(r.shape[0]), full[1], full[2],
-            np.vecdot(pw[2], pw[1]), np.vecdot(pw[2], pw[2]), np.vecdot(pw[1], pw[1])]
+            np.vecdot(pw[2], pw[1]), np.vecdot(pw[2], pw[2])]
     for lag in lags:
         for p, q in _PAIR_POWERS:
             if p and q:

@@ -685,25 +685,31 @@ class TestBlockSums:
         assert sorted(rets.shape[0] for rets, _, _ in blocks) == [1000, BLOCK]
         for rets, lags, sums in blocks:
             want = reference_block_sums(rets, lags)
-            assert 0 not in lags    # lag 0 reads the single sums and sum r r
-            assert sums.shape == want.shape == (6 + 8 * len(lags), rets.shape[0])
+            assert 0 not in lags    # lag 0 reads the single sums
+            assert sums.shape == want.shape == (5 + 8 * len(lags), rets.shape[0])
             assert (sums == want).all()
 
     @pytest.mark.byte_exact
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_lag_zero_keeps_the_bits_of_its_eight_rows(self, fig_params, blocks, antithetic):
+    # 40 steps at seed 11 cannot tell a pairwise sum r^2, read as sum r r,
+    # from the dot; 203 steps at seed 32 can: it pins sum r r as row 2.
+    @pytest.mark.parametrize("n_steps, seed, antithetic", [
+        pytest.param(40, 11, False, id="False"), pytest.param(40, 11, True, id="True"),
+        pytest.param(203, 32, False, id="203-steps")])
+    def test_lag_zero_keeps_the_bits_of_its_eight_rows(self, fig_params, blocks, n_steps, seed,
+                                                       antithetic):
         # lag 0 from the layout that gave it eight pair rows like any lag
         # (the reference sums with 0 among the lags), through the same
         # bootstrap and estimator: every bit as mc_return_stats reads it
-        # from the single sums and sum r r
-        cfg = SimConfig(n_paths=BLOCK + 1000, n_steps=40, dt=0.5, seed=11, antithetic=antithetic)
+        # from the single sums
+        cfg = SimConfig(n_paths=BLOCK + 1000, n_steps=n_steps, dt=0.5, seed=seed,
+                        antithetic=antithetic)
         lev, aco = mc_return_stats(fig_params, cfg, [0.0], [0.0])
         in_order = sorted(blocks, key=lambda blk: -len(blk[0]))     # block 0 is the full one
         totals = sum(mc._bootstrap_sums(cfg.seed, b, reference_block_sums(rets, [0]))
                      for b, (rets, _, _) in enumerate(in_order))
         n_w, n_all = totals[:, 0], cfg.n_steps
         mu = totals[0, 1] / (cfg.n_paths * n_all)
-        raw = dict(zip(mc._PAIR_POWERS, totals[:, 6:14].T))     # lag 0 as a lag
+        raw = dict(zip(mc._PAIR_POWERS, totals[:, 5:13].T))     # lag 0 as a lag
         raw[0, 0] = n_w * n_all
         single = {(k, 0): totals[:, k] for k in range(1, 5)} | {(0, 0): raw[0, 0]}
         mean2, mean4 = (mc._centered(single, mu, k, 0) / raw[0, 0] for k in (2, 4))
@@ -739,7 +745,7 @@ class TestBlockSums:
         finally:
             tracemalloc.stop()
         panel = BLOCK * cfg.n_steps * 8
-        sums = (6 + 8 * 3) * BLOCK * 8    # the weight, 5 single sums, 8 per nonzero lag
+        sums = (5 + 8 * 3) * BLOCK * 8    # the weight, 4 single sums, 8 per nonzero lag
         # and the r*r scratch with the step engine's last buffers: the
         # return tile is freed before the sums
         assert peak <= panel + sums + 2 * mc._CHUNK_BYTES

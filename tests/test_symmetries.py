@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expouvol import (
@@ -40,6 +40,7 @@ from expouvol import (
     to_martingale,
 )
 from expouvol import cli
+from expouvol.mc import BLOCK
 from expouvol.pricing import _call_prices
 
 SCALES = [pytest.param(2.0 ** j, id=f"2^{j}") for j in (1, 10, -3)]
@@ -63,6 +64,72 @@ def domain_totals(log_m_bar, log_k, log_alpha_bar, rho, z0, t, r, moneyness,
     co = expansion_coeffs(mp, t * c, r / c)
     spec = OptionSpec(100.0 * scale, 100.0 / moneyness * scale, t * c, r / c)
     return _call_prices(spec, mp, co)[4]
+
+
+#: the fig parameters and risk aversion of tests/conftest.py, for the hypothesis
+#: tests, which take no function-scoped fixture
+FIG_PARAMS = ModelParams(m=0.01, alpha=8e-3, k=0.11, rho=-0.4)
+FIG_RISK = (1e-3, 1e-3)
+
+
+@st.composite
+def sim_configs(draw):
+    """A small SimConfig: any seed, 2 paths to a block and a partial one, 1-20
+    steps of any dt, plain or antithetic (n_paths then even)."""
+    antithetic = draw(st.booleans())
+    n_paths = draw(st.integers(2, BLOCK + 904))
+    return SimConfig(n_paths=n_paths - n_paths % 2 if antithetic else n_paths,
+                     n_steps=draw(st.integers(1, 20)), dt=draw(st.floats(0.05, 5.0)),
+                     seed=draw(st.integers(0, 2**64 - 1)), antithetic=antithetic)
+
+
+#: 1-20 strikes around spot 100
+STRIKES = st.lists(st.floats(0.7, 1.4), min_size=1, max_size=20).map(
+    lambda moneyness: 100.0 / np.array(moneyness))
+
+
+@st.composite
+def stats_runs(draw):
+    """(cfg, leverage lags, autocorrelation lags): a sim_configs run and lags
+    of 0 to n_steps - 1 steps, in days."""
+    cfg = draw(sim_configs())
+    last = cfg.n_steps - 1
+    return (cfg, np.array(draw(st.lists(st.integers(-last, last), max_size=4))) * cfg.dt,
+            np.array(draw(st.lists(st.integers(0, last), max_size=3))) * cfg.dt)
+
+
+#: two blocks, the second partial, with the widest strike grid: sizes the
+#: derandomized draws do not reach
+TWO_BLOCKS = [SimConfig(n_paths=BLOCK + 904, n_steps=20, dt=0.5, seed=2**64 - 1),
+              SimConfig(n_paths=BLOCK + 904, n_steps=13, dt=1.7, seed=47, antithetic=True)]
+WIDE_STRIKES = 100.0 / np.linspace(0.7, 1.4, 20)
+
+
+def mc_prices(p, risk, cfg, strikes, r, spot=100.0):
+    """mc_call_prices from z0 = 0 at the config horizon."""
+    mp = dataclasses.replace(to_martingale(p, *risk, 0.0), z0=0.0)
+    return mc_call_prices(mp, cfg, OptionSpec(spot, strikes, cfg.horizon, r))
+
+
+@st.composite
+def model_chains(draw):
+    """(quotes, y0): 3-10 quotes spread over 1-3 maturities of 5-60 days,
+    strikes 90-110, mids the model price at lambda0 = lambda1 = 1e-3 with
+    +-1% noise, bid/ask at mid -+1%.  A chain with a model price at or below
+    0 has no such mids and is not drawn: below y0 = 0 the expansion's prices
+    go negative, near the money too (-0.88 at y0 = -0.8, T = 60, K = 105)."""
+    y0 = draw(st.floats(-0.8, 0.8))
+    mp = to_martingale(FIG_PARAMS, *FIG_RISK, y0)
+    maturities = draw(st.lists(st.sampled_from([5.0, 10.0, 20.0, 40.0, 60.0]),
+                               min_size=1, max_size=3, unique=True))
+    quotes = []
+    for i in range(draw(st.integers(3, 10))):
+        t, k = maturities[i % len(maturities)], draw(st.floats(90.0, 110.0))
+        price = _call_prices(OptionSpec(100.0, k, t, 2e-4), mp, expansion_coeffs(mp, t, 2e-4))[4]
+        assume(price > 0)
+        mid = float(price) * (1.0 + draw(st.floats(-0.01, 0.01)))
+        quotes.append(OptionQuote(strike=k, maturity=t, bid=mid * 0.99, ask=mid * 1.01, mid=mid))
+    return quotes, y0
 
 
 def in_time_unit(p, risk, c):
@@ -169,6 +236,16 @@ class TestSymmetries:
         assert got.value.tobytes() == (est.value * 2.0).tobytes()
         assert got.std_error.tobytes() == (est.std_error * 2.0).tobytes()
 
+    @example(cfg=TWO_BLOCKS[0], strikes=WIDE_STRIKES, j=10)
+    @example(cfg=TWO_BLOCKS[1], strikes=WIDE_STRIKES, j=-10)
+    @given(cfg=sim_configs(), strikes=STRIKES, j=st.integers(-10, 10))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_mc_call_prices_scale_exactly_over_runs(self, cfg, strikes, j):
+        est = mc_prices(FIG_PARAMS, FIG_RISK, cfg, strikes, 2e-4)
+        got = mc_prices(FIG_PARAMS, FIG_RISK, cfg, strikes * 2.0 ** j, 2e-4, 100.0 * 2.0 ** j)
+        assert got.value.tobytes() == (est.value * 2.0 ** j).tobytes()
+        assert got.std_error.tobytes() == (est.std_error * 2.0 ** j).tobytes()
+
     @pytest.mark.parametrize("scale", SCALES)
     def test_calibrate_keeps_its_bits(self, fig_params, scale):
         r, y0 = 2e-4, 0.3
@@ -178,6 +255,17 @@ class TestSymmetries:
         assert base.converged
         got = calibrate_risk_aversion(in_currency(quotes, scale), fig_params,
                                       100.0 * scale, r, y0)
+        assert (got.lambda0.hex(), got.lambda1.hex()) == (base.lambda0.hex(), base.lambda1.hex())
+        assert (got.iterations, got.converged) == (base.iterations, base.converged)
+        assert got.rmse.hex() == (base.rmse * scale).hex()
+
+    @given(chain=model_chains(), j=st.integers(-10, 10))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_calibrate_keeps_its_bits_over_chains(self, chain, j):
+        (quotes, y0), scale = chain, 2.0 ** j
+        base = calibrate_risk_aversion(quotes, FIG_PARAMS, 100.0, 2e-4, y0)
+        got = calibrate_risk_aversion(in_currency(quotes, scale), FIG_PARAMS,
+                                      100.0 * scale, 2e-4, y0)
         assert (got.lambda0.hex(), got.lambda1.hex()) == (base.lambda0.hex(), base.lambda1.hex())
         assert (got.iterations, got.converged) == (base.iterations, base.converged)
         assert got.rmse.hex() == (base.rmse * scale).hex()
@@ -233,15 +321,22 @@ class TestSymmetries:
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_mc_call_prices_keep_their_bits(self, fig_params, fig_risk, c, antithetic):
         cfg = SimConfig(n_paths=2000, n_steps=20, dt=1.0, seed=43, antithetic=antithetic)
+        strikes = np.linspace(90.0, 110.0, 11)
+        want = mc_prices(fig_params, fig_risk, cfg, strikes, 2e-4)
+        got = mc_prices(*in_time_unit(fig_params, fig_risk, c),
+                        dataclasses.replace(cfg, dt=cfg.dt * c), strikes, 2e-4 / c)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert got.std_error.tobytes() == want.std_error.tobytes()
 
-        def estimate(p, risk, cfg, r):
-            mp = dataclasses.replace(to_martingale(p, *risk, 0.0), z0=0.0)
-            return mc_call_prices(mp, cfg, OptionSpec(100.0, np.linspace(90.0, 110.0, 11),
-                                                      cfg.horizon, r))
-
-        want = estimate(fig_params, fig_risk, cfg, 2e-4)
-        got = estimate(*in_time_unit(fig_params, fig_risk, c),
-                       dataclasses.replace(cfg, dt=cfg.dt * c), 2e-4 / c)
+    @example(cfg=TWO_BLOCKS[0], strikes=WIDE_STRIKES, j=-2)
+    @example(cfg=TWO_BLOCKS[1], strikes=WIDE_STRIKES, j=2)
+    @given(cfg=sim_configs(), strikes=STRIKES, j=st.integers(-2, 2))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_mc_call_prices_keep_their_bits_over_runs(self, cfg, strikes, j):
+        c = 4.0 ** j
+        want = mc_prices(FIG_PARAMS, FIG_RISK, cfg, strikes, 2e-4)
+        got = mc_prices(*in_time_unit(FIG_PARAMS, FIG_RISK, c),
+                        dataclasses.replace(cfg, dt=cfg.dt * c), strikes, 2e-4 / c)
         assert got.value.tobytes() == want.value.tobytes()
         assert got.std_error.tobytes() == want.std_error.tobytes()
 
@@ -254,4 +349,16 @@ class TestSymmetries:
         got = mc_return_stats(p, dataclasses.replace(cfg, dt=cfg.dt * c),
                               lev_taus * c, aco_taus * c)
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert (g.value.hex(), g.std_error.hex()) == (w.value.hex(), w.std_error.hex())
+
+    @example(run=(TWO_BLOCKS[0], np.array([-19.0, 0.0, 9.0]) * 0.5, np.array([0.0, 3.0])), j=2)
+    @example(run=(TWO_BLOCKS[1], np.array([1.7, -3.4]), np.array([0.0, 20.4])), j=-2)
+    @given(run=stats_runs(), j=st.integers(-2, 2))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_return_stats_keep_their_bits_over_runs(self, run, j):
+        (cfg, lev, aco), c = run, 4.0 ** j
+        want = mc_return_stats(FIG_PARAMS, cfg, lev, aco)
+        p, _ = in_time_unit(FIG_PARAMS, FIG_RISK, c)
+        got = mc_return_stats(p, dataclasses.replace(cfg, dt=cfg.dt * c), lev * c, aco * c)
+        for g, w in zip(got[0] + got[1], want[0] + want[1], strict=True):
             assert (g.value.hex(), g.std_error.hex()) == (w.value.hex(), w.std_error.hex())
